@@ -72,8 +72,20 @@ def _require(doc: dict, key: str, where: str):
 def _as_float(value, key: str):
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("key '{}' must be a number, got {!r}".format(key, value))
+
+
+def _as_int(value, key: str):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("key '{}' must be an integer, got {!r}".format(key, value))
+    return value
+
+
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError("{} must be a mapping, got {!r}".format(where, value))
+    return dict(value)
 
 
 @dataclass
@@ -112,26 +124,26 @@ class ScenarioConfig:
         if not isinstance(name, str) or not name:
             raise ConfigError("scenario needs a nonempty 'name'")
 
-        grid_doc = dict(_require(doc, "grid", "scenario"))
+        grid_doc = _mapping(_require(doc, "grid", "scenario"), "grid")
         for key in ("x0", "dx", "n"):
             _require(grid_doc, key, "grid")
         grid = {
             "x0": _as_float(grid_doc["x0"], "grid.x0"),
             "dx": _as_float(grid_doc["dx"], "grid.dx"),
-            "n": int(grid_doc["n"]),
+            "n": _as_int(grid_doc["n"], "grid.n"),
         }
         if set(grid_doc) - set(grid):
             raise ConfigError(
                 "unknown grid keys: {}".format(sorted(set(grid_doc) - set(grid)))
             )
 
-        bathy = dict(_require(doc, "bathymetry", "scenario"))
+        bathy = _mapping(_require(doc, "bathymetry", "scenario"), "bathymetry")
         _require(bathy, "kind", "bathymetry")
-        initial = dict(_require(doc, "initial", "scenario"))
+        initial = _mapping(_require(doc, "initial", "scenario"), "initial")
         _require(initial, "kind", "initial")
 
         sol = dict(_SOLVER_DEFAULTS)
-        sol_doc = dict(_require(doc, "solver", "scenario"))
+        sol_doc = _mapping(_require(doc, "solver", "scenario"), "solver")
         unknown = set(sol_doc) - set(sol)
         if unknown:
             raise ConfigError("unknown solver keys: {}".format(sorted(unknown)))
@@ -149,7 +161,7 @@ class ScenarioConfig:
         sol["stop_at_first_event"] = bool(sol["stop_at_first_event"])
 
         det = dict(_DETECTOR_DEFAULTS)
-        det_doc = dict(doc.get("detector") or {})
+        det_doc = _mapping(doc.get("detector") or {}, "detector")
         unknown = set(det_doc) - set(det)
         if unknown:
             raise ConfigError("unknown detector keys: {}".format(sorted(unknown)))
@@ -206,8 +218,18 @@ class ScenarioConfig:
                     _as_float(_require(doc, "K", "bathymetry"), "K"),
                 )
             if kind == "sampled":
-                return Sampled.from_csv(_require(doc, "path", "bathymetry"))
-        except (ValueError, OSError) as exc:
+                bed = Sampled.from_csv(_require(doc, "path", "bathymetry"))
+                # The solver reads the bed at every grid node, and a sampled
+                # bed exists only between its first and last samples.
+                grid = self.build_grid()
+                lo, hi = bed.x_nodes[0], bed.x_nodes[-1]
+                if grid.x0 < lo or grid.x_last > hi:
+                    raise ConfigError(
+                        "bathymetry: sampled range [{}, {}] does not cover the "
+                        "grid [{}, {}]".format(lo, hi, grid.x0, grid.x_last)
+                    )
+                return bed
+        except (TypeError, ValueError, OSError) as exc:
             raise ConfigError("bathymetry: {}".format(exc))
         raise ConfigError("unknown bathymetry kind {!r}".format(kind))
 
@@ -238,7 +260,7 @@ class ScenarioConfig:
                 if state.gamma_surface.size != grid.n:
                     raise ConfigError("initial state file does not match the grid")
                 return state
-        except (ValueError, OSError, DomainError) as exc:
+        except (TypeError, ValueError, OSError, DomainError) as exc:
             raise ConfigError("initial: {}".format(exc))
         raise ConfigError("unknown initial kind {!r}".format(kind))
 
@@ -345,30 +367,33 @@ def _run_one(path: str, args) -> int:
     if args.stop_at_first_event:
         cfg.solver["stop_at_first_event"] = True
 
-    try:
-        grid = cfg.build_grid()
-        bathy = cfg.build_bathymetry()
-        initial = cfg.build_initial(grid, bathy)
-        sol_cfg = cfg.build_solver_config()
-        det_cfg = cfg.build_detector_config()
-    except ConfigError as exc:
-        print("config error [{}]: {}".format(path, exc))
-        return EXIT_CONFIG
-
     if cfg.output_dir is not None:
         out_dir = Path(cfg.output_dir)
     else:
         out_dir = _output_root(args.output_dir) / cfg.name
     run_id = args.run_id or cfg.name
 
+    # Every failure ends this config with its own exit code, so the rest of
+    # a batch still runs.
     try:
+        grid = cfg.build_grid()
+        bathy = cfg.build_bathymetry()
+        initial = cfg.build_initial(grid, bathy)
+        sol_cfg = cfg.build_solver_config()
+        det_cfg = cfg.build_detector_config()
         result = solver.run(initial, bathy, grid, sol_cfg, det_cfg)
+    except ConfigError as exc:
+        print("config error [{}]: {}".format(path, exc))
+        return EXIT_CONFIG
     except NearDryError as exc:
         print("near-dry abort [{}]: {}".format(run_id, exc))
         return EXIT_NEAR_DRY
     except NumericBlowUpError as exc:
         print("numeric blow-up [{}]: {}".format(run_id, exc))
         return EXIT_BLOW_UP
+    except ShoalwaveError as exc:
+        print("error [{}]: {}".format(run_id, exc))
+        return EXIT_CONFIG
 
     manifest = solver.write_outputs(
         result, bathy, grid, out_dir, run_id, config_doc=cfg.to_doc()
@@ -520,7 +545,7 @@ def cmd_detect(args) -> int:
         return EXIT_CONFIG
 
     try:
-        flds = riemann.compute(state, bathy, grid, args.eps_px)
+        flds = riemann._inland(state, bathy, grid, args.eps_px)
         residual = detector.tangent_match_residual(state, bathy, grid)
         alerts = detector.alert_nodes(
             state, bathy, grid, args.alert_eps_r, args.alert_eps_gamma
@@ -529,6 +554,7 @@ def cmd_detect(args) -> int:
         gamma_ref = (
             float(np.max(flds.gamma)) if args.gamma_ref is None else args.gamma_ref
         )
+        grads = detector.surface_gradients(state, bathy, grid) if points else None
         events = [
             detector.classify(
                 pt.x_star,
@@ -538,6 +564,7 @@ def cmd_detect(args) -> int:
                 grid,
                 gamma_ref=gamma_ref,
                 plateau=pt.plateau,
+                gradients=grads,
             )
             for pt in points
         ]
@@ -714,7 +741,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

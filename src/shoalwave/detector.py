@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NearDryError
 from .fields import FlowState, Grid, d2dx2, ddx
-from .riemann import RiemannFields
+from .riemann import InlandFields, RiemannFields
 
 __all__ = [
     "Classification",
@@ -41,6 +42,8 @@ __all__ = [
     "EventDiagnostics",
     "CriticalEvent",
     "CriticalPoint",
+    "SurfaceGradients",
+    "surface_gradients",
     "find_critical_points",
     "classify",
     "classify_degenerate",
@@ -163,8 +166,18 @@ class DegenerateSpec:
             raise ValueError("gamma_local must be positive")
 
 
-def _surface_gradients(state: FlowState, bathy, grid: Grid):
-    """(gamma, u_x, u_xx, excess_slope, excess_slope_x) node arrays."""
+class SurfaceGradients(NamedTuple):
+    """Node arrays of the local quantities classification interpolates."""
+
+    gamma: np.ndarray
+    u_x: np.ndarray
+    u_xx: np.ndarray
+    excess: np.ndarray
+    excess_x: np.ndarray
+
+
+def surface_gradients(state: FlowState, bathy, grid: Grid) -> SurfaceGradients:
+    """Depth root, velocity derivatives and the surface-minus-bed slope."""
     w = state.gamma_surface - bathy.eval(grid.x)
     i = int(np.argmin(w))
     if w[i] <= 0.0:
@@ -179,11 +192,11 @@ def _surface_gradients(state: FlowState, bathy, grid: Grid):
     u_xx = d2dx2(state.velocity, grid)
     excess = 2.0 * gamma * ddx(gamma, grid)
     excess_x = ddx(excess, grid)
-    return gamma, u_x, u_xx, excess, excess_x
+    return SurfaceGradients(gamma, u_x, u_xx, excess, excess_x)
 
 
 def find_critical_points(
-    fields: RiemannFields, bathy, grid: Grid, eps_px: float | None = None
+    fields: RiemannFields | InlandFields, bathy, grid: Grid, eps_px: float | None = None
 ) -> list[CriticalPoint]:
     """Locate vanishing-p_x points, sub-cell, in ascending x order.
 
@@ -229,32 +242,34 @@ def find_critical_points(
 
 def classify(
     x_star: float,
-    fields: RiemannFields,
+    fields: RiemannFields | InlandFields,
     state: FlowState,
     bathy,
     grid: Grid,
     *,
     gamma_ref: float | None = None,
     plateau: bool = False,
+    gradients: SurfaceGradients | None = None,
 ) -> CriticalEvent:
     """Classify the singular point at x_star from the local wave shape.
 
     gamma_ref anchors the depth regime (defaults to the largest depth root
     in the analyzed fields; a driver tracking a whole run should pass the
     initial maximum). plateau=True labels the point DegeneratePlateau,
-    which never claims an infinite speed.
+    which never claims an infinite speed. gradients, when given, must be
+    surface_gradients(state, bathy, grid); a caller classifying several
+    points of one state computes them once and passes them to each call.
     """
     x = grid.x
     if not x[0] <= x_star <= x[-1]:
         raise DomainError("x_star={} outside grid [{}, {}]".format(x_star, x[0], x[-1]))
-    gamma_arr, u_x_arr, u_xx_arr, excess_arr, excess_x_arr = _surface_gradients(
-        state, bathy, grid
-    )
-    u_x = float(np.interp(x_star, x, u_x_arr))
-    u_xx = float(np.interp(x_star, x, u_xx_arr))
-    excess = float(np.interp(x_star, x, excess_arr))
-    excess_x = float(np.interp(x_star, x, excess_x_arr))
-    gamma = float(np.interp(x_star, x, gamma_arr))
+    if gradients is None:
+        gradients = surface_gradients(state, bathy, grid)
+    u_x = float(np.interp(x_star, x, gradients.u_x))
+    u_xx = float(np.interp(x_star, x, gradients.u_xx))
+    excess = float(np.interp(x_star, x, gradients.excess))
+    excess_x = float(np.interp(x_star, x, gradients.excess_x))
+    gamma = float(np.interp(x_star, x, gradients.gamma))
     diagnostics = EventDiagnostics(
         u_x=u_x,
         u_xx=u_xx,
@@ -324,7 +339,7 @@ def tangent_match_residual(state: FlowState, bathy, grid: Grid) -> np.ndarray:
     slope while the column is thin: the precursor the alert thresholds are
     aimed at.
     """
-    gamma, u_x, _, excess, _ = _surface_gradients(state, bathy, grid)
+    gamma, u_x, _, excess, _ = surface_gradients(state, bathy, grid)
     return excess + u_x * gamma
 
 
@@ -336,7 +351,7 @@ def alert_nodes(
     alert_eps_gamma: float = 0.1,
 ) -> np.ndarray:
     """Boolean mask of nodes in the dangerous small-r, small-gamma corner."""
-    gamma, u_x, _, excess, _ = _surface_gradients(state, bathy, grid)
+    gamma, u_x, _, excess, _ = surface_gradients(state, bathy, grid)
     r = excess + u_x * gamma
     return (np.abs(r) <= alert_eps_r) & (gamma <= alert_eps_gamma)
 

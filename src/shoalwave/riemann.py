@@ -11,7 +11,10 @@ gradient vanishes while the bed still slopes. Those entries are reported
 as signed-infinity markers instead of being divided out; where both the
 gradient and the bed slope sit below the threshold the correction is
 treated as zero and the cruising speed is returned (the degenerate cases
-are classified separately, see the detector module).
+are classified separately, see the detector module). A marker's sign is
+the bed slope's times that of the nearest resolved gradient, looking
+toward smaller x first; the rule is applied to all nodes in one array
+pass.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .fields import FlowState, Grid, ddx
 
 __all__ = [
     "RiemannFields",
+    "InlandFields",
     "default_eps_px",
     "compute",
     "reconstruct",
@@ -61,20 +65,38 @@ def default_eps_px(p, dx: float) -> float:
     return EPS_PX_SCALE * float(np.max(np.abs(p))) / dx
 
 
-def _limit_sign(grad: np.ndarray, b_slope_i: float, i: int, eps: float) -> float:
-    """Sign of the diverging correction b_x / grad at node i.
+@dataclass
+class InlandFields:
+    """Depth root, inland invariant and its gradient on the nodes of one state.
 
-    Takes the sign of the nearest resolved gradient entry, scanning toward
-    smaller x first (the side a +x-running wave came from), then larger x.
+    This is what the singular-point detector reads; eps_px records the
+    threshold actually used.
     """
-    bs = 1.0 if b_slope_i > 0 else -1.0
-    for j in range(i - 1, -1, -1):
-        if abs(grad[j]) > eps:
-            return bs * (1.0 if grad[j] > 0 else -1.0)
-    for j in range(i + 1, grad.size):
-        if abs(grad[j]) > eps:
-            return bs * (1.0 if grad[j] > 0 else -1.0)
-    return bs
+
+    gamma: np.ndarray
+    p: np.ndarray
+    p_x: np.ndarray
+    eps_px: float
+
+
+def _limit_sign(grad: np.ndarray, b_slope: np.ndarray, resolved: np.ndarray, nodes):
+    """Signs of the diverging corrections b_x / grad at the given nodes.
+
+    Each takes the sign of the nearest resolved gradient entry, looking
+    toward smaller x first (the side a +x-running wave came from), then
+    larger x, and +1 when no entry is resolved; times the bed slope's sign.
+    The nearest resolved index on each side comes from a running max/min
+    over the resolved positions, so all nodes are served by one array pass.
+    """
+    n = grad.size
+    index = np.arange(n)
+    left = np.maximum.accumulate(np.where(resolved, index, -1))[nodes]
+    right = np.minimum.accumulate(np.where(resolved, index, n)[::-1])[::-1][nodes]
+    nearest = np.where(left >= 0, left, right)
+    found = nearest < n
+    grad_sign = np.where(found & (grad[np.minimum(nearest, n - 1)] <= 0), -1.0, 1.0)
+    bed_sign = np.where(b_slope[nodes] > 0, 1.0, -1.0)
+    return bed_sign * grad_sign
 
 
 def _correction(b_slope: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
@@ -82,16 +104,15 @@ def _correction(b_slope: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray
     out = np.zeros_like(grad)
     resolved = np.abs(grad) > eps
     out[resolved] = b_slope[resolved] / grad[resolved]
-    singular = ~resolved & (np.abs(b_slope) > eps)
-    for i in np.nonzero(singular)[0]:
-        out[i] = np.inf * _limit_sign(grad, float(b_slope[i]), int(i), eps)
+    singular = np.nonzero(~resolved & (np.abs(b_slope) > eps))[0]
+    if singular.size:
+        out[singular] = np.inf * _limit_sign(grad, b_slope, resolved, singular)
     return out
 
 
-def compute(state: FlowState, bathy, grid: Grid, eps_px: float | None = None) -> RiemannFields:
-    """Invariants, their gradients, and transport speeds for one state."""
-    x = grid.x
-    w = state.gamma_surface - bathy.eval(x)
+def _inland(state: FlowState, bathy, grid: Grid, eps_px: float | None = None) -> InlandFields:
+    """Wet check, then gamma, p, p_x and the gradient threshold for one state."""
+    w = state.gamma_surface - bathy.eval(grid.x)
     if w.shape != (grid.n,):
         raise ValueError("state does not match grid")
     i = int(np.argmin(w))
@@ -103,18 +124,24 @@ def compute(state: FlowState, bathy, grid: Grid, eps_px: float | None = None) ->
             depth=float(w[i]),
         )
     gamma = np.sqrt(w)
-    u = state.velocity
-    p = u + 2.0 * gamma
-    q = u - 2.0 * gamma
-    p_x = ddx(p, grid)
-    q_x = ddx(q, grid)
-    b_slope = np.asarray(bathy.slope(x), dtype=float)
+    p = state.velocity + 2.0 * gamma
     eps = default_eps_px(p, grid.dx) if eps_px is None else float(eps_px)
+    return InlandFields(gamma, p, ddx(p, grid), eps)
+
+
+def compute(state: FlowState, bathy, grid: Grid, eps_px: float | None = None) -> RiemannFields:
+    """Invariants, their gradients, and transport speeds for one state."""
+    inland = _inland(state, bathy, grid, eps_px)
+    gamma, p_x, eps = inland.gamma, inland.p_x, inland.eps_px
+    u = state.velocity
+    q = u - 2.0 * gamma
+    q_x = ddx(q, grid)
+    b_slope = np.asarray(bathy.slope(grid.x), dtype=float)
     speed_p = gamma + u + _correction(b_slope, p_x, eps)
     # The offshore family transports at -(gamma - u - b_x/q_x); the leading
     # minus sign is part of the stored value.
     speed_q = u - gamma + _correction(b_slope, q_x, eps)
-    return RiemannFields(gamma, p, q, p_x, q_x, speed_p, speed_q, eps)
+    return RiemannFields(gamma, inland.p, q, p_x, q_x, speed_p, speed_q, eps)
 
 
 def reconstruct(p, q):

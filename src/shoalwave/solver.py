@@ -26,7 +26,13 @@ from typing import Callable
 import numpy as np
 
 from . import riemann
-from .detector import Classification, DetectorConfig, classify, find_critical_points
+from .detector import (
+    Classification,
+    DetectorConfig,
+    classify,
+    find_critical_points,
+    surface_gradients,
+)
 from .errors import NearDryError, NumericBlowUpError, ShoalwaveError
 from .fields import FlowState, Grid, check_wet, depth, save_state
 
@@ -364,12 +370,19 @@ def run(
             raise
         steps += 1
 
-        flds = riemann.compute(state, bathy, grid, det.eps_px)
-        points = find_critical_points(flds, bathy, grid, flds.eps_px)
-        step_events = [
-            classify(pt.x_star, flds, state, bathy, grid, gamma_ref=gamma_ref)
-            for pt in points
+        inland = riemann._inland(state, bathy, grid, det.eps_px)
+        points = [
+            pt
+            for pt in find_critical_points(inland, bathy, grid, inland.eps_px)
             if not pt.plateau
+        ]
+        grads = surface_gradients(state, bathy, grid) if points else None
+        step_events = [
+            classify(
+                pt.x_star, inland, state, bathy, grid,
+                gamma_ref=gamma_ref, gradients=grads,
+            )
+            for pt in points
         ]
         fresh = tracker.fresh(step_events)
         events.extend(fresh)

@@ -155,6 +155,41 @@ class TestRunFailures:
         cfg = write_cfg(tmp_path, yaml.safe_dump(doc))
         assert cli.main(["run", cfg]) == 1
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda d: d["grid"].update(n="abc"),
+            lambda d: d["grid"].update(n=200.5),
+            lambda d: d.update(grid=[1, 2]),
+        ],
+    )
+    def test_malformed_section_is_one_config_error_line(self, tmp_path, capsys, mangle):
+        doc = yaml.safe_load(SMALL_RUN)
+        mangle(doc)
+        cfg = write_cfg(tmp_path, yaml.safe_dump(doc))
+        assert cli.main(["run", cfg]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error [{}]: ".format(cfg))
+
+    def test_bad_config_does_not_stop_the_batch(self, tmp_path, capsys, monkeypatch):
+        # The sampled bed ends short of the grid's last node; that is a
+        # config error for this file, and the next config still runs.
+        monkeypatch.setenv(cli.OUTPUT_ENV, str(tmp_path / "out"))
+        bed = tmp_path / "bed.csv"
+        bed.write_text("x,b\n" + "".join("{},-1.0\n".format(x) for x in range(-10, 6)))
+        doc = yaml.safe_load(SMALL_RUN)
+        doc["name"] = "short_bed"
+        doc["bathymetry"] = {"kind": "sampled", "path": str(bed)}
+        doc["initial"] = {"kind": "lake_at_rest"}
+        bad = write_cfg(tmp_path, yaml.safe_dump(doc), "short_bed.cfg")
+        good = stage_bundled_cfg(tmp_path, "lake_at_rest.cfg")
+        assert cli.main(["run", bad, good, "--t-end", "0.5"]) == 1
+        out = capsys.readouterr().out
+        assert "config error [{}]: bathymetry: sampled range".format(bad) in out
+        assert not (tmp_path / "out" / "short_bed").exists()
+        assert (tmp_path / "out" / "lake_at_rest" / "run.json").exists()
+
     def test_unparseable_yaml_exits_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "name: [unclosed\n")
         assert cli.main(["run", cfg]) == 1

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from shoalwave import analytic, detector, riemann
-from shoalwave.bathymetry import Flat, Linear, TanhSafe
+from shoalwave import analytic, detector, fields, riemann
+from shoalwave.bathymetry import Flat, Linear, Sampled, TanhSafe
 from shoalwave.detector import (
     Classification,
     DegenerateRegime,
@@ -13,6 +15,8 @@ from shoalwave.detector import (
 from shoalwave.fields import FlowState, Grid
 
 from conftest import build_crossing
+
+DATA = Path(__file__).parent / "data"
 
 
 def detect_events(grid, state, bathy, gamma_ref=None):
@@ -169,6 +173,26 @@ class TestCrossingClassification:
         assert rec["side"] == "CrestSide"
         assert rec["run_id"] == "fixture"
         assert set(rec) >= {"t", "x_star", "u_x", "u_xx", "gamma", "b_x"}
+
+    def test_inland_fields_with_shared_gradients_give_the_same_events(self):
+        # A shoaling snapshot with two crossings. The run loop searches the
+        # inland fields alone and computes the surface gradients once per
+        # state; the points and events must equal those of the full fields.
+        grid, state, b = fields.load_state(DATA / "shoaling_alert_state.csv")
+        bathy = Sampled(grid.x, b)
+        full = riemann.compute(state, bathy, grid)
+        inland = riemann._inland(state, bathy, grid)
+        for name in ("gamma", "p", "p_x", "eps_px"):
+            assert np.array_equal(getattr(inland, name), getattr(full, name)), name
+        points = detector.find_critical_points(inland, bathy, grid, inland.eps_px)
+        assert len(points) == 2
+        assert points == detector.find_critical_points(full, bathy, grid, full.eps_px)
+        grads = detector.surface_gradients(state, bathy, grid)
+        for pt in points:
+            shared = detector.classify(
+                pt.x_star, inland, state, bathy, grid, gradients=grads
+            )
+            assert shared == detector.classify(pt.x_star, full, state, bathy, grid)
 
 
 class TestPlateau:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shoalwave import riemann
 from shoalwave.bathymetry import Flat, Linear, TanhSafe
@@ -220,3 +222,58 @@ def test_characteristic_residual_halves_under_refinement():
         worsts.append(max(float(np.max(np.abs(res_p))), float(np.max(np.abs(res_q)))))
     ratio = worsts[0] / worsts[1]
     assert 1.6 <= ratio <= 2.4
+
+
+def _scan_correction(b_slope, grad, eps):
+    """Reference: the per-node scan that marked singular entries one at a time."""
+
+    def limit_sign(grad, b_slope_i, i, eps):
+        bs = 1.0 if b_slope_i > 0 else -1.0
+        for j in range(i - 1, -1, -1):
+            if abs(grad[j]) > eps:
+                return bs * (1.0 if grad[j] > 0 else -1.0)
+        for j in range(i + 1, grad.size):
+            if abs(grad[j]) > eps:
+                return bs * (1.0 if grad[j] > 0 else -1.0)
+        return bs
+
+    out = np.zeros_like(grad)
+    resolved = np.abs(grad) > eps
+    out[resolved] = b_slope[resolved] / grad[resolved]
+    singular = ~resolved & (np.abs(b_slope) > eps)
+    for i in np.nonzero(singular)[0]:
+        out[i] = np.inf * limit_sign(grad, float(b_slope[i]), int(i), eps)
+    return out
+
+
+# Exact zeros of both signs and entries on either side of the thresholds
+# drawn below, so resolved, singular and degenerate nodes all occur.
+_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 0.5, -0.5, 2.0, -2.0]),
+    st.floats(-3.0, 3.0, allow_subnormal=False),
+)
+
+
+@st.composite
+def _correction_inputs(draw):
+    n = draw(st.integers(1, 40))
+    grad = np.array(draw(st.lists(_entries, min_size=n, max_size=n)))
+    b_slope = np.array(draw(st.lists(_entries, min_size=n, max_size=n)))
+    eps = draw(st.sampled_from([0.0, 1e-8, 0.1, 1.0]) | st.floats(0.0, 2.0))
+    return b_slope, grad, eps
+
+
+@settings(deadline=None, max_examples=300)
+@given(_correction_inputs())
+# Nothing resolved: every sloping node falls back to the bed slope's sign.
+@example((np.array([0.3, -0.2, 0.0, 1.0]), np.array([0.0, 1e-9, -0.0, 0.0]), 1e-8))
+# Singular nodes at both ends, resolved only in the middle.
+@example((np.array([-1.0, 0.5, 0.5, 2.0]), np.array([0.0, -3.0, 2.0, -0.0]), 1e-8))
+# eps = 0: only exact zeros are unresolved, and -0.0 counts as one.
+@example((np.array([1.0, -1.0, 1.0, -1.0]), np.array([-0.0, 0.0, -2.0, 0.0]), 0.0))
+def test_correction_matches_per_node_scan(inputs):
+    b_slope, grad, eps = inputs
+    got = riemann._correction(b_slope, grad, eps)
+    want = _scan_correction(b_slope, grad, eps)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
