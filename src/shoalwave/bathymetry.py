@@ -112,15 +112,22 @@ class TanhSafe(Bathymetry):
         return _shaped(x, -2.0 * self.K * sech2 * np.tanh(xa))
 
 
-def _fd_weights(pts, x0, order):
-    """Finite-difference weights for d^order/dx^order at x0 over pts."""
-    pts = np.asarray(pts, dtype=float)
-    n = pts.size
-    # Vandermonde rows (x_j - x0)^k; solving against k! e_k gives the weights.
-    a = np.vander(pts - x0, n, increasing=True).T
-    rhs = np.zeros(n)
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(a, rhs)
+def _fd_weights(offsets, order):
+    """Finite-difference weights for d^order/dx^order, one row per stencil.
+
+    offsets is (m, k): the stencil points relative to the node each row
+    serves. Row i solves the Vandermonde system with rows offsets[i]**r
+    (powers built as np.vander builds them) against r! e_order; all m
+    systems go to one stacked solve.
+    """
+    m, k = offsets.shape
+    v = np.empty((m, k, k))
+    v[:, :, 0] = 1.0
+    v[:, :, 1:] = offsets[:, :, None]
+    np.multiply.accumulate(v[:, :, 1:], axis=2, out=v[:, :, 1:])
+    rhs = np.zeros((m, k, 1))
+    rhs[:, order, 0] = math.factorial(order)
+    return np.linalg.solve(v.transpose(0, 2, 1), rhs)[:, :, 0]
 
 
 def _node_derivatives(x, b, order):
@@ -128,19 +135,20 @@ def _node_derivatives(x, b, order):
 
     Central 3-point stencils in the interior; one-sided stencils at the two
     ends (3 points for the slope, 4 for the curvature so the end values stay
-    second order).
+    second order). Each stencil size is one stacked solve and one stacked
+    (1, k) @ (k, 1) product.
     """
     n = x.size
-    out = np.empty(n)
     edge = 3 if order == 1 else 4
-    for i in range(n):
-        if i == 0:
-            sl = slice(0, edge)
-        elif i == n - 1:
-            sl = slice(n - edge, n)
-        else:
-            sl = slice(i - 1, i + 2)
-        out[i] = _fd_weights(x[sl], x[i], order) @ b[sl]
+    interior = np.arange(1, n - 1)
+    ends = np.array([0, n - 1])
+    out = np.empty(n)
+    for nodes, idx in (
+        (interior, interior[:, None] + np.arange(-1, 2)),
+        (ends, np.array([np.arange(edge), np.arange(n - edge, n)])),
+    ):
+        weights = _fd_weights(x[idx] - x[nodes, None], order)
+        out[nodes] = (weights[:, None, :] @ b[idx][:, :, None])[:, 0, 0]
     return out
 
 

@@ -449,9 +449,13 @@ def convergence_study(
             flux_perturbation=flux_perturbation,
         )
         state = analytic.make_initial_state(sol, grid, config.h_min)
+        bathy = sol.bathymetry()
+        domain = solver.prepare(bathy, grid, config)
         tiny = 1e-12 * max(1.0, t_end)
         while state.t < t_end - tiny:
-            state = solver.step(state, sol.bathymetry(), grid, config, dt_max=t_end - state.t)
+            state = solver.step(
+                state, bathy, grid, config, dt_max=t_end - state.t, domain=domain
+            )
         u_ref, surf_ref, _ = analytic.eval_solution(sol, state.t, grid.x)
         err = max(_linf(state.velocity, u_ref), _linf(state.gamma_surface, surf_ref))
         errors.append(err)
@@ -546,15 +550,15 @@ def cmd_detect(args) -> int:
 
     try:
         flds = riemann._inland(state, bathy, grid, args.eps_px)
-        residual = detector.tangent_match_residual(state, bathy, grid)
+        grads = detector.surface_gradients(state, bathy, grid, flds.gamma)
+        residual = detector.tangent_match_residual(state, bathy, grid, grads)
         alerts = detector.alert_nodes(
-            state, bathy, grid, args.alert_eps_r, args.alert_eps_gamma
+            state, bathy, grid, args.alert_eps_r, args.alert_eps_gamma, grads
         )
         points = detector.find_critical_points(flds, bathy, grid, flds.eps_px)
         gamma_ref = (
             float(np.max(flds.gamma)) if args.gamma_ref is None else args.gamma_ref
         )
-        grads = detector.surface_gradients(state, bathy, grid) if points else None
         events = [
             detector.classify(
                 pt.x_star,

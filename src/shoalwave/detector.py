@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NearDryError
-from .fields import FlowState, Grid, d2dx2, ddx
+from .errors import DomainError
+from .fields import DRY_COLUMN, FlowState, Grid, d2dx2, ddx, require_wet
 from .riemann import InlandFields, RiemannFields
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "CriticalPoint",
     "SurfaceGradients",
     "surface_gradients",
+    "find_crossings",
     "find_critical_points",
     "classify",
     "classify_degenerate",
@@ -176,18 +177,18 @@ class SurfaceGradients(NamedTuple):
     excess_x: np.ndarray
 
 
-def surface_gradients(state: FlowState, bathy, grid: Grid) -> SurfaceGradients:
-    """Depth root, velocity derivatives and the surface-minus-bed slope."""
-    w = state.gamma_surface - bathy.eval(grid.x)
-    i = int(np.argmin(w))
-    if w[i] <= 0.0:
-        raise NearDryError(
-            "dry column at node {} (t={})".format(i, state.t),
-            node=i,
-            t=state.t,
-            depth=float(w[i]),
-        )
-    gamma = np.sqrt(w)
+def surface_gradients(
+    state: FlowState, bathy, grid: Grid, gamma: np.ndarray | None = None
+) -> SurfaceGradients:
+    """Depth root, velocity derivatives and the surface-minus-bed slope.
+
+    gamma, when given, must be the depth root of state, as
+    riemann._inland computes it; the bed is then not evaluated again.
+    """
+    if gamma is None:
+        w = state.gamma_surface - bathy.eval(grid.x)
+        require_wet(w, state.t, DRY_COLUMN)
+        gamma = np.sqrt(w)
     u_x = ddx(state.velocity, grid)
     u_xx = d2dx2(state.velocity, grid)
     excess = 2.0 * gamma * ddx(gamma, grid)
@@ -195,38 +196,52 @@ def surface_gradients(state: FlowState, bathy, grid: Grid) -> SurfaceGradients:
     return SurfaceGradients(gamma, u_x, u_xx, excess, excess_x)
 
 
-def find_critical_points(
-    fields: RiemannFields | InlandFields, bathy, grid: Grid, eps_px: float | None = None
+def find_crossings(
+    fields: RiemannFields | InlandFields,
+    bathy,
+    grid: Grid,
+    eps_px: float | None = None,
+    *,
+    x: np.ndarray | None = None,
 ) -> list[CriticalPoint]:
-    """Locate vanishing-p_x points, sub-cell, in ascending x order.
+    """Sign changes of p_x between adjacent resolved nodes, in ascending x.
 
-    Sign changes between adjacent resolved nodes are interpolated linearly
-    (placement error at most dx/2). Runs of PLATEAU_MIN_RUN or more nodes
-    with |p_x| <= eps_px are reported once, at the run center. Points where
-    the bed slope itself sits below the threshold are excluded; they belong
-    to the degenerate analysis (classify_degenerate), not to the rush
-    detector.
+    Each is interpolated linearly (placement error at most dx/2); one where
+    the bed slope sits below the threshold is left out. x, when given, must
+    be grid.x.
     """
     eps = fields.eps_px if eps_px is None else float(eps_px)
     px = fields.p_x
-    x = grid.x
+    if x is None:
+        x = grid.x
     small = np.abs(px) <= eps
-    points: list[CriticalPoint] = []
-
-    left = px[:-1]
-    right = px[1:]
-    crossing = (left * right < 0.0) & ~small[:-1] & ~small[1:]
+    crossing = (px[:-1] * px[1:] < 0.0) & ~small[:-1] & ~small[1:]
+    points = []
     for i in np.nonzero(crossing)[0]:
         x_star = x[i] + grid.dx * px[i] / (px[i] - px[i + 1])
         if abs(float(bathy.slope(x_star))) <= eps:
             continue
         points.append(CriticalPoint(float(x_star), int(i), False))
+    points.sort(key=lambda pt: pt.x_star)
+    return points
 
-    # Maximal runs of below-threshold nodes.
+
+def _find_plateaus(
+    fields: RiemannFields | InlandFields, bathy, x: np.ndarray, eps_px: float | None
+) -> list[CriticalPoint]:
+    """Runs of PLATEAU_MIN_RUN or more nodes with |p_x| <= eps_px.
+
+    Each run is reported once, at its center node, in ascending x; one
+    where the bed slope sits below the threshold is left out. x holds the
+    node coordinates.
+    """
+    eps = fields.eps_px if eps_px is None else float(eps_px)
+    small = np.abs(fields.p_x) <= eps
     padded = np.concatenate(([False], small, [False]))
     edges = np.diff(padded.astype(np.int8))
     starts = np.nonzero(edges == 1)[0]
     stops = np.nonzero(edges == -1)[0]
+    points = []
     for start, stop in zip(starts, stops):
         if stop - start < PLATEAU_MIN_RUN:
             continue
@@ -235,7 +250,25 @@ def find_critical_points(
         if abs(float(bathy.slope(x_star))) <= eps:
             continue
         points.append(CriticalPoint(x_star, int(center), True))
+    return points
 
+
+def find_critical_points(
+    fields: RiemannFields | InlandFields, bathy, grid: Grid, eps_px: float | None = None
+) -> list[CriticalPoint]:
+    """Locate vanishing-p_x points, sub-cell, in ascending x order.
+
+    The union of find_crossings and the plateau search: sign changes between
+    adjacent resolved nodes are interpolated linearly (placement error at
+    most dx/2), and runs of PLATEAU_MIN_RUN or more nodes with
+    |p_x| <= eps_px are reported once, at the run center. Points where the
+    bed slope itself sits below the threshold are excluded; they belong to
+    the degenerate analysis (classify_degenerate), not to the rush
+    detector.
+    """
+    x = grid.x
+    points = find_crossings(fields, bathy, grid, eps_px, x=x)
+    points += _find_plateaus(fields, bathy, x, eps_px)
     points.sort(key=lambda pt: pt.x_star)
     return points
 
@@ -250,6 +283,7 @@ def classify(
     gamma_ref: float | None = None,
     plateau: bool = False,
     gradients: SurfaceGradients | None = None,
+    x: np.ndarray | None = None,
 ) -> CriticalEvent:
     """Classify the singular point at x_star from the local wave shape.
 
@@ -259,8 +293,10 @@ def classify(
     which never claims an infinite speed. gradients, when given, must be
     surface_gradients(state, bathy, grid); a caller classifying several
     points of one state computes them once and passes them to each call.
+    x, when given, must be grid.x.
     """
-    x = grid.x
+    if x is None:
+        x = grid.x
     if not x[0] <= x_star <= x[-1]:
         raise DomainError("x_star={} outside grid [{}, {}]".format(x_star, x[0], x[-1]))
     if gradients is None:
@@ -331,16 +367,20 @@ def classify_degenerate(spec: DegenerateSpec) -> DegenerateRegime:
     return DegenerateRegime.ORDER_SQRT_DEPTH
 
 
-def tangent_match_residual(state: FlowState, bathy, grid: Grid) -> np.ndarray:
+def tangent_match_residual(
+    state: FlowState, bathy, grid: Grid, gradients: SurfaceGradients | None = None
+) -> np.ndarray:
     """Node residual r = (surface_x - b_x) + u_x * gamma.
 
     Algebraically r equals gamma * p_x, so |r| -> 0 with small gamma is the
     configuration in which the surface slope tangentially matches the bed
     slope while the column is thin: the precursor the alert thresholds are
-    aimed at.
+    aimed at. gradients, when given, must be surface_gradients(state,
+    bathy, grid).
     """
-    gamma, u_x, _, excess, _ = surface_gradients(state, bathy, grid)
-    return excess + u_x * gamma
+    if gradients is None:
+        gradients = surface_gradients(state, bathy, grid)
+    return gradients.excess + gradients.u_x * gradients.gamma
 
 
 def alert_nodes(
@@ -349,11 +389,16 @@ def alert_nodes(
     grid: Grid,
     alert_eps_r: float = 1e-3,
     alert_eps_gamma: float = 0.1,
+    gradients: SurfaceGradients | None = None,
 ) -> np.ndarray:
-    """Boolean mask of nodes in the dangerous small-r, small-gamma corner."""
-    gamma, u_x, _, excess, _ = surface_gradients(state, bathy, grid)
-    r = excess + u_x * gamma
-    return (np.abs(r) <= alert_eps_r) & (gamma <= alert_eps_gamma)
+    """Boolean mask of nodes in the dangerous small-r, small-gamma corner.
+
+    gradients, when given, must be surface_gradients(state, bathy, grid).
+    """
+    if gradients is None:
+        gradients = surface_gradients(state, bathy, grid)
+    r = gradients.excess + gradients.u_x * gradients.gamma
+    return (np.abs(r) <= alert_eps_r) & (gradients.gamma <= alert_eps_gamma)
 
 
 @dataclass(frozen=True)
@@ -375,9 +420,7 @@ def deep_sea_diagnostics(
     the amplitude indicator is identically zero.
     """
     w = state.gamma_surface - bathy.eval(grid.x)
-    if np.any(w <= 0.0):
-        i = int(np.argmin(w))
-        raise NearDryError("dry column at node {}".format(i), node=i, t=state.t)
+    require_wet(w, state.t, "dry column at node {node}")
     speed = np.sqrt(w)
     indicator = np.abs(state.gamma_surface - mean_depth) / speed
     return DeepSeaDiagnostics(

@@ -15,10 +15,14 @@ __all__ = [
     "ddx",
     "d2dx2",
     "depth",
+    "require_wet",
     "check_wet",
     "save_state",
     "load_state",
 ]
+
+# require_wet message for a column at or below zero thickness.
+DRY_COLUMN = "dry column at node {node} (t={t})"
 
 
 @dataclass(frozen=True)
@@ -103,19 +107,33 @@ def depth(state: FlowState, bathy, grid: Grid) -> np.ndarray:
     return _checked(state.gamma_surface, grid) - bathy.eval(grid.x)
 
 
+def require_wet(w, t, message: str, h_min: float | None = None) -> None:
+    """Raise NearDryError at the thinnest column of w if it is too thin.
+
+    The floor is w < h_min when h_min is given and w <= 0 otherwise. message
+    is a format template that may use {depth}, {node}, {t} and {h_min}; the
+    error carries node, t and depth.
+    """
+    i = int(np.argmin(w))
+    low = w[i]
+    too_thin = low <= 0.0 if h_min is None else low < h_min
+    if too_thin:
+        raise NearDryError(
+            message.format(depth=low, node=i, t=t, h_min=h_min),
+            node=i,
+            t=t,
+            depth=float(low),
+        )
+
+
 def check_wet(state: FlowState, bathy, grid: Grid, h_min: float) -> None:
     """Raise NearDryError if any column is thinner than h_min."""
-    w = depth(state, bathy, grid)
-    i = int(np.argmin(w))
-    if w[i] < h_min:
-        raise NearDryError(
-            "column {:.3e} below h_min={:.3e} at node {} (t={})".format(
-                w[i], h_min, i, state.t
-            ),
-            node=i,
-            t=state.t,
-            depth=float(w[i]),
-        )
+    require_wet(
+        depth(state, bathy, grid),
+        state.t,
+        "column {depth:.3e} below h_min={h_min:.3e} at node {node} (t={t})",
+        h_min,
+    )
 
 
 def save_state(state: FlowState, bathy, grid: Grid, path) -> None:

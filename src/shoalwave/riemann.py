@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInvariantsError, NearDryError
-from .fields import FlowState, Grid, ddx
+from .errors import InvalidInvariantsError
+from .fields import DRY_COLUMN, FlowState, Grid, ddx, require_wet
 
 __all__ = [
     "RiemannFields",
@@ -110,19 +110,20 @@ def _correction(b_slope: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray
     return out
 
 
-def _inland(state: FlowState, bathy, grid: Grid, eps_px: float | None = None) -> InlandFields:
-    """Wet check, then gamma, p, p_x and the gradient threshold for one state."""
-    w = state.gamma_surface - bathy.eval(grid.x)
+def _inland(
+    state: FlowState, bathy, grid: Grid, eps_px: float | None = None, b=None
+) -> InlandFields:
+    """Wet check, then gamma, p, p_x and the gradient threshold for one state.
+
+    b, when given, must be bathy.eval(grid.x); a caller analysing many
+    states on one static bed evaluates it once.
+    """
+    if b is None:
+        b = bathy.eval(grid.x)
+    w = state.gamma_surface - b
     if w.shape != (grid.n,):
         raise ValueError("state does not match grid")
-    i = int(np.argmin(w))
-    if w[i] <= 0.0:
-        raise NearDryError(
-            "dry column at node {} (t={})".format(i, state.t),
-            node=i,
-            t=state.t,
-            depth=float(w[i]),
-        )
+    require_wet(w, state.t, DRY_COLUMN)
     gamma = np.sqrt(w)
     p = state.velocity + 2.0 * gamma
     eps = default_eps_px(p, grid.dx) if eps_px is None else float(eps_px)
@@ -182,14 +183,7 @@ def characteristic_residual(state_a: FlowState, state_b: FlowState, bathy, grid:
 
     def invariants(st):
         w = st.gamma_surface - b
-        i = int(np.argmin(w))
-        if w[i] <= 0.0:
-            raise NearDryError(
-                "dry column at node {} (t={})".format(i, st.t),
-                node=i,
-                t=st.t,
-                depth=float(w[i]),
-            )
+        require_wet(w, st.t, DRY_COLUMN)
         root = np.sqrt(w)
         return st.velocity + 2.0 * root, st.velocity - 2.0 * root
 
@@ -199,9 +193,9 @@ def characteristic_residual(state_a: FlowState, state_b: FlowState, bathy, grid:
     u_mid = 0.5 * (state_a.velocity + state_b.velocity)
     surf_mid = 0.5 * (ga + gb)
     w_mid = surf_mid - b
-    if np.any(w_mid <= 0.0):
-        i = int(np.argmin(w_mid))
-        raise NearDryError("dry midpoint column at node {}".format(i), node=i)
+    require_wet(
+        w_mid, 0.5 * (state_a.t + state_b.t), "dry midpoint column at node {node}"
+    )
     gamma_mid = np.sqrt(w_mid)
     u_x = ddx(u_mid, grid)
     excess = ddx(surf_mid, grid) - b_slope

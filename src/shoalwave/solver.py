@@ -10,6 +10,10 @@ noise into a balanced state. An optional limited piecewise-linear
 reconstruction with two-stage time stepping raises the order to two for
 convergence studies; the first-order path is the default.
 
+The bed is static: prepare() evaluates it, its ghost cells and the
+first-order interface bed offsets once, and run() reuses them for every
+step and detector pass.
+
 The time step is cfl * dx / max(|u| + sqrt(w)); runs abort with
 NearDryError when any column drops below h_min and NumericBlowUpError on
 non-finite values. After a rush event the integration keeps going by
@@ -19,6 +23,7 @@ default and the run is flagged post-singular.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -30,15 +35,17 @@ from .detector import (
     Classification,
     DetectorConfig,
     classify,
-    find_critical_points,
+    find_crossings,
     surface_gradients,
 )
 from .errors import NearDryError, NumericBlowUpError, ShoalwaveError
-from .fields import FlowState, Grid, check_wet, depth, save_state
+from .fields import FlowState, Grid, check_wet, require_wet, save_state
 
 __all__ = [
     "SolverConfig",
     "RunResult",
+    "Domain",
+    "prepare",
     "step",
     "run",
     "write_outputs",
@@ -49,6 +56,9 @@ __all__ = [
 BOUNDARY_KINDS = ("transmissive", "periodic", "reflective")
 
 RUSH_CLASSES = (Classification.INLAND_RUSH, Classification.OFFSHORE_RUSH)
+
+# require_wet message for a column thinner than h_min.
+BELOW_H_MIN = "column {depth:.3e} below h_min at node {node} (t={t})"
 
 
 @dataclass
@@ -109,30 +119,85 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
 
 
-def _extended(w, m, b, grid: Grid, config: SolverConfig, t: float, bathy):
-    """Arrays with two ghost cells per side, filled per boundary kind."""
-    if config.boundary == "periodic":
-        w_e = np.concatenate((w[-2:], w, w[:2]))
-        m_e = np.concatenate((m[-2:], m, m[:2]))
-        b_e = np.concatenate((b[-2:], b, b[:2]))
-    elif config.boundary == "reflective":
-        w_e = np.concatenate((w[1::-1], w, w[-1:-3:-1]))
-        m_e = np.concatenate((-m[1::-1], m, -m[-1:-3:-1]))
-        b_e = np.concatenate((b[1::-1], b, b[-1:-3:-1]))
-    else:  # transmissive: zero-gradient
-        w_e = np.concatenate((w[:1], w[:1], w, w[-1:], w[-1:]))
-        m_e = np.concatenate((m[:1], m[:1], m, m[-1:], m[-1:]))
-        b_e = np.concatenate((b[:1], b[:1], b, b[-1:], b[-1:]))
+@dataclass(frozen=True, eq=False)
+class Domain:
+    """The static bed of one run, evaluated once for its grid and boundary.
 
+    x and b are the node coordinates and bed elevations. b_e is b with two
+    ghost cells per side, laid out for the boundary kind; with an inflow,
+    its ghosts hold the bed at the ghost positions ghost_x. bed_left and
+    bed_right are the first-order interface offsets bl - max(bl, br) and
+    br - max(bl, br) of the hydrostatic reconstruction (Audusse et al.,
+    SIAM J. Sci. Comput. 25, 2004), which depend on the bed alone. These
+    arrays are read-only. w_e and m_e are the ghost-extended thickness and
+    momentum that each right-hand side overwrites, so a domain serves one
+    run at a time. Build one with prepare().
+    """
+
+    x: np.ndarray
+    b: np.ndarray
+    b_e: np.ndarray
+    bed_left: np.ndarray
+    bed_right: np.ndarray
+    ghost_x: tuple
+    w_e: np.ndarray
+    m_e: np.ndarray
+
+
+def _fill_ghosts(out, a, boundary: str, odd: bool = False):
+    """Copy a into out[2:-2] and fill two ghost cells per side.
+
+    odd marks a quantity that changes sign at a reflective wall (momentum).
+    """
+    out[2:-2] = a
+    if boundary == "periodic":
+        out[:2] = a[-2:]
+        out[-2:] = a[:2]
+    elif boundary == "reflective":
+        out[:2] = -a[1::-1] if odd else a[1::-1]
+        out[-2:] = -a[-1:-3:-1] if odd else a[-1:-3:-1]
+    else:  # transmissive: zero-gradient
+        out[:2] = a[0]
+        out[-2:] = a[-1]
+
+
+def prepare(bathy, grid: Grid, config: SolverConfig) -> Domain:
+    """Evaluate the bed and everything derived from it once for a run."""
+    x = grid.x
+    b = np.array(bathy.eval(x), dtype=float)
+    ghost_x = (
+        grid.x0 + grid.dx * np.array([-2.0, -1.0]),
+        grid.x_last + grid.dx * np.array([1.0, 2.0]),
+    )
+    b_e = np.empty(grid.n + 4)
+    _fill_ghosts(b_e, b, config.boundary)
     if config.inflow is not None:
-        x_left = grid.x0 + grid.dx * np.array([-2.0, -1.0])
-        x_right = grid.x_last + grid.dx * np.array([1.0, 2.0])
-        for sl, xg in ((slice(0, 2), x_left), (slice(-2, None), x_right)):
+        b_e[:2] = bathy.eval(ghost_x[0])
+        b_e[-2:] = bathy.eval(ghost_x[1])
+    # Interface j sits between cells j and j+1 of b_e[1:-1].
+    bl = b_e[1:-2]
+    br = b_e[2:-1]
+    b_int = np.maximum(bl, br)
+    bed_left = bl - b_int
+    bed_right = br - b_int
+    for arr in (x, b, b_e, bed_left, bed_right, *ghost_x):
+        arr.setflags(write=False)
+    return Domain(
+        x, b, b_e, bed_left, bed_right, ghost_x, np.empty(grid.n + 4), np.empty(grid.n + 4)
+    )
+
+
+def _extended(w, m, domain: Domain, config: SolverConfig, t: float):
+    """The domain's ghost buffers filled from (w, m) per boundary kind."""
+    w_e, m_e = domain.w_e, domain.m_e
+    _fill_ghosts(w_e, w, config.boundary)
+    _fill_ghosts(m_e, m, config.boundary, odd=True)
+    if config.inflow is not None:
+        for sl, xg in zip((slice(0, 2), slice(-2, None)), domain.ghost_x):
             w_g, u_g = config.inflow(t, xg)
             w_e[sl] = w_g
             m_e[sl] = np.asarray(w_g) * np.asarray(u_g)
-            b_e[sl] = bathy.eval(xg)
-    return w_e, m_e, b_e
+    return w_e, m_e
 
 
 def _hll(wl, ul, wr, ur):
@@ -144,33 +209,34 @@ def _hll(wl, ul, wr, ur):
     sl = np.minimum(ul - cl, ur - cr)
     sr = np.maximum(ul + cl, ur + cr)
 
-    fl0 = ml
     fl1 = ml * ul + 0.5 * wl * wl
-    fr0 = mr
     fr1 = mr * ur + 0.5 * wr * wr
 
     span = sr - sl
     safe = np.where(span > 0.0, span, 1.0)
-    mid0 = (sr * fl0 - sl * fr0 + sl * sr * (wr - wl)) / safe
-    mid1 = (sr * fl1 - sl * fr1 + sl * sr * (mr - ml)) / safe
+    slsr = sl * sr
+    mid0 = (sr * ml - sl * mr + slsr * (wr - wl)) / safe
+    mid1 = (sr * fl1 - sl * fr1 + slsr * (mr - ml)) / safe
 
-    f0 = np.where(sl >= 0.0, fl0, np.where(sr <= 0.0, fr0, mid0))
-    f1 = np.where(sl >= 0.0, fl1, np.where(sr <= 0.0, fr1, mid1))
+    # One left/right mask pass picks each flux. Left takes the left flux:
+    # supersonic to the right, or identical interface states, so that a
+    # balanced state produces bitwise-zero updates. Right takes the right
+    # flux; the rest take the intermediate one.
+    left = (sl >= 0.0) | ((wl == wr) & (ml == mr))
+    right = sr <= 0.0
+    return (
+        np.where(left, ml, np.where(right, mr, mid0)),
+        np.where(left, fl1, np.where(right, fr1, mid1)),
+    )
 
-    # Identical interface states short-circuit to the exact flux, so a
-    # balanced state produces bitwise-zero updates.
-    same = (wl == wr) & (ml == mr)
-    f0 = np.where(same, fl0, f0)
-    f1 = np.where(same, fl1, f1)
-    return f0, f1
 
-
-def _rhs(w, m, b, grid: Grid, config: SolverConfig, t: float, bathy):
+def _rhs(w, m, domain: Domain, grid: Grid, config: SolverConfig, t: float):
     """Flux divergence plus bed source, as d/dt arrays over the real cells."""
-    w_e, m_e, b_e = _extended(w, m, b, grid, config, t, bathy)
+    w_e, m_e = _extended(w, m, domain, config, t)
 
+    # Interface j sits between cell edge arrays at j (left) and j+1 (right).
     if config.second_order:
-        eta_e = w_e + b_e
+        eta_e = w_e + domain.b_e
         u_e = m_e / w_e
 
         def edges(arr):
@@ -184,21 +250,21 @@ def _rhs(w, m, b, grid: Grid, config: SolverConfig, t: float, bathy):
         u_minus, u_plus = edges(u_e)
         b_minus = eta_minus - w_minus
         b_plus = eta_plus - w_plus
+        bl = b_plus[:-1]
+        br = b_minus[1:]
+        b_int = np.maximum(bl, br)
+        wls = np.maximum(w_plus[:-1] + (bl - b_int), 0.0)
+        wrs = np.maximum(w_minus[1:] + (br - b_int), 0.0)
+        ul = u_plus[:-1]
+        ur = u_minus[1:]
     else:
         center_w = w_e[1:-1]
-        center_b = b_e[1:-1]
         center_u = m_e[1:-1] / center_w
-        w_minus = w_plus = center_w
-        u_minus = u_plus = center_u
-        b_minus = b_plus = center_b
-
-    # Interface j sits between cell edge arrays at j (left) and j+1 (right).
-    bl = b_plus[:-1]
-    br = b_minus[1:]
-    b_int = np.maximum(bl, br)
-    wls = np.maximum(w_plus[:-1] + (bl - b_int), 0.0)
-    wrs = np.maximum(w_minus[1:] + (br - b_int), 0.0)
-    f0, f1 = _hll(wls, u_plus[:-1], wrs, u_minus[1:])
+        wls = np.maximum(center_w[:-1] + domain.bed_left, 0.0)
+        wrs = np.maximum(center_w[1:] + domain.bed_right, 0.0)
+        ul = center_u[:-1]
+        ur = center_u[1:]
+    f0, f1 = _hll(wls, ul, wrs, ur)
 
     # Group each hydrostatic correction with its own interface flux; at a
     # balanced state every grouped term is identically zero.
@@ -206,18 +272,28 @@ def _rhs(w, m, b, grid: Grid, config: SolverConfig, t: float, bathy):
     g_left = f1 - 0.5 * wrs**2
     if config.flux_perturbation != 0.0:
         g_right = g_right + config.flux_perturbation * grid.dx * 0.5 * (wls + wrs)
-    wm = w_minus[1:-1]
-    wp = w_plus[1:-1]
-    cell_jump = 0.5 * wp**2 - 0.5 * wm**2
-    bed_term = -0.5 * (wm + wp) * (b_plus[1:-1] - b_minus[1:-1])
 
     inv_dx = 1.0 / grid.dx
     rw = -(f0[1:] - f0[:-1]) * inv_dx
-    rm = -(g_right[1:] - g_left[:-1] + cell_jump - bed_term) * inv_dx
+    if config.second_order:
+        wm = w_minus[1:-1]
+        wp = w_plus[1:-1]
+        cell_jump = 0.5 * wp**2 - 0.5 * wm**2
+        bed_term = -0.5 * (wm + wp) * (b_plus[1:-1] - b_minus[1:-1])
+        rm = -(g_right[1:] - g_left[:-1] + cell_jump - bed_term) * inv_dx
+    else:
+        # With one value per cell the cell jump is +0.0 and the bed term
+        # -0.0 exactly; adding +0.0 keeps their one effect on the sum,
+        # which turns a -0.0 flux difference into +0.0.
+        rm = -(g_right[1:] - g_left[:-1] + 0.0) * inv_dx
     return rw, rm
 
 
 def _require_finite(arr, t, what):
+    # A finite sum means every entry is finite; only a sum that is not
+    # (a non-finite entry, or an overflow) pays for the per-node check.
+    if math.isfinite(arr.sum()):
+        return
     bad = ~np.isfinite(arr)
     if np.any(bad):
         node = int(np.argmax(bad))
@@ -232,65 +308,48 @@ def step(
     grid: Grid,
     config: SolverConfig,
     dt_max: float | None = None,
+    *,
+    domain: Domain | None = None,
 ) -> FlowState:
     """Advance one step of size cfl * dx / max(|u| + sqrt(w)).
 
     dt_max caps the step (used by run() to land exactly on t_end). Raises
     NearDryError if the starting or resulting state violates h_min and
-    NumericBlowUpError on non-finite results.
+    NumericBlowUpError on non-finite results. domain, when given, must be
+    prepare(bathy, grid, config); run() builds it once for all its steps.
     """
-    x = grid.x
-    b = np.asarray(bathy.eval(x), dtype=float)
+    if domain is None:
+        domain = prepare(bathy, grid, config)
+    b = domain.b
     w = state.gamma_surface - b
-    i = int(np.argmin(w))
-    if w[i] < config.h_min:
-        raise NearDryError(
-            "column {:.3e} below h_min at node {} (t={})".format(w[i], i, state.t),
-            node=i,
-            t=state.t,
-            depth=float(w[i]),
-        )
+    require_wet(w, state.t, BELOW_H_MIN, config.h_min)
     u = state.velocity
     _require_finite(w, state.t, "thickness")
     _require_finite(u, state.t, "velocity")
 
-    fastest = float(np.max(np.abs(u) + np.sqrt(w)))
+    fastest = float((np.abs(u) + np.sqrt(w)).max())
     dt = config.cfl * grid.dx / fastest
     if dt_max is not None:
         dt = min(dt, float(dt_max))
     m = w * u
 
     if config.second_order:
-        rw1, rm1 = _rhs(w, m, b, grid, config, state.t, bathy)
+        rw1, rm1 = _rhs(w, m, domain, grid, config, state.t)
         w1 = w + dt * rw1
         m1 = m + dt * rm1
-        if np.any(w1 <= 0.0):
-            node = int(np.argmin(w1))
-            raise NearDryError(
-                "intermediate stage dried out at node {}".format(node),
-                node=node,
-                t=state.t + dt,
-                depth=float(w1[node]),
-            )
-        rw2, rm2 = _rhs(w1, m1, b, grid, config, state.t + dt, bathy)
+        require_wet(w1, state.t + dt, "intermediate stage dried out at node {node}")
+        rw2, rm2 = _rhs(w1, m1, domain, grid, config, state.t + dt)
         w_new = 0.5 * (w + w1 + dt * rw2)
         m_new = 0.5 * (m + m1 + dt * rm2)
     else:
-        rw, rm = _rhs(w, m, b, grid, config, state.t, bathy)
+        rw, rm = _rhs(w, m, domain, grid, config, state.t)
         w_new = w + dt * rw
         m_new = m + dt * rm
 
     t_new = state.t + dt
     _require_finite(w_new, t_new, "thickness")
     _require_finite(m_new, t_new, "momentum")
-    i = int(np.argmin(w_new))
-    if w_new[i] < config.h_min:
-        raise NearDryError(
-            "column {:.3e} below h_min at node {} (t={})".format(w_new[i], i, t_new),
-            node=i,
-            t=t_new,
-            depth=float(w_new[i]),
-        )
+    require_wet(w_new, t_new, BELOW_H_MIN, config.h_min)
     return FlowState(t_new, w_new + b, m_new / w_new)
 
 
@@ -342,7 +401,8 @@ def run(
     """
     det = detector_config if detector_config is not None else DetectorConfig()
     check_wet(initial, bathy, grid, config.h_min)
-    gamma_ref = float(np.sqrt(np.max(depth(initial, bathy, grid))))
+    domain = prepare(bathy, grid, config)
+    gamma_ref = float(np.sqrt(np.max(initial.gamma_surface - domain.b)))
 
     state = initial.copy()
     snapshots = [initial.copy()]
@@ -364,23 +424,21 @@ def run(
                 "exceeded max_steps={} at t={}".format(config.max_steps, state.t)
             )
         try:
-            state = step(state, bathy, grid, config, dt_max=config.t_end - state.t)
+            state = step(
+                state, bathy, grid, config, dt_max=config.t_end - state.t, domain=domain
+            )
         except (NearDryError, NumericBlowUpError) as exc:
             exc.step = steps + 1
             raise
         steps += 1
 
-        inland = riemann._inland(state, bathy, grid, det.eps_px)
-        points = [
-            pt
-            for pt in find_critical_points(inland, bathy, grid, inland.eps_px)
-            if not pt.plateau
-        ]
-        grads = surface_gradients(state, bathy, grid) if points else None
+        inland = riemann._inland(state, bathy, grid, det.eps_px, b=domain.b)
+        points = find_crossings(inland, bathy, grid, inland.eps_px, x=domain.x)
+        grads = surface_gradients(state, bathy, grid, inland.gamma) if points else None
         step_events = [
             classify(
                 pt.x_star, inland, state, bathy, grid,
-                gamma_ref=gamma_ref, gradients=grads,
+                gamma_ref=gamma_ref, gradients=grads, x=domain.x,
             )
             for pt in points
         ]

@@ -5,10 +5,13 @@ criterion. The two bundled scenarios are integrated once per session and
 shared by the criteria that inspect their snapshots and event logs.
 """
 
+import hashlib
 import importlib.resources
+import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +226,19 @@ def test_criterion_09_shoaling_regression(bundled_runs):
     )
     assert first.t == pytest.approx(13.97043423648349, abs=5e-3)
     assert first.x_star == pytest.approx(3.8846574069884863, abs=5e-3)
+
+
+def test_shoaling_outputs_match_frozen_digests(bundled_runs, tmp_path):
+    """The bundled shoaling run writes the exact bytes the benchmark froze."""
+    grid, bathy, result = bundled_runs["shoaling_pulse"]
+    solver.write_outputs(result, bathy, grid, tmp_path, "shoaling_pulse")
+    names = ["events.jsonl"] + [p.name for p in tmp_path.glob("snap_*.csv")]
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in names
+    }
+    digests = Path(__file__).resolve().parent.parent / "bench" / "shoaling_digests.json"
+    assert got == json.loads(digests.read_text())
 
 
 def test_criterion_10_nondimensional_checks():

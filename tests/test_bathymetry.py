@@ -1,11 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from shoalwave.bathymetry import Flat, Linear, Sampled, TanhSafe
+from shoalwave.bathymetry import Flat, Linear, Sampled, TanhSafe, _node_derivatives
 from shoalwave.errors import DomainError
 
 
@@ -119,6 +120,39 @@ class TestSampled:
             vals = b.eval(q)
             assert np.all(vals >= lo - 1e-12)
             assert np.all(vals <= hi + 1e-12)
+
+    def test_batched_node_derivatives_match_per_node_solves(self):
+        # Reference: one Vandermonde solve and one dot product per node.
+        def per_node(x, b, order):
+            n = x.size
+            edge = 3 if order == 1 else 4
+            out = np.empty(n)
+            for i in range(n):
+                if i == 0:
+                    sl = slice(0, edge)
+                elif i == n - 1:
+                    sl = slice(n - edge, n)
+                else:
+                    sl = slice(i - 1, i + 2)
+                a = np.vander(x[sl] - x[i], x[sl].size, increasing=True).T
+                rhs = np.zeros(x[sl].size)
+                rhs[order] = math.factorial(order)
+                out[i] = np.linalg.solve(a, rhs) @ b[sl]
+            return out
+
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            n = int(rng.integers(5, 200))
+            if trial % 2:
+                x = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 10.0
+            else:
+                x = rng.uniform(-5.0, 0.0) + rng.uniform(1e-3, 0.5) * np.arange(n)
+            b = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            for order in (1, 2):
+                got = _node_derivatives(x, b, order)
+                want = per_node(x, b, order)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_rejects_bad_node_sets(self):
         with pytest.raises(ValueError):

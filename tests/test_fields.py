@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shoalwave import detector, riemann, solver
 from shoalwave.bathymetry import Flat, Linear
 from shoalwave.errors import NearDryError
 from shoalwave.fields import (
@@ -74,6 +75,49 @@ def test_depth_and_check_wet():
         check_wet(s, b, g, h_min=1e-6)
     assert info.value.node == 4
     assert info.value.depth < 1e-6
+
+
+def _dry_at_node_5(t):
+    g = Grid(0.0, 0.1, 16)
+    bed = Flat(-1.0)
+    surface = np.zeros(16)
+    surface[5] = -1.25
+    return g, bed, FlowState(t, surface, np.zeros(16))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda s, b, g: check_wet(s, b, g, h_min=1e-6),
+        lambda s, b, g: solver.step(s, b, g, solver.SolverConfig(t_end=10.0)),
+        lambda s, b, g: riemann._inland(s, b, g),
+        lambda s, b, g: detector.surface_gradients(s, b, g),
+        lambda s, b, g: detector.deep_sea_diagnostics(s, b, g, mean_depth=0.0),
+        lambda s, b, g: riemann.characteristic_residual(
+            s, FlowState(3.0, np.zeros(16), np.zeros(16)), b, g
+        ),
+    ],
+    ids=["check_wet", "step", "inland", "surface_gradients", "deep_sea", "residual"],
+)
+def test_dry_column_errors_carry_node_t_and_depth(check):
+    g, bed, state = _dry_at_node_5(2.5)
+    with pytest.raises(NearDryError) as info:
+        check(state, bed, g)
+    assert (info.value.node, info.value.t, info.value.depth) == (5, 2.5, -0.25)
+
+
+def test_dry_midpoint_error_carries_node_t_and_depth():
+    # Both states are wet; only the midpoint surface overflows to -inf.
+    g = Grid(0.0, 0.1, 16)
+    bed = Flat(-1.5e308)
+    surface = np.full(16, -1e300)
+    surface[5] = -1e308
+    a = FlowState(1.0, surface, np.zeros(16))
+    b = FlowState(2.0, surface.copy(), np.zeros(16))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NearDryError, match="dry midpoint column at node 5") as info:
+            riemann.characteristic_residual(a, b, bed, g)
+    assert (info.value.node, info.value.t, info.value.depth) == (5, 1.5, -np.inf)
 
 
 def test_state_round_trip_is_exact(tmp_path):

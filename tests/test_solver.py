@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shoalwave import analytic, detector, solver
-from shoalwave.bathymetry import Flat, TanhSafe
+from shoalwave.bathymetry import Flat, Linear, Sampled, TanhSafe
 from shoalwave.errors import NearDryError, NumericBlowUpError
 from shoalwave.fields import FlowState, Grid, load_state
 
@@ -281,3 +283,247 @@ def test_uniform_slope_flow_logs_no_run_events():
     result = solver.run(state, sol.bathymetry(), g, config, detector.DetectorConfig())
     assert result.events == []
     assert result.post_singular is False
+
+
+# Reference kernel: the step as it was before the prepared domain, with the
+# bed evaluated on every call, concatenated ghosts and nested flux selection.
+# The kernel must reproduce it bit for bit, signs of zeros included.
+
+
+def _ref_minmod(a, b):
+    return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
+
+
+def _ref_extended(w, m, b, grid, config, t, bathy):
+    if config.boundary == "periodic":
+        w_e = np.concatenate((w[-2:], w, w[:2]))
+        m_e = np.concatenate((m[-2:], m, m[:2]))
+        b_e = np.concatenate((b[-2:], b, b[:2]))
+    elif config.boundary == "reflective":
+        w_e = np.concatenate((w[1::-1], w, w[-1:-3:-1]))
+        m_e = np.concatenate((-m[1::-1], m, -m[-1:-3:-1]))
+        b_e = np.concatenate((b[1::-1], b, b[-1:-3:-1]))
+    else:
+        w_e = np.concatenate((w[:1], w[:1], w, w[-1:], w[-1:]))
+        m_e = np.concatenate((m[:1], m[:1], m, m[-1:], m[-1:]))
+        b_e = np.concatenate((b[:1], b[:1], b, b[-1:], b[-1:]))
+    if config.inflow is not None:
+        x_left = grid.x0 + grid.dx * np.array([-2.0, -1.0])
+        x_right = grid.x_last + grid.dx * np.array([1.0, 2.0])
+        for sl, xg in ((slice(0, 2), x_left), (slice(-2, None), x_right)):
+            w_g, u_g = config.inflow(t, xg)
+            w_e[sl] = w_g
+            m_e[sl] = np.asarray(w_g) * np.asarray(u_g)
+            b_e[sl] = bathy.eval(xg)
+    return w_e, m_e, b_e
+
+
+def _ref_hll(wl, ul, wr, ur):
+    ml = wl * ul
+    mr = wr * ur
+    cl = np.sqrt(wl)
+    cr = np.sqrt(wr)
+    sl = np.minimum(ul - cl, ur - cr)
+    sr = np.maximum(ul + cl, ur + cr)
+    fl0 = ml
+    fl1 = ml * ul + 0.5 * wl * wl
+    fr0 = mr
+    fr1 = mr * ur + 0.5 * wr * wr
+    span = sr - sl
+    safe = np.where(span > 0.0, span, 1.0)
+    mid0 = (sr * fl0 - sl * fr0 + sl * sr * (wr - wl)) / safe
+    mid1 = (sr * fl1 - sl * fr1 + sl * sr * (mr - ml)) / safe
+    f0 = np.where(sl >= 0.0, fl0, np.where(sr <= 0.0, fr0, mid0))
+    f1 = np.where(sl >= 0.0, fl1, np.where(sr <= 0.0, fr1, mid1))
+    same = (wl == wr) & (ml == mr)
+    return np.where(same, fl0, f0), np.where(same, fl1, f1)
+
+
+def _ref_rhs(w, m, b, grid, config, t, bathy):
+    w_e, m_e, b_e = _ref_extended(w, m, b, grid, config, t, bathy)
+    if config.second_order:
+        eta_e = w_e + b_e
+        u_e = m_e / w_e
+
+        def edges(arr):
+            d = np.diff(arr)
+            slope = _ref_minmod(d[1:], d[:-1])
+            center = arr[1:-1]
+            return center - 0.5 * slope, center + 0.5 * slope
+
+        w_minus, w_plus = edges(w_e)
+        eta_minus, eta_plus = edges(eta_e)
+        u_minus, u_plus = edges(u_e)
+        b_minus = eta_minus - w_minus
+        b_plus = eta_plus - w_plus
+    else:
+        center_w = w_e[1:-1]
+        center_b = b_e[1:-1]
+        center_u = m_e[1:-1] / center_w
+        w_minus = w_plus = center_w
+        u_minus = u_plus = center_u
+        b_minus = b_plus = center_b
+    bl = b_plus[:-1]
+    br = b_minus[1:]
+    b_int = np.maximum(bl, br)
+    wls = np.maximum(w_plus[:-1] + (bl - b_int), 0.0)
+    wrs = np.maximum(w_minus[1:] + (br - b_int), 0.0)
+    f0, f1 = _ref_hll(wls, u_plus[:-1], wrs, u_minus[1:])
+    g_right = f1 - 0.5 * wls**2
+    g_left = f1 - 0.5 * wrs**2
+    if config.flux_perturbation != 0.0:
+        g_right = g_right + config.flux_perturbation * grid.dx * 0.5 * (wls + wrs)
+    wm = w_minus[1:-1]
+    wp = w_plus[1:-1]
+    cell_jump = 0.5 * wp**2 - 0.5 * wm**2
+    bed_term = -0.5 * (wm + wp) * (b_plus[1:-1] - b_minus[1:-1])
+    inv_dx = 1.0 / grid.dx
+    rw = -(f0[1:] - f0[:-1]) * inv_dx
+    rm = -(g_right[1:] - g_left[:-1] + cell_jump - bed_term) * inv_dx
+    return rw, rm
+
+
+def _ref_step(state, bathy, grid, config, dt_max=None):
+    b = np.asarray(bathy.eval(grid.x), dtype=float)
+    w = state.gamma_surface - b
+    i = int(np.argmin(w))
+    if w[i] < config.h_min:
+        raise NearDryError("below h_min", node=i, t=state.t, depth=float(w[i]))
+    u = state.velocity
+    for arr in (w, u):
+        if not np.all(np.isfinite(arr)):
+            raise NumericBlowUpError("non-finite")
+    dt = config.cfl * grid.dx / float(np.max(np.abs(u) + np.sqrt(w)))
+    if dt_max is not None:
+        dt = min(dt, float(dt_max))
+    m = w * u
+    if config.second_order:
+        rw1, rm1 = _ref_rhs(w, m, b, grid, config, state.t, bathy)
+        w1 = w + dt * rw1
+        m1 = m + dt * rm1
+        if np.any(w1 <= 0.0):
+            raise NearDryError("intermediate stage dried out")
+        rw2, rm2 = _ref_rhs(w1, m1, b, grid, config, state.t + dt, bathy)
+        w_new = 0.5 * (w + w1 + dt * rw2)
+        m_new = 0.5 * (m + m1 + dt * rm2)
+    else:
+        rw, rm = _ref_rhs(w, m, b, grid, config, state.t, bathy)
+        w_new = w + dt * rw
+        m_new = m + dt * rm
+    t_new = state.t + dt
+    for arr in (w_new, m_new):
+        if not np.all(np.isfinite(arr)):
+            raise NumericBlowUpError("non-finite")
+    i = int(np.argmin(w_new))
+    if w_new[i] < config.h_min:
+        raise NearDryError("below h_min", node=i, t=t_new, depth=float(w_new[i]))
+    return FlowState(t_new, w_new + b, m_new / w_new)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.integers(8, 40))
+    grid = Grid(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.02, 0.3)), n)
+    kind = draw(st.sampled_from(["tanh", "linear", "sampled"]))
+    if kind == "tanh":
+        bathy = TanhSafe(draw(st.floats(0.1, 1.0)), draw(st.floats(0.05, 0.5)))
+    elif kind == "linear":
+        bathy = Linear(draw(st.floats(-2.0, -1.0)), draw(st.floats(-0.2, 0.2)))
+    else:
+        # Spans the ghost cells too, which an inflow evaluates the bed at.
+        xs = np.linspace(grid.x0 - 3 * grid.dx, grid.x_last + 3 * grid.dx, n + 6)
+        bs = -1.5 + 0.4 * np.sin(draw(st.floats(0.5, 3.0)) * xs)
+        bathy = Sampled(xs, bs)
+    b = bathy.eval(grid.x)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # Lake at rest, where identical interface states short-circuit.
+        surface = np.zeros(n)
+        velocity = np.zeros(n)
+    else:
+        surface = b + rng.uniform(0.05, 1.5, n)
+        velocity = rng.uniform(-0.5, 0.5, n)
+        velocity[rng.random(n) < 0.2] = draw(st.sampled_from([0.0, -0.0]))
+    inflow = None
+    if draw(st.booleans()):
+        w_in = draw(st.floats(0.1, 2.0))
+        u_in = draw(st.floats(-0.5, 0.5))
+
+        def inflow(t, x):
+            return w_in + 0.1 * np.sin(t + x), np.full_like(x, u_in)
+
+    config = solver.SolverConfig(
+        t_end=1e9,
+        cfl=draw(st.floats(0.1, 1.0)),
+        boundary=draw(st.sampled_from(solver.BOUNDARY_KINDS)),
+        second_order=draw(st.booleans()),
+        inflow=inflow,
+        flux_perturbation=draw(st.sampled_from([0.0, 0.05, -1.3])),
+    )
+    return grid, bathy, FlowState(0.0, surface, velocity), config
+
+
+@settings(deadline=None, max_examples=200)
+@given(_kernel_cases(), st.integers(1, 4))
+def test_step_matches_reference_kernel(case, steps):
+    grid, bathy, state, config = case
+    domain = solver.prepare(bathy, grid, config)
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            try:
+                want = _ref_step(state, bathy, grid, config)
+            except (NearDryError, NumericBlowUpError) as exc:
+                with pytest.raises(type(exc)):
+                    solver.step(state, bathy, grid, config, domain=domain)
+                return
+            for got in (
+                solver.step(state, bathy, grid, config),
+                solver.step(state, bathy, grid, config, domain=domain),
+            ):
+                assert got.t == want.t
+                assert _same_bits(got.gamma_surface, want.gamma_surface)
+                assert _same_bits(got.velocity, want.velocity)
+            state = want
+
+
+class _CountingBed:
+    """A bed that counts its eval calls."""
+
+    def __init__(self, bed):
+        self.bed = bed
+        self.evals = 0
+
+    def eval(self, x):
+        self.evals += 1
+        return self.bed.eval(x)
+
+    def slope(self, x):
+        return self.bed.slope(x)
+
+
+def test_run_evaluates_the_bed_a_fixed_number_of_times(monkeypatch, inland_setup):
+    grid, state, bathy = inland_setup
+    builds = []
+    x_property = Grid.x
+
+    def counted_x(g):
+        builds.append(1)
+        return x_property.fget(g)
+
+    monkeypatch.setattr(Grid, "x", property(counted_x))
+    counts = []
+    for t_end in (1e-3, 8e-3):
+        bed = _CountingBed(bathy)
+        del builds[:]
+        result = solver.run(
+            state, bed, grid, solver.SolverConfig(t_end=t_end), detector.DetectorConfig()
+        )
+        assert result.events
+        counts.append((result.steps, bed.evals, len(builds)))
+    (short, evals_short, x_short), (long, evals_long, x_long) = counts
+    assert long > 2 * short
+    assert (evals_long, x_long) == (evals_short, x_short)
