@@ -23,7 +23,7 @@ _TANH_CLIP = 350.0
 
 def _shaped(x, out):
     """Return a float for scalar input and an ndarray otherwise."""
-    if np.ndim(x) == 0:
+    if isinstance(x, float) or np.ndim(x) == 0:
         return float(out)
     return np.asarray(out, dtype=float)
 
@@ -102,7 +102,13 @@ class TanhSafe(Bathymetry):
         return _shaped(x, -self.h + self.K * (np.tanh(xa) - 1.0))
 
     def slope(self, x):
-        xa = np.clip(np.asarray(x, dtype=float), -_TANH_CLIP, _TANH_CLIP)
+        if isinstance(x, float):
+            # The detector asks for one point at a time; Python min/max
+            # clip a float as np.clip does (NaN passes through) without
+            # its array dispatch.
+            xa = min(max(x, -_TANH_CLIP), _TANH_CLIP)
+        else:
+            xa = np.clip(np.asarray(x, dtype=float), -_TANH_CLIP, _TANH_CLIP)
         sech2 = 1.0 / np.cosh(xa) ** 2
         return _shaped(x, self.K * sech2)
 

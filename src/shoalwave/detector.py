@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .fields import DRY_COLUMN, FlowState, Grid, d2dx2, ddx, require_wet
+from .fields import DRY_COLUMN, FlowState, Grid, Workspace, d2dx2, ddx, require_wet
 from .riemann import InlandFields, RiemannFields
 
 __all__ = [
@@ -203,19 +203,31 @@ def find_crossings(
     eps_px: float | None = None,
     *,
     x: np.ndarray | None = None,
+    work: Workspace | None = None,
 ) -> list[CriticalPoint]:
     """Sign changes of p_x between adjacent resolved nodes, in ascending x.
 
     Each is interpolated linearly (placement error at most dx/2); one where
     the bed slope sits below the threshold is left out. x, when given, must
-    be grid.x.
+    be grid.x; work, when given, holds the search's temporaries.
     """
     eps = fields.eps_px if eps_px is None else float(eps_px)
     px = fields.p_x
     if x is None:
         x = grid.x
-    small = np.abs(px) <= eps
-    crossing = (px[:-1] * px[1:] < 0.0) & ~small[:-1] & ~small[1:]
+    if work is None:
+        work = Workspace()
+    scratch = work.take("crossings", px.size)
+    resolved, crossing = work.take("crossing masks", (2, px.size), bool)
+    # crossing = (px[:-1] * px[1:] < 0) & resolved[:-1] & resolved[1:],
+    # with resolved = ~(|px| <= eps)
+    np.less_equal(np.abs(px, out=scratch), eps, out=resolved)
+    np.logical_not(resolved, out=resolved)
+    crossing = np.less(
+        np.multiply(px[:-1], px[1:], out=scratch[:-1]), 0.0, out=crossing[:-1]
+    )
+    crossing &= resolved[:-1]
+    crossing &= resolved[1:]
     points = []
     for i in np.nonzero(crossing)[0]:
         x_star = x[i] + grid.dx * px[i] / (px[i] - px[i + 1])

@@ -12,6 +12,7 @@ from .errors import NearDryError
 __all__ = [
     "Grid",
     "FlowState",
+    "Workspace",
     "ddx",
     "d2dx2",
     "depth",
@@ -68,6 +69,27 @@ class FlowState:
         return FlowState(self.t, self.gamma_surface.copy(), self.velocity.copy())
 
 
+class Workspace:
+    """Scratch arrays handed out by name, allocated once and reused.
+
+    take(name, shape, dtype) returns the same array on every call with the
+    same arguments, so a loop that writes its temporaries into a workspace
+    through ufunc out= arguments allocates them once. Each function takes
+    blocks under its own names; what it returns from them is overwritten by
+    its next call. A workspace serves one caller at a time.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def take(self, name: str, shape, dtype=float) -> np.ndarray:
+        key = (name, shape, dtype)
+        arr = self._arrays.get(key)
+        if arr is None:
+            arr = self._arrays[key] = np.empty(shape, dtype)
+        return arr
+
+
 def _checked(field, grid: Grid) -> np.ndarray:
     f = np.asarray(field, dtype=float)
     if f.shape != (grid.n,):
@@ -77,15 +99,18 @@ def _checked(field, grid: Grid) -> np.ndarray:
     return f
 
 
-def ddx(field, grid: Grid) -> np.ndarray:
+def ddx(field, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """First derivative: central in the interior, one-sided at both ends.
 
-    All stencils are second order in dx.
+    All stencils are second order in dx. out, when given, receives the
+    result and must not share memory with field.
     """
     f = _checked(field, grid)
     inv2 = 1.0 / (2.0 * grid.dx)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) * inv2
+    if out is None:
+        out = np.empty_like(f)
+    inner = out[1:-1]
+    np.multiply(np.subtract(f[2:], f[:-2], out=inner), inv2, out=inner)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) * inv2
     out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) * inv2
     return out
@@ -112,10 +137,17 @@ def require_wet(w, t, message: str, h_min: float | None = None) -> None:
 
     The floor is w < h_min when h_min is given and w <= 0 otherwise. message
     is a format template that may use {depth}, {node}, {t} and {h_min}; the
-    error carries node, t and depth.
+    error carries node, t and depth. NaN entries are skipped; an all-NaN w
+    raises nothing.
     """
     i = int(np.argmin(w))
     low = w[i]
+    if low != low:  # argmin stops at the first NaN
+        try:
+            i = int(np.nanargmin(w))
+        except ValueError:
+            return
+        low = w[i]
     too_thin = low <= 0.0 if h_min is None else low < h_min
     if too_thin:
         raise NearDryError(
@@ -136,22 +168,18 @@ def check_wet(state: FlowState, bathy, grid: Grid, h_min: float) -> None:
     )
 
 
+# One snapshot row, laid out as csv.writer writes it (no field needs quoting).
+_STATE_ROW = "{:.17g},{:.17g},{:.17g},{:.17g}\r\n".format
+
+
 def save_state(state: FlowState, bathy, grid: Grid, path) -> None:
     """Write a snapshot CSV with columns x, gamma_surface, u, b."""
     x = grid.x
     b = np.asarray(bathy.eval(x), dtype=float)
+    columns = (x, state.gamma_surface, state.velocity, b)
+    rows = map(_STATE_ROW, *(_checked(c, grid).tolist() for c in columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "gamma_surface", "u", "b"])
-        for i in range(grid.n):
-            writer.writerow(
-                [
-                    "{:.17g}".format(x[i]),
-                    "{:.17g}".format(state.gamma_surface[i]),
-                    "{:.17g}".format(state.velocity[i]),
-                    "{:.17g}".format(b[i]),
-                ]
-            )
+        fh.write("x,gamma_surface,u,b\r\n" + "".join(rows))
 
 
 def load_state(path, t: float = 0.0):

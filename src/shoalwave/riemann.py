@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInvariantsError
-from .fields import DRY_COLUMN, FlowState, Grid, ddx, require_wet
+from .fields import DRY_COLUMN, FlowState, Grid, Workspace, ddx, require_wet
 
 __all__ = [
     "RiemannFields",
@@ -60,9 +60,12 @@ class RiemannFields:
     eps_px: float
 
 
-def default_eps_px(p, dx: float) -> float:
-    """Scale-aware gradient threshold: EPS_PX_SCALE * max|p| / dx."""
-    return EPS_PX_SCALE * float(np.max(np.abs(p))) / dx
+def default_eps_px(p, dx: float, scratch: np.ndarray | None = None) -> float:
+    """Scale-aware gradient threshold: EPS_PX_SCALE * max|p| / dx.
+
+    scratch, when given, receives |p|.
+    """
+    return EPS_PX_SCALE * float(np.max(np.abs(p, out=scratch))) / dx
 
 
 @dataclass
@@ -111,23 +114,35 @@ def _correction(b_slope: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray
 
 
 def _inland(
-    state: FlowState, bathy, grid: Grid, eps_px: float | None = None, b=None
+    state: FlowState,
+    bathy,
+    grid: Grid,
+    eps_px: float | None = None,
+    b=None,
+    work: Workspace | None = None,
 ) -> InlandFields:
     """Wet check, then gamma, p, p_x and the gradient threshold for one state.
 
     b, when given, must be bathy.eval(grid.x); a caller analysing many
-    states on one static bed evaluates it once.
+    states on one static bed evaluates it once. work, when given, holds the
+    returned arrays until the next call with it; without one they are new.
     """
     if b is None:
         b = bathy.eval(grid.x)
-    w = state.gamma_surface - b
-    if w.shape != (grid.n,):
+    if state.gamma_surface.shape != (grid.n,):
         raise ValueError("state does not match grid")
+    if work is None:
+        work = Workspace()
+    gamma, p, p_x = work.take("inland", (3, grid.n))
+    w = np.subtract(state.gamma_surface, b, out=gamma)
     require_wet(w, state.t, DRY_COLUMN)
-    gamma = np.sqrt(w)
-    p = state.velocity + 2.0 * gamma
-    eps = default_eps_px(p, grid.dx) if eps_px is None else float(eps_px)
-    return InlandFields(gamma, p, ddx(p, grid), eps)
+    np.sqrt(w, out=gamma)
+    np.add(state.velocity, np.multiply(2.0, gamma, out=p), out=p)
+    if eps_px is None:
+        eps = default_eps_px(p, grid.dx, scratch=p_x)
+    else:
+        eps = float(eps_px)
+    return InlandFields(gamma, p, ddx(p, grid, out=p_x), eps)
 
 
 def compute(state: FlowState, bathy, grid: Grid, eps_px: float | None = None) -> RiemannFields:

@@ -12,7 +12,10 @@ convergence studies; the first-order path is the default.
 
 The bed is static: prepare() evaluates it, its ghost cells and the
 first-order interface bed offsets once, and run() reuses them for every
-step and detector pass.
+step and detector pass. The prepared domain also holds the run's
+workspace: the first-order kernel and the run's detector search write
+every temporary into arrays allocated on the first step, so a step
+allocates only the state it returns.
 
 The time step is cfl * dx / max(|u| + sqrt(w)); runs abort with
 NearDryError when any column drops below h_min and NumericBlowUpError on
@@ -39,7 +42,7 @@ from .detector import (
     surface_gradients,
 )
 from .errors import NearDryError, NumericBlowUpError, ShoalwaveError
-from .fields import FlowState, Grid, check_wet, require_wet, save_state
+from .fields import FlowState, Grid, Workspace, check_wet, require_wet, save_state
 
 __all__ = [
     "SolverConfig",
@@ -129,9 +132,9 @@ class Domain:
     bed_right are the first-order interface offsets bl - max(bl, br) and
     br - max(bl, br) of the hydrostatic reconstruction (Audusse et al.,
     SIAM J. Sci. Comput. 25, 2004), which depend on the bed alone. These
-    arrays are read-only. w_e and m_e are the ghost-extended thickness and
-    momentum that each right-hand side overwrites, so a domain serves one
-    run at a time. Build one with prepare().
+    arrays are read-only. work is the scratch space that every step and
+    detector pass overwrites, so a domain serves one run at a time. Build
+    one with prepare().
     """
 
     x: np.ndarray
@@ -140,8 +143,7 @@ class Domain:
     bed_left: np.ndarray
     bed_right: np.ndarray
     ghost_x: tuple
-    w_e: np.ndarray
-    m_e: np.ndarray
+    work: Workspace
 
 
 def _fill_ghosts(out, a, boundary: str, odd: bool = False):
@@ -182,14 +184,12 @@ def prepare(bathy, grid: Grid, config: SolverConfig) -> Domain:
     bed_right = br - b_int
     for arr in (x, b, b_e, bed_left, bed_right, *ghost_x):
         arr.setflags(write=False)
-    return Domain(
-        x, b, b_e, bed_left, bed_right, ghost_x, np.empty(grid.n + 4), np.empty(grid.n + 4)
-    )
+    return Domain(x, b, b_e, bed_left, bed_right, ghost_x, Workspace())
 
 
 def _extended(w, m, domain: Domain, config: SolverConfig, t: float):
-    """The domain's ghost buffers filled from (w, m) per boundary kind."""
-    w_e, m_e = domain.w_e, domain.m_e
+    """Ghost-extended (w, m) per boundary kind, in the domain's workspace."""
+    w_e, m_e = domain.work.take("ghosts", (2, w.size + 4))
     _fill_ghosts(w_e, w, config.boundary)
     _fill_ghosts(m_e, m, config.boundary, odd=True)
     if config.inflow is not None:
@@ -200,39 +200,75 @@ def _extended(w, m, domain: Domain, config: SolverConfig, t: float):
     return w_e, m_e
 
 
-def _hll(wl, ul, wr, ur):
-    """Two-wave approximate flux between reconstructed interface states."""
-    ml = wl * ul
-    mr = wr * ur
-    cl = np.sqrt(wl)
-    cr = np.sqrt(wr)
-    sl = np.minimum(ul - cl, ur - cr)
-    sr = np.maximum(ul + cl, ur + cr)
+def _hll(wl, ul, wr, ur, work: Workspace):
+    """Two-wave approximate flux between reconstructed interface states.
 
-    fl1 = ml * ul + 0.5 * wl * wl
-    fr1 = mr * ur + 0.5 * wr * wr
+    Every temporary lives in work; the two returned flux arrays do too.
+    Each line computes what its comment says, with the same operands in
+    the same order, so the results are bitwise those of the plain
+    expressions.
+    """
+    size = wl.size
+    ml, mr, sl, sr, fl1, fr1, slsr, safe, mid0, mid1, tmp = work.take(
+        "hll", (11, size)
+    )
+    left, right, same = work.take("hll masks", (3, size), bool)
 
-    span = sr - sl
-    safe = np.where(span > 0.0, span, 1.0)
-    slsr = sl * sr
-    mid0 = (sr * ml - sl * mr + slsr * (wr - wl)) / safe
-    mid1 = (sr * fl1 - sl * fr1 + slsr * (mr - ml)) / safe
+    np.multiply(wl, ul, out=ml)
+    np.multiply(wr, ur, out=mr)
+    cl = np.sqrt(wl, out=sr)
+    cr = np.sqrt(wr, out=tmp)
+    # sl = minimum(ul - cl, ur - cr); sr = maximum(ul + cl, ur + cr)
+    np.minimum(np.subtract(ul, cl, out=sl), np.subtract(ur, cr, out=slsr), out=sl)
+    np.maximum(np.add(ul, cl, out=sr), np.add(ur, cr, out=tmp), out=sr)
+
+    # fl1 = ml * ul + 0.5 * wl * wl; fr1 = mr * ur + 0.5 * wr * wr
+    half = np.multiply(0.5, wl, out=tmp)
+    np.add(np.multiply(ml, ul, out=fl1), np.multiply(half, wl, out=tmp), out=fl1)
+    half = np.multiply(0.5, wr, out=tmp)
+    np.add(np.multiply(mr, ur, out=fr1), np.multiply(half, wr, out=tmp), out=fr1)
+
+    # safe = where(span > 0, span, 1) with span = sr - sl
+    np.subtract(sr, sl, out=safe)
+    np.logical_not(np.greater(safe, 0.0, out=same), out=same)
+    np.copyto(safe, 1.0, where=same)
+    np.multiply(sl, sr, out=slsr)
+    # mid0 = (sr * ml - sl * mr + slsr * (wr - wl)) / safe
+    np.multiply(sr, ml, out=mid0)
+    np.subtract(mid0, np.multiply(sl, mr, out=tmp), out=mid0)
+    np.add(mid0, np.multiply(slsr, np.subtract(wr, wl, out=tmp), out=tmp), out=mid0)
+    np.divide(mid0, safe, out=mid0)
+    # mid1 = (sr * fl1 - sl * fr1 + slsr * (mr - ml)) / safe
+    np.multiply(sr, fl1, out=mid1)
+    np.subtract(mid1, np.multiply(sl, fr1, out=tmp), out=mid1)
+    np.add(mid1, np.multiply(slsr, np.subtract(mr, ml, out=tmp), out=tmp), out=mid1)
+    np.divide(mid1, safe, out=mid1)
 
     # One left/right mask pass picks each flux. Left takes the left flux:
     # supersonic to the right, or identical interface states, so that a
     # balanced state produces bitwise-zero updates. Right takes the right
-    # flux; the rest take the intermediate one.
-    left = (sl >= 0.0) | ((wl == wr) & (ml == mr))
-    right = sr <= 0.0
-    return (
-        np.where(left, ml, np.where(right, mr, mid0)),
-        np.where(left, fl1, np.where(right, fr1, mid1)),
+    # flux; the rest keep the intermediate one.
+    np.greater_equal(sl, 0.0, out=left)
+    left |= np.logical_and(
+        np.equal(wl, wr, out=same), np.equal(ml, mr, out=right), out=same
     )
+    np.less_equal(sr, 0.0, out=right)
+    for flux, from_left, from_right in ((mid0, ml, mr), (mid1, fl1, fr1)):
+        np.copyto(flux, from_right, where=right)
+        np.copyto(flux, from_left, where=left)
+    return mid0, mid1
 
 
 def _rhs(w, m, domain: Domain, grid: Grid, config: SolverConfig, t: float):
-    """Flux divergence plus bed source, as d/dt arrays over the real cells."""
+    """Flux divergence plus bed source, as d/dt arrays over the real cells.
+
+    The returned arrays live in the domain's workspace. The first-order
+    path allocates nothing; the second-order reconstruction and
+    flux_perturbation allocate what they add.
+    """
+    work = domain.work
     w_e, m_e = _extended(w, m, domain, config, t)
+    wls, wrs, g_right, tmp = work.take("rhs", (4, grid.n + 1))
 
     # Interface j sits between cell edge arrays at j (left) and j+1 (right).
     if config.second_order:
@@ -253,39 +289,49 @@ def _rhs(w, m, domain: Domain, grid: Grid, config: SolverConfig, t: float):
         bl = b_plus[:-1]
         br = b_minus[1:]
         b_int = np.maximum(bl, br)
-        wls = np.maximum(w_plus[:-1] + (bl - b_int), 0.0)
-        wrs = np.maximum(w_minus[1:] + (br - b_int), 0.0)
+        np.maximum(w_plus[:-1] + (bl - b_int), 0.0, out=wls)
+        np.maximum(w_minus[1:] + (br - b_int), 0.0, out=wrs)
         ul = u_plus[:-1]
         ur = u_minus[1:]
     else:
         center_w = w_e[1:-1]
-        center_u = m_e[1:-1] / center_w
-        wls = np.maximum(center_w[:-1] + domain.bed_left, 0.0)
-        wrs = np.maximum(center_w[1:] + domain.bed_right, 0.0)
+        center_u = np.divide(m_e[1:-1], center_w, out=work.take("rhs u", grid.n + 2))
+        np.maximum(np.add(center_w[:-1], domain.bed_left, out=wls), 0.0, out=wls)
+        np.maximum(np.add(center_w[1:], domain.bed_right, out=wrs), 0.0, out=wrs)
         ul = center_u[:-1]
         ur = center_u[1:]
-    f0, f1 = _hll(wls, ul, wrs, ur)
+    f0, f1 = _hll(wls, ul, wrs, ur, work)
 
     # Group each hydrostatic correction with its own interface flux; at a
     # balanced state every grouped term is identically zero.
-    g_right = f1 - 0.5 * wls**2
-    g_left = f1 - 0.5 * wrs**2
+    # g_right = f1 - 0.5 * wls**2; g_left = f1 - 0.5 * wrs**2, over f1
+    half_sq = np.multiply(0.5, np.square(wls, out=tmp), out=tmp)
+    np.subtract(f1, half_sq, out=g_right)
+    half_sq = np.multiply(0.5, np.square(wrs, out=tmp), out=tmp)
+    g_left = np.subtract(f1, half_sq, out=f1)
     if config.flux_perturbation != 0.0:
         g_right = g_right + config.flux_perturbation * grid.dx * 0.5 * (wls + wrs)
 
     inv_dx = 1.0 / grid.dx
-    rw = -(f0[1:] - f0[:-1]) * inv_dx
+    rw, rm = work.take("rates", (2, grid.n))
+    # rw = -(f0[1:] - f0[:-1]) * inv_dx
+    np.negative(np.subtract(f0[1:], f0[:-1], out=rw), out=rw)
+    np.multiply(rw, inv_dx, out=rw)
+    # rm = -(g_right[1:] - g_left[:-1] + cell_jump - bed_term) * inv_dx
+    np.subtract(g_right[1:], g_left[:-1], out=rm)
     if config.second_order:
         wm = w_minus[1:-1]
         wp = w_plus[1:-1]
         cell_jump = 0.5 * wp**2 - 0.5 * wm**2
         bed_term = -0.5 * (wm + wp) * (b_plus[1:-1] - b_minus[1:-1])
-        rm = -(g_right[1:] - g_left[:-1] + cell_jump - bed_term) * inv_dx
+        np.subtract(np.add(rm, cell_jump, out=rm), bed_term, out=rm)
     else:
         # With one value per cell the cell jump is +0.0 and the bed term
         # -0.0 exactly; adding +0.0 keeps their one effect on the sum,
         # which turns a -0.0 flux difference into +0.0.
-        rm = -(g_right[1:] - g_left[:-1] + 0.0) * inv_dx
+        np.add(rm, 0.0, out=rm)
+    np.negative(rm, out=rm)
+    np.multiply(rm, inv_dx, out=rm)
     return rw, rm
 
 
@@ -317,21 +363,26 @@ def step(
     NearDryError if the starting or resulting state violates h_min and
     NumericBlowUpError on non-finite results. domain, when given, must be
     prepare(bathy, grid, config); run() builds it once for all its steps.
+    The returned state's arrays are new; the temporaries live in the
+    domain's workspace.
     """
     if domain is None:
         domain = prepare(bathy, grid, config)
     b = domain.b
-    w = state.gamma_surface - b
+    w, m, speed = domain.work.take("step", (3, grid.n))
+    np.subtract(state.gamma_surface, b, out=w)
     require_wet(w, state.t, BELOW_H_MIN, config.h_min)
     u = state.velocity
     _require_finite(w, state.t, "thickness")
     _require_finite(u, state.t, "velocity")
 
-    fastest = float((np.abs(u) + np.sqrt(w)).max())
+    # fastest = max(|u| + sqrt(w))
+    np.add(np.abs(u, out=speed), np.sqrt(w, out=m), out=speed)
+    fastest = float(speed.max())
     dt = config.cfl * grid.dx / fastest
     if dt_max is not None:
         dt = min(dt, float(dt_max))
-    m = w * u
+    np.multiply(w, u, out=m)
 
     if config.second_order:
         rw1, rm1 = _rhs(w, m, domain, grid, config, state.t)
@@ -343,8 +394,9 @@ def step(
         m_new = 0.5 * (m + m1 + dt * rm2)
     else:
         rw, rm = _rhs(w, m, domain, grid, config, state.t)
-        w_new = w + dt * rw
-        m_new = m + dt * rm
+        # w_new = w + dt * rw; m_new = m + dt * rm, over w and m
+        w_new = np.add(w, np.multiply(dt, rw, out=rw), out=w)
+        m_new = np.add(m, np.multiply(dt, rm, out=rm), out=m)
 
     t_new = state.t + dt
     _require_finite(w_new, t_new, "thickness")
@@ -432,8 +484,13 @@ def run(
             raise
         steps += 1
 
-        inland = riemann._inland(state, bathy, grid, det.eps_px, b=domain.b)
-        points = find_crossings(inland, bathy, grid, inland.eps_px, x=domain.x)
+        # inland's arrays live in the workspace until the next step.
+        inland = riemann._inland(
+            state, bathy, grid, det.eps_px, b=domain.b, work=domain.work
+        )
+        points = find_crossings(
+            inland, bathy, grid, inland.eps_px, x=domain.x, work=domain.work
+        )
         grads = surface_gradients(state, bathy, grid, inland.gamma) if points else None
         step_events = [
             classify(

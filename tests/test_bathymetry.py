@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shoalwave.bathymetry import Flat, Linear, Sampled, TanhSafe, _node_derivatives
 from shoalwave.errors import DomainError
@@ -85,6 +87,30 @@ class TestTanhSafe:
         assert np.all(np.isfinite(b.slope(big)))
         assert np.all(np.isfinite(b.curvature(big)))
         assert abs(b.slope(1e9)) < 1e-200
+
+    @settings(max_examples=500)
+    @given(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(1e-3, 10.0),
+        st.sampled_from([float, np.float64, np.asarray]),
+    )
+    @example(float("nan"), 1.99, float)
+    @example(float("inf"), 1.99, float)
+    @example(float("-inf"), 1.99, float)
+    @example(-0.0, 1.99, float)
+    @example(350.0, 1.99, float)
+    @example(-350.0, 1.99, np.float64)
+    @example(np.nextafter(350.0, 400.0), 1.99, float)
+    @example(1e-300, 1.99, np.asarray)
+    def test_scalar_slope_matches_the_array_clip(self, x, K, kind):
+        bed = TanhSafe(1.0, K)
+        # The slope as np.clip computes it for every input shape.
+        xa = np.clip(np.asarray(x, dtype=float), -350.0, 350.0)
+        want = float(K * (1.0 / np.cosh(xa) ** 2))
+        got = bed.slope(kind(x))
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert np.signbit(got) == np.signbit(want)
 
     @pytest.mark.parametrize("h,K", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
     def test_rejects_nonpositive_shape(self, h, K):

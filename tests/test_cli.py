@@ -2,6 +2,7 @@
 
 import importlib.resources
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,20 @@ class TestDetect:
         assert "deep-sea: max sound speed=" in out
         ms = float(out.split("max sound speed=")[1].split()[0])
         assert ms == pytest.approx(np.sqrt(3907.0), rel=1e-4)
+
+    def test_nan_does_not_hide_a_dry_column(self, tmp_path, capsys):
+        # The surface at node 5 is NaN and at node 40 far below the bed.
+        lines = (DATA / "shoaling_alert_state.csv").read_text().splitlines()
+        for row, value in ((6, "nan"), (41, "-5.0")):
+            cells = lines[row].split(",")
+            cells[1] = value
+            lines[row] = ",".join(cells)
+        path = tmp_path / "nan_and_dry.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["detect", str(path)]) == 2
+        assert "state is dry: dry column at node 40" in capsys.readouterr().out
 
     def test_missing_file_exits_config(self, tmp_path, capsys):
         assert cli.main(["detect", str(tmp_path / "nope.csv")]) == 1

@@ -1,5 +1,11 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shoalwave import detector, riemann, solver
 from shoalwave.bathymetry import Flat, Linear
@@ -12,6 +18,7 @@ from shoalwave.fields import (
     ddx,
     depth,
     load_state,
+    require_wet,
     save_state,
 )
 
@@ -135,6 +142,73 @@ def test_state_round_trip_is_exact(tmp_path):
     assert np.array_equal(s2.velocity, s.velocity)
     assert np.allclose(b_col, b.eval(g.x), rtol=0, atol=1e-16)
     assert s2.t == 0.7
+
+
+def test_require_wet_skips_nan_entries():
+    w = np.array([np.nan, 0.5, -0.25, np.nan, 1.0])
+    with pytest.raises(NearDryError) as info:
+        require_wet(w, 2.0, "dry column at node {node}")
+    assert (info.value.node, info.value.t, info.value.depth) == (2, 2.0, -0.25)
+    require_wet(np.array([np.nan, 0.5, 1.0]), 0.0, "dry column at node {node}")
+    require_wet(np.full(4, np.nan), 0.0, "dry column at node {node}", 1e-6)
+
+
+def _csv_writer_save_state(state, bathy, grid, path):
+    """The snapshot writer as it was, one csv.writer row per node."""
+    x = grid.x
+    b = np.asarray(bathy.eval(x), dtype=float)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "gamma_surface", "u", "b"])
+        for i in range(grid.n):
+            writer.writerow(
+                [
+                    "{:.17g}".format(x[i]),
+                    "{:.17g}".format(state.gamma_surface[i]),
+                    "{:.17g}".format(state.velocity[i]),
+                    "{:.17g}".format(b[i]),
+                ]
+            )
+
+
+_EDGE_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308]
+_SNAPSHOT_VALUES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    _EDGE_VALUES
+)
+
+
+def _same_values(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(
+        np.signbit(a[~np.isnan(a)]), np.signbit(b[~np.isnan(b)])
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(8, 30).flatmap(
+        lambda n: st.tuples(
+            st.lists(_SNAPSHOT_VALUES, min_size=n, max_size=n),
+            st.lists(_SNAPSHOT_VALUES, min_size=n, max_size=n),
+        )
+    ),
+    st.floats(-100.0, 100.0),
+    st.floats(1e-3, 10.0),
+)
+@example((_EDGE_VALUES, _EDGE_VALUES[::-1]), -1.0, 0.25)
+def test_save_state_writes_the_csv_writer_bytes(columns, x0, dx):
+    surface, velocity = (np.array(c, dtype=float) for c in columns)
+    grid = Grid(x0, dx, surface.size)
+    bathy = Linear(-1.0, 0.05)
+    state = FlowState(1.5, surface, velocity)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        save_state(state, bathy, grid, new)
+        _csv_writer_save_state(state, bathy, grid, old)
+        assert new.read_bytes() == old.read_bytes()
+        _, back, b_col = load_state(new, t=1.5)
+    assert _same_values(back.gamma_surface, surface)
+    assert _same_values(back.velocity, velocity)
+    assert np.array_equal(b_col, bathy.eval(grid.x))
 
 
 def test_load_state_rejects_garbage(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,6 +489,66 @@ def test_step_matches_reference_kernel(case, steps):
                 assert _same_bits(got.gamma_surface, want.gamma_surface)
                 assert _same_bits(got.velocity, want.velocity)
             state = want
+
+
+def test_nan_state_blows_up_unless_a_column_is_dry(inland_setup):
+    grid, state, bathy = inland_setup
+    config = solver.SolverConfig(t_end=1.0)
+    surface = state.gamma_surface.copy()
+    surface[3] = np.nan
+    with pytest.raises(NumericBlowUpError):
+        solver.step(FlowState(0.0, surface, state.velocity), bathy, grid, config)
+    surface[50] = bathy.eval(grid.x[50]) - 1.0
+    with pytest.raises(NearDryError) as info:
+        solver.step(FlowState(0.0, surface, state.velocity), bathy, grid, config)
+    assert info.value.node == 50
+
+
+def _domain_arrays(domain):
+    """Every array a prepared domain holds, its workspace included."""
+    fixed = [domain.x, domain.b, domain.b_e, domain.bed_left, domain.bed_right]
+    return fixed + list(domain.ghost_x) + list(domain.work._arrays.values())
+
+
+@pytest.mark.parametrize("second_order", [False, True])
+@pytest.mark.parametrize("flux_perturbation", [0.0, 0.05])
+def test_step_returns_arrays_outside_the_domain(
+    inland_setup, second_order, flux_perturbation
+):
+    grid, state, bathy = inland_setup
+    config = solver.SolverConfig(
+        t_end=1.0, second_order=second_order, flux_perturbation=flux_perturbation
+    )
+    domain = solver.prepare(bathy, grid, config)
+    states = []
+    for _ in range(3):
+        state = solver.step(state, bathy, grid, config, domain=domain)
+        states.append(state)
+    held = _domain_arrays(domain)
+    assert len(held) > 8
+    for st_ in states:
+        for arr in (st_.gamma_surface, st_.velocity):
+            assert not any(np.shares_memory(arr, buf) for buf in held)
+    assert not np.shares_memory(states[-1].gamma_surface, states[-2].gamma_surface)
+
+
+def test_first_order_step_allocates_only_the_state_it_returns():
+    # ocean_transit's size: a flat bed, n=12000, periodic.
+    n = 12000
+    grid = Grid(0.0, 0.01, n)
+    bathy = Flat(-1.0)
+    config = solver.SolverConfig(t_end=1.0, boundary="periodic")
+    hump = 0.01 * np.exp(-(((grid.x - 60.0) / 3.0) ** 2))
+    domain = solver.prepare(bathy, grid, config)
+    # The first step fills the workspace; the later ones reuse it.
+    state = solver.step(FlowState(0.0, hump, hump.copy()), bathy, grid, config, domain=domain)
+    tracemalloc.start()
+    try:
+        solver.step(state, bathy, grid, config, domain=domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * np.dtype(float).itemsize, peak / (n * 8)
 
 
 class _CountingBed:
