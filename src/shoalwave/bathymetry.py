@@ -199,18 +199,28 @@ class Sampled(Bathymetry):
     def b_nodes(self):
         return self._b
 
+    def _outside(self) -> DomainError:
+        return DomainError(
+            "query outside sampled range [{}, {}]".format(self._x[0], self._x[-1])
+        )
+
     def _checked(self, x):
         xa = np.asarray(x, dtype=float)
         if np.any(xa < self._x[0]) or np.any(xa > self._x[-1]):
-            raise DomainError(
-                "query outside sampled range [{}, {}]".format(self._x[0], self._x[-1])
-            )
+            raise self._outside()
         return xa
 
     def eval(self, x):
         return _shaped(x, self._interp(self._checked(x)))
 
     def slope(self, x):
+        if isinstance(x, float):
+            # The detector asks for one point at a time; the same range test
+            # without the array dispatch (NaN passes through, as it does
+            # through the array test).
+            if x < self._x[0] or x > self._x[-1]:
+                raise self._outside()
+            return float(np.interp(x, self._x, self._slope_nodes))
         xa = self._checked(x)
         return _shaped(x, np.interp(xa, self._x, self._slope_nodes))
 

@@ -549,7 +549,7 @@ def cmd_detect(args) -> int:
         return EXIT_CONFIG
 
     try:
-        flds = riemann._inland(state, bathy, grid, args.eps_px)
+        flds = riemann.inland(state, bathy, grid, args.eps_px)
         grads = detector.surface_gradients(state, bathy, grid, flds.gamma)
         residual = detector.tangent_match_residual(state, bathy, grid, grads)
         alerts = detector.alert_nodes(

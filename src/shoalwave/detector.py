@@ -18,6 +18,12 @@ point the other way and the slope-excess growth clears the magnitude gate
 The surface-minus-bed slope used here is formed as 2 * gamma * ddx(gamma),
 i.e. through the same stencil as p_x, which keeps the tangent-match
 residual identity r = gamma * p_x exact to rounding.
+
+Per crossing, classify computes those quantities from a six-node window
+around x_star with the interior stencils of ddx and d2dx2, bit for bit
+what the whole-grid arrays of surface_gradients hold at those nodes; a
+crossing whose window reaches a one-sided end stencil falls back to the
+whole-grid arrays.
 """
 
 from __future__ import annotations
@@ -183,7 +189,7 @@ def surface_gradients(
     """Depth root, velocity derivatives and the surface-minus-bed slope.
 
     gamma, when given, must be the depth root of state, as
-    riemann._inland computes it; the bed is then not evaluated again.
+    riemann.inland computes it; the bed is then not evaluated again.
     """
     if gamma is None:
         w = state.gamma_surface - bathy.eval(grid.x)
@@ -285,6 +291,58 @@ def find_critical_points(
     return points
 
 
+def _between(x_star: float, x0: float, x1: float, f0: float, f1: float) -> float:
+    """np.interp's value strictly inside the bracket x0 < x_star < x1."""
+    slope = (f1 - f0) / (x1 - x0)
+    value = slope * (x_star - x0) + f0
+    if value != value:  # NaN one way: try from the other end
+        value = slope * (x_star - x1) + f1
+        if value != value and f0 == f1:
+            value = f0
+    return value
+
+
+def _local_diagnostics(
+    x_star: float, gamma: np.ndarray, velocity: np.ndarray, grid: Grid, x: np.ndarray
+) -> tuple | None:
+    """(u_x, u_xx, excess, excess_x, gamma) at x_star from six nodes.
+
+    With x[i] <= x_star < x[i+1], the values at nodes i and i+1 come from
+    gamma[i-2:i+4] and velocity[i-1:i+3] through the interior stencils of
+    ddx and d2dx2, operand for operand, and are interpolated as np.interp
+    interpolates, so each equals np.interp over the surface_gradients
+    arrays bit for bit. None when the window reaches a one-sided end
+    stencil (i < 2 or i > n - 4) or x does not bracket x_star at the
+    node the spacing points to.
+    """
+    x_star = float(x_star)
+    i = int((x_star - grid.x0) / grid.dx)
+    if i < 2 or i > grid.n - 4:
+        return None
+    x0, x1 = x[i : i + 2].tolist()
+    if not x0 <= x_star < x1:
+        return None
+    inv2 = 1.0 / (2.0 * grid.dx)
+    inv = 1.0 / grid.dx**2
+    g = gamma[i - 2 : i + 4].tolist()
+    u = velocity[i - 1 : i + 3].tolist()
+    # excess = 2.0 * gamma * ddx(gamma) at nodes i-1 .. i+2
+    e = [2.0 * g[k] * ((g[k + 1] - g[k - 1]) * inv2) for k in range(1, 5)]
+    left, right = (
+        (
+            (u[k + 1] - u[k - 1]) * inv2,
+            (u[k + 1] - 2.0 * u[k] + u[k - 1]) * inv,
+            e[k],
+            (e[k + 1] - e[k - 1]) * inv2,
+            g[k + 1],
+        )
+        for k in (1, 2)
+    )
+    if x_star == x0:
+        return left
+    return tuple(_between(x_star, x0, x1, f0, f1) for f0, f1 in zip(left, right))
+
+
 def classify(
     x_star: float,
     fields: RiemannFields | InlandFields,
@@ -302,22 +360,36 @@ def classify(
     gamma_ref anchors the depth regime (defaults to the largest depth root
     in the analyzed fields; a driver tracking a whole run should pass the
     initial maximum). plateau=True labels the point DegeneratePlateau,
-    which never claims an infinite speed. gradients, when given, must be
-    surface_gradients(state, bathy, grid); a caller classifying several
-    points of one state computes them once and passes them to each call.
-    x, when given, must be grid.x.
+    which never claims an infinite speed. x, when given, must be grid.x.
+
+    Without gradients the local quantities come from the six nodes around
+    x_star, or, where that window reaches an end of the grid, from
+    surface_gradients(state, bathy, grid, fields.gamma); the bed is not
+    evaluated either way. gradients, when given, must be
+    surface_gradients(state, bathy, grid) and are read instead; a caller
+    that needs the whole-grid arrays anyway passes them.
     """
     if x is None:
         x = grid.x
     if not x[0] <= x_star <= x[-1]:
         raise DomainError("x_star={} outside grid [{}, {}]".format(x_star, x[0], x[-1]))
+    local = None
     if gradients is None:
-        gradients = surface_gradients(state, bathy, grid)
-    u_x = float(np.interp(x_star, x, gradients.u_x))
-    u_xx = float(np.interp(x_star, x, gradients.u_xx))
-    excess = float(np.interp(x_star, x, gradients.excess))
-    excess_x = float(np.interp(x_star, x, gradients.excess_x))
-    gamma = float(np.interp(x_star, x, gradients.gamma))
+        local = _local_diagnostics(x_star, fields.gamma, state.velocity, grid, x)
+        if local is None:
+            gradients = surface_gradients(state, bathy, grid, fields.gamma)
+    if local is None:
+        local = tuple(
+            float(np.interp(x_star, x, arr))
+            for arr in (
+                gradients.u_x,
+                gradients.u_xx,
+                gradients.excess,
+                gradients.excess_x,
+                gradients.gamma,
+            )
+        )
+    u_x, u_xx, excess, excess_x, gamma = local
     diagnostics = EventDiagnostics(
         u_x=u_x,
         u_xx=u_xx,

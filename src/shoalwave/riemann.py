@@ -30,6 +30,7 @@ from .fields import DRY_COLUMN, FlowState, Grid, Workspace, ddx, require_wet
 __all__ = [
     "RiemannFields",
     "InlandFields",
+    "inland",
     "default_eps_px",
     "compute",
     "reconstruct",
@@ -113,7 +114,7 @@ def _correction(b_slope: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray
     return out
 
 
-def _inland(
+def inland(
     state: FlowState,
     bathy,
     grid: Grid,
@@ -147,8 +148,8 @@ def _inland(
 
 def compute(state: FlowState, bathy, grid: Grid, eps_px: float | None = None) -> RiemannFields:
     """Invariants, their gradients, and transport speeds for one state."""
-    inland = _inland(state, bathy, grid, eps_px)
-    gamma, p_x, eps = inland.gamma, inland.p_x, inland.eps_px
+    base = inland(state, bathy, grid, eps_px)
+    gamma, p_x, eps = base.gamma, base.p_x, base.eps_px
     u = state.velocity
     q = u - 2.0 * gamma
     q_x = ddx(q, grid)
@@ -157,7 +158,7 @@ def compute(state: FlowState, bathy, grid: Grid, eps_px: float | None = None) ->
     # The offshore family transports at -(gamma - u - b_x/q_x); the leading
     # minus sign is part of the stored value.
     speed_q = u - gamma + _correction(b_slope, q_x, eps)
-    return RiemannFields(gamma, inland.p, q, p_x, q_x, speed_p, speed_q, eps)
+    return RiemannFields(gamma, base.p, q, p_x, q_x, speed_p, speed_q, eps)
 
 
 def reconstruct(p, q):

@@ -39,7 +39,6 @@ from .detector import (
     DetectorConfig,
     classify,
     find_crossings,
-    surface_gradients,
 )
 from .errors import NearDryError, NumericBlowUpError, ShoalwaveError
 from .fields import FlowState, Grid, Workspace, check_wet, require_wet, save_state
@@ -485,17 +484,15 @@ def run(
         steps += 1
 
         # inland's arrays live in the workspace until the next step.
-        inland = riemann._inland(
+        inland = riemann.inland(
             state, bathy, grid, det.eps_px, b=domain.b, work=domain.work
         )
         points = find_crossings(
             inland, bathy, grid, inland.eps_px, x=domain.x, work=domain.work
         )
-        grads = surface_gradients(state, bathy, grid, inland.gamma) if points else None
         step_events = [
             classify(
-                pt.x_star, inland, state, bathy, grid,
-                gamma_ref=gamma_ref, gradients=grads, x=domain.x,
+                pt.x_star, inland, state, bathy, grid, gamma_ref=gamma_ref, x=domain.x
             )
             for pt in points
         ]

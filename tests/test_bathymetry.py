@@ -194,6 +194,32 @@ class TestSampled:
         with pytest.raises(DomainError):
             b.slope(-0.1)
 
+    @settings(max_examples=300)
+    @given(
+        st.floats(-1.0, 5.0) | st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([float, np.float64]),
+    )
+    @example(float("nan"), float)
+    @example(0.0, float)
+    @example(-0.0, float)
+    @example(4.0, float)
+    @example(4.0, np.float64)
+    @example(float(np.nextafter(4.0, 5.0)), float)
+    @example(float(np.nextafter(0.0, -1.0)), float)
+    def test_scalar_slope_matches_the_array_path(self, x, kind):
+        nodes = np.linspace(0.0, 4.0, 17)
+        bed = Sampled(nodes, np.sin(nodes) - 2.0)
+        try:
+            want = float(bed.slope(np.array([x]))[0])
+        except DomainError:
+            with pytest.raises(DomainError):
+                bed.slope(kind(x))
+            return
+        got = bed.slope(kind(x))
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert np.signbit(got) == np.signbit(want)
+
     def test_nodes_are_write_protected(self):
         b = Sampled(np.linspace(0, 1, 6), -np.ones(6))
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shoalwave import analytic, detector, fields, riemann
 from shoalwave.bathymetry import Flat, Linear, Sampled, TanhSafe
@@ -181,7 +183,7 @@ class TestCrossingClassification:
         grid, state, b = fields.load_state(DATA / "shoaling_alert_state.csv")
         bathy = Sampled(grid.x, b)
         full = riemann.compute(state, bathy, grid)
-        inland = riemann._inland(state, bathy, grid)
+        inland = riemann.inland(state, bathy, grid)
         for name in ("gamma", "p", "p_x", "eps_px"):
             assert np.array_equal(getattr(inland, name), getattr(full, name)), name
         points = detector.find_critical_points(inland, bathy, grid, inland.eps_px)
@@ -193,6 +195,57 @@ class TestCrossingClassification:
                 pt.x_star, inland, state, bathy, grid, gradients=grads
             )
             assert shared == detector.classify(pt.x_star, full, state, bathy, grid)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def _wet_states(draw):
+    n = draw(st.integers(8, 64))
+    grid = Grid(draw(st.floats(-5.0, 5.0)), draw(st.floats(1e-3, 0.5)), n)
+    kind = draw(st.sampled_from(["tanh", "linear", "sampled"]))
+    if kind == "tanh":
+        bathy = TanhSafe(draw(st.floats(0.1, 1.0)), draw(st.floats(0.05, 0.5)))
+    elif kind == "linear":
+        bathy = Linear(draw(st.floats(-2.0, -1.0)), draw(st.floats(-0.2, 0.2)))
+    else:
+        xs = np.linspace(grid.x0 - grid.dx, grid.x_last + grid.dx, n + 2)
+        bathy = Sampled(xs, -1.5 + 0.4 * np.sin(draw(st.floats(0.5, 3.0)) * xs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Column thickness over several decades, so gamma spans thin and deep.
+    surface = bathy.eval(grid.x) + 10.0 ** rng.uniform(-6.0, 0.5, n)
+    velocity = rng.uniform(-1.0, 1.0, n)
+    # Zeros of both signs, so that differences can round to -0.0.
+    zeros = rng.random(n) < 0.3
+    velocity[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    fractions = rng.random(n - 1)
+    return grid, bathy, FlowState(0.0, surface, velocity), fractions
+
+
+@settings(deadline=None, max_examples=100)
+@given(_wet_states())
+def test_local_classification_matches_the_whole_grid_path(case):
+    # Every bracket, ends included, with x_star inside it and on both of
+    # its nodes: the six-node window (or its end fallback) must give what
+    # np.interp over the surface_gradients arrays gives, bit for bit.
+    grid, bathy, state, fractions = case
+    inland = riemann.inland(state, bathy, grid)
+    grads = detector.surface_gradients(state, bathy, grid)
+    x = grid.x
+    for j, frac in enumerate(fractions):
+        inside = min(max(x[j] + frac * (x[j + 1] - x[j]), x[j]), x[j + 1])
+        for x_star in (float(x[j]), float(inside), float(x[j + 1])):
+            got = detector.classify(x_star, inland, state, bathy, grid)
+            want = detector.classify(
+                x_star, inland, state, bathy, grid, gradients=grads
+            )
+            for name in ("t", "x_star", "classification", "side", "depth_regime"):
+                assert getattr(got, name) == getattr(want, name), name
+            got_d = np.array(list(vars(got.diagnostics).values()))
+            want_d = np.array(list(vars(want.diagnostics).values()))
+            assert _same_bits(got_d, want_d), (j, x_star, got_d, want_d)
 
 
 class TestPlateau:

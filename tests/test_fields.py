@@ -97,7 +97,7 @@ def _dry_at_node_5(t):
     [
         lambda s, b, g: check_wet(s, b, g, h_min=1e-6),
         lambda s, b, g: solver.step(s, b, g, solver.SolverConfig(t_end=10.0)),
-        lambda s, b, g: riemann._inland(s, b, g),
+        lambda s, b, g: riemann.inland(s, b, g),
         lambda s, b, g: detector.surface_gradients(s, b, g),
         lambda s, b, g: detector.deep_sea_diagnostics(s, b, g, mean_depth=0.0),
         lambda s, b, g: riemann.characteristic_residual(

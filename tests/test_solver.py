@@ -1,17 +1,20 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shoalwave import analytic, detector, solver
+from shoalwave import analytic, detector, fields, solver
 from shoalwave.bathymetry import Flat, Linear, Sampled, TanhSafe
 from shoalwave.errors import NearDryError, NumericBlowUpError
 from shoalwave.fields import FlowState, Grid, load_state
 
 from conftest import build_crossing
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize(
@@ -588,3 +591,31 @@ def test_run_evaluates_the_bed_a_fixed_number_of_times(monkeypatch, inland_setup
     (short, evals_short, x_short), (long, evals_long, x_long) = counts
     assert long > 2 * short
     assert (evals_long, x_long) == (evals_short, x_short)
+
+
+def test_run_builds_no_whole_grid_gradients(monkeypatch):
+    # A shoaling stretch whose crossings all sit away from the grid ends:
+    # classify reads six nodes around each, so the run never builds the
+    # whole-grid surface gradients or second derivative. Both are counted
+    # wherever a module binds them.
+    grid, state, b = load_state(DATA / "shoaling_alert_state.csv")
+    bathy = Sampled(grid.x, b)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (detector, fields, solver):
+        for name in ("surface_gradients", "d2dx2"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    result = solver.run(
+        state, bathy, grid, solver.SolverConfig(t_end=0.05), detector.DetectorConfig()
+    )
+    assert result.steps > 10
+    assert result.events
+    assert calls == []
