@@ -18,6 +18,7 @@ import numpy as np
 from .bathymetry import Linear
 from .errors import DomainError, NearDryError
 from .fields import FlowState, Grid
+from .solver import SolverConfig
 
 __all__ = [
     "LinearBottomSolution",
@@ -105,7 +106,7 @@ def residuals(sol: LinearBottomSolution, t: float, x, c=None, c_prime=None):
     return r1, r2, r3
 
 
-def make_initial_state(sol: LinearBottomSolution, grid: Grid, h_min: float = 1e-6) -> FlowState:
+def make_initial_state(sol: LinearBottomSolution, grid: Grid, h_min: float = SolverConfig.h_min) -> FlowState:
     """Sample the family member at t = 0 onto the grid."""
     if grid.x0 <= sol.x1 or grid.x_last >= sol.x2:
         raise DomainError(

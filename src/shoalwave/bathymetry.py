@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["Bathymetry", "Flat", "Linear", "TanhSafe", "Sampled"]
+__all__ = ["Bathymetry", "Flat", "Linear", "TanhSafe", "Sampled", "from_spec"]
 
 # cosh(x)**2 overflows past ~355; the clipped tail is < 1e-300, i.e. zero.
 _TANH_CLIP = 350.0
@@ -242,3 +242,44 @@ class Sampled(Bathymetry):
         if data.size == 0:
             raise ValueError("no samples in {}".format(path))
         return cls(data[:, 0], data[:, 1])
+
+
+def finite_float(value, what: str) -> float:
+    """value as a finite float: numbers and numeric strings, never bools."""
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError("{} must be a finite number, got {!r}".format(what, value))
+    return number
+
+
+_KINDS = {"flat": Flat, "linear": Linear, "tanh_safe": TanhSafe, "sampled": Sampled}
+
+
+def from_spec(kind, params) -> Bathymetry:
+    """Bed of the given kind from a mapping of its parameters.
+
+    The analytic kinds take the fields of their class, as finite numbers or
+    numeric strings; ``sampled`` takes the ``path`` of an ``x,b`` CSV file.
+    Raises ValueError naming the bad kind or key.
+    """
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError("unknown bathymetry kind {!r}".format(kind))
+    names = ["path"] if cls is Sampled else [f.name for f in fields(cls)]
+    unknown = [key for key in params if key not in names]
+    if unknown:
+        raise ValueError("unknown {} parameters: {}".format(kind, unknown))
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValueError("{} needs parameters: {}".format(kind, missing))
+    if cls is Sampled:
+        path = params["path"]
+        if not isinstance(path, str):
+            raise ValueError("sampled path must be a string, got {!r}".format(path))
+        return Sampled.from_csv(path)
+    return cls(
+        *(finite_float(params[n], "{} parameter '{}'".format(kind, n)) for n in names)
+    )

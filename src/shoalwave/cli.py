@@ -8,6 +8,11 @@ Subcommands:
   nondim              shallowness report for dimensional wave parameters
   speed               gravity-wave speed for a dimensional depth
 
+Scenario files are YAML. The grid, solver and detector sections take their
+keys, types and defaults from the fields of Grid, SolverConfig and
+DetectorConfig (see _section); bed specs, from a file or `detect --bathy`,
+go through bathymetry.from_spec.
+
 Exit codes: 0 success, 1 bad config or malformed input, 2 near-dry abort,
 3 numeric blow-up, 4 detect found at least one shallow-regime rush event.
 Output defaults to $SHOALWAVE_OUT (or ./out) with one directory per run.
@@ -16,10 +21,12 @@ Output defaults to $SHOALWAVE_OUT (or ./out) with one directory per run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +35,7 @@ import numpy as np
 import yaml
 
 from . import analytic, detector, fields, nondim, riemann, solver
-from .bathymetry import Flat, Linear, Sampled, TanhSafe
+from .bathymetry import Sampled, finite_float, from_spec
 from .errors import (
     ConfigError,
     DomainError,
@@ -46,20 +53,15 @@ EXIT_ALERT = 4
 
 OUTPUT_ENV = "SHOALWAVE_OUT"
 
-_SOLVER_DEFAULTS = {
-    "t_end": None,
-    "cfl": 0.45,
-    "boundary": "transmissive",
-    "h_min": 1e-6,
-    "snapshot_interval": None,
-    "second_order": False,
-    "stop_at_first_event": False,
-}
+# SolverConfig fields that only library callers set.
+_RUN_ONLY = ("max_steps", "inflow", "flux_perturbation")
 
-_DETECTOR_DEFAULTS = {
-    "eps_px": None,
-    "alert_eps_r": 1e-3,
-    "alert_eps_gamma": 0.1,
+# The keys each initial kind reads besides 'kind'.
+_INITIAL_KEYS = {
+    "lake_at_rest": {"surface"},
+    "gaussian_pulse": {"center", "width", "amplitude", "surface"},
+    "linear_bottom_analytic": {"a0", "c0", "x1", "x2"},
+    "from_file": {"path"},
 }
 
 
@@ -69,30 +71,79 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _as_float(value, key: str):
+def _as_float(value, key: str) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("key '{}' must be a number, got {!r}".format(key, value))
+        return finite_float(value, "key '{}'".format(key))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
-def _as_int(value, key: str):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError("key '{}' must be an integer, got {!r}".format(key, value))
-    return value
+_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
 
 
-def _mapping(value, where: str) -> dict:
+def _convert(value, kind, key: str):
+    """value as annotation kind: float, int, bool, str, or one of them | None."""
+    options = set(typing.get_args(kind) or (kind,))
+    if value is None and type(None) in options:
+        return None
+    (kind,) = options - {type(None)}
+    if kind is float:
+        return _as_float(value, key)
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise ConfigError(
+        "key '{}' must be {}, got {!r}".format(key, _TYPE_NAMES[kind], value)
+    )
+
+
+def _mapping(value, where: str, allowed=None) -> dict:
+    """value as a dict; with allowed given, also reject any other key."""
     if not isinstance(value, dict):
         raise ConfigError("{} must be a mapping, got {!r}".format(where, value))
+    unknown = set() if allowed is None else set(value) - set(allowed)
+    if unknown:
+        raise ConfigError("unknown {} keys: {}".format(where, sorted(unknown, key=str)))
     return dict(value)
+
+
+def _section(doc, cls, where: str, hidden=()) -> dict:
+    """Config section `where`, checked against the fields of dataclass cls.
+
+    The fields not in hidden are the allowed keys. A field without a default
+    is required, the others default as in cls, and each value must have the
+    field's type (a `T | None` field also takes null). The result holds
+    every field in field order, so cls(**result) builds the object.
+    """
+    fields = [f for f in dataclasses.fields(cls) if f.name not in hidden]
+    doc = _mapping(doc, where, [f.name for f in fields])
+    types = typing.get_type_hints(cls)
+    section = {}
+    for f in fields:
+        if f.name in doc:
+            key = "{}.{}".format(where, f.name)
+            section[f.name] = _convert(doc[f.name], types[f.name], key)
+        elif f.default is not dataclasses.MISSING:
+            section[f.name] = f.default
+        else:
+            raise ConfigError("missing key '{}' in {}".format(f.name, where))
+    return section
+
+
+def _build(cls, **kwargs):
+    """cls(**kwargs), its ValueError a ConfigError."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 @dataclass
 class ScenarioConfig:
     """Validated, canonicalized scenario document.
 
-    from_doc applies defaults, so parse -> serialize -> parse is the
+    The top-level keys are the fields of this class. The grid, solver and
+    detector sections take their keys, types and defaults from Grid,
+    SolverConfig and DetectorConfig, so parse -> serialize -> parse is the
     identity on the canonical form.
     """
 
@@ -106,163 +157,75 @@ class ScenarioConfig:
 
     @classmethod
     def from_doc(cls, doc) -> "ScenarioConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("scenario config must be a mapping")
-        known = {
-            "name",
-            "grid",
-            "bathymetry",
-            "initial",
-            "solver",
-            "detector",
-            "output_dir",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError("unknown top-level keys: {}".format(sorted(unknown)))
+        doc = _mapping(doc, "scenario", [f.name for f in dataclasses.fields(cls)])
         name = doc.get("name")
         if not isinstance(name, str) or not name:
             raise ConfigError("scenario needs a nonempty 'name'")
 
-        grid_doc = _mapping(_require(doc, "grid", "scenario"), "grid")
-        for key in ("x0", "dx", "n"):
-            _require(grid_doc, key, "grid")
-        grid = {
-            "x0": _as_float(grid_doc["x0"], "grid.x0"),
-            "dx": _as_float(grid_doc["dx"], "grid.dx"),
-            "n": _as_int(grid_doc["n"], "grid.n"),
-        }
-        if set(grid_doc) - set(grid):
-            raise ConfigError(
-                "unknown grid keys: {}".format(sorted(set(grid_doc) - set(grid)))
-            )
-
+        grid = _section(_require(doc, "grid", "scenario"), Grid, "grid")
         bathy = _mapping(_require(doc, "bathymetry", "scenario"), "bathymetry")
         _require(bathy, "kind", "bathymetry")
         initial = _mapping(_require(doc, "initial", "scenario"), "initial")
-        _require(initial, "kind", "initial")
+        _convert(_require(initial, "kind", "initial"), str, "initial.kind")
+        sol_doc = _require(doc, "solver", "scenario")
+        sol = _section(sol_doc, solver.SolverConfig, "solver", hidden=_RUN_ONLY)
+        det = _section(doc.get("detector") or {}, detector.DetectorConfig, "detector")
 
-        sol = dict(_SOLVER_DEFAULTS)
-        sol_doc = _mapping(_require(doc, "solver", "scenario"), "solver")
-        unknown = set(sol_doc) - set(sol)
-        if unknown:
-            raise ConfigError("unknown solver keys: {}".format(sorted(unknown)))
-        sol.update(sol_doc)
-        if sol["t_end"] is None:
-            raise ConfigError("solver.t_end is required")
-        sol["t_end"] = _as_float(sol["t_end"], "solver.t_end")
-        sol["cfl"] = _as_float(sol["cfl"], "solver.cfl")
-        sol["h_min"] = _as_float(sol["h_min"], "solver.h_min")
-        if sol["snapshot_interval"] is not None:
-            sol["snapshot_interval"] = _as_float(
-                sol["snapshot_interval"], "solver.snapshot_interval"
-            )
-        sol["second_order"] = bool(sol["second_order"])
-        sol["stop_at_first_event"] = bool(sol["stop_at_first_event"])
-
-        det = dict(_DETECTOR_DEFAULTS)
-        det_doc = _mapping(doc.get("detector") or {}, "detector")
-        unknown = set(det_doc) - set(det)
-        if unknown:
-            raise ConfigError("unknown detector keys: {}".format(sorted(unknown)))
-        det.update(det_doc)
-        if det["eps_px"] is not None:
-            det["eps_px"] = _as_float(det["eps_px"], "detector.eps_px")
-            if det["eps_px"] <= 0.0:
-                raise ConfigError("detector.eps_px must be positive")
-        det["alert_eps_r"] = _as_float(det["alert_eps_r"], "detector.alert_eps_r")
-        det["alert_eps_gamma"] = _as_float(
-            det["alert_eps_gamma"], "detector.alert_eps_gamma"
-        )
-        for key in ("alert_eps_r", "alert_eps_gamma"):
-            if det[key] <= 0.0:
-                raise ConfigError("detector.{} must be positive".format(key))
-
-        output_dir = doc.get("output_dir")
-        if output_dir is not None and not isinstance(output_dir, str):
-            raise ConfigError("output_dir must be a string path")
-
+        output_dir = _convert(doc.get("output_dir"), str | None, "output_dir")
         return cls(name, grid, bathy, initial, sol, det, output_dir)
 
     def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "grid": dict(self.grid),
-            "bathymetry": dict(self.bathymetry),
-            "initial": dict(self.initial),
-            "solver": dict(self.solver),
-            "detector": dict(self.detector),
-            "output_dir": self.output_dir,
-        }
+        return dataclasses.asdict(self)
 
     def build_grid(self) -> Grid:
-        try:
-            return Grid(self.grid["x0"], self.grid["dx"], self.grid["n"])
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        return _build(Grid, **self.grid)
 
     def build_bathymetry(self):
-        doc = dict(self.bathymetry)
-        kind = doc.pop("kind")
+        params = dict(self.bathymetry)
+        kind = params.pop("kind")
         try:
-            if kind == "flat":
-                return Flat(_as_float(_require(doc, "b0", "bathymetry"), "b0"))
-            if kind == "linear":
-                return Linear(
-                    _as_float(_require(doc, "b0", "bathymetry"), "b0"),
-                    _as_float(_require(doc, "b1", "bathymetry"), "b1"),
-                )
-            if kind == "tanh_safe":
-                return TanhSafe(
-                    _as_float(_require(doc, "h", "bathymetry"), "h"),
-                    _as_float(_require(doc, "K", "bathymetry"), "K"),
-                )
-            if kind == "sampled":
-                bed = Sampled.from_csv(_require(doc, "path", "bathymetry"))
-                # The solver reads the bed at every grid node, and a sampled
-                # bed exists only between its first and last samples.
-                grid = self.build_grid()
-                lo, hi = bed.x_nodes[0], bed.x_nodes[-1]
-                if grid.x0 < lo or grid.x_last > hi:
-                    raise ConfigError(
-                        "bathymetry: sampled range [{}, {}] does not cover the "
-                        "grid [{}, {}]".format(lo, hi, grid.x0, grid.x_last)
-                    )
-                return bed
-        except (TypeError, ValueError, OSError) as exc:
+            bed = from_spec(kind, params)
+        except (ValueError, OSError) as exc:
             raise ConfigError("bathymetry: {}".format(exc))
-        raise ConfigError("unknown bathymetry kind {!r}".format(kind))
+        if isinstance(bed, Sampled):
+            # The solver reads the bed at every grid node, and a sampled
+            # bed exists only between its first and last samples.
+            grid = self.build_grid()
+            lo, hi = bed.x_nodes[0], bed.x_nodes[-1]
+            if grid.x0 < lo or grid.x_last > hi:
+                raise ConfigError(
+                    "bathymetry: sampled range [{}, {}] does not cover the "
+                    "grid [{}, {}]".format(lo, hi, grid.x0, grid.x_last)
+                )
+        return bed
 
     def build_initial(self, grid: Grid, bathy):
-        doc = dict(self.initial)
-        kind = doc.pop("kind")
+        kind = self.initial["kind"]
+        if kind not in _INITIAL_KEYS:
+            raise ConfigError("unknown initial kind {!r}".format(kind))
+        doc = _mapping(self.initial, "initial", _INITIAL_KEYS[kind] | {"kind"})
+        surface = _as_float(doc.get("surface", 0.0), "initial.surface")
         try:
             if kind == "lake_at_rest":
-                return solver.initial_lake_at_rest(
-                    grid, _as_float(doc.get("surface", 0.0), "surface")
-                )
+                return solver.initial_lake_at_rest(grid, surface)
             if kind == "gaussian_pulse":
+                shape = {
+                    key: _as_float(_require(doc, key, "initial"), "initial." + key)
+                    for key in ("center", "width", "amplitude")
+                }
                 return solver.initial_gaussian_pulse(
-                    grid,
-                    bathy,
-                    center=_as_float(_require(doc, "center", "initial"), "center"),
-                    width=_as_float(_require(doc, "width", "initial"), "width"),
-                    amplitude=_as_float(
-                        _require(doc, "amplitude", "initial"), "amplitude"
-                    ),
-                    surface=_as_float(doc.get("surface", 0.0), "surface"),
+                    grid, bathy, surface=surface, **shape
                 )
             if kind == "linear_bottom_analytic":
                 sol = self.analytic_solution(grid)
                 return analytic.make_initial_state(sol, grid, self.solver["h_min"])
-            if kind == "from_file":
-                _, state, _ = fields.load_state(_require(doc, "path", "initial"))
-                if state.gamma_surface.size != grid.n:
-                    raise ConfigError("initial state file does not match the grid")
-                return state
+            path = _require(doc, "path", "initial")
+            _, state, _ = fields.load_state(_convert(path, str, "initial.path"))
+            if state.gamma_surface.size != grid.n:
+                raise ConfigError("initial state file does not match the grid")
+            return state
         except (TypeError, ValueError, OSError, DomainError) as exc:
             raise ConfigError("initial: {}".format(exc))
-        raise ConfigError("unknown initial kind {!r}".format(kind))
 
     def analytic_solution(self, grid: Grid):
         """Closed-form family member described by a linear_bottom_analytic IC."""
@@ -271,15 +234,14 @@ class ScenarioConfig:
             raise ConfigError("initial kind is not linear_bottom_analytic")
         if self.bathymetry.get("kind") != "linear":
             raise ConfigError("linear_bottom_analytic needs bathymetry kind 'linear'")
-        b0 = _as_float(self.bathymetry["b0"], "b0")
-        b1 = _as_float(self.bathymetry["b1"], "b1")
-        a0 = _as_float(_require(doc, "a0", "initial"), "a0")
-        c0 = _as_float(_require(doc, "c0", "initial"), "c0")
+        bed = self.build_bathymetry()
+        a0 = _as_float(_require(doc, "a0", "initial"), "initial.a0")
+        c0 = _as_float(_require(doc, "c0", "initial"), "initial.c0")
         pad = 10.0 * grid.dx
-        x1 = _as_float(doc.get("x1", grid.x0 - pad), "x1")
-        x2 = _as_float(doc.get("x2", grid.x_last + pad), "x2")
+        x1 = _as_float(doc.get("x1", grid.x0 - pad), "initial.x1")
+        x2 = _as_float(doc.get("x2", grid.x_last + pad), "initial.x2")
         try:
-            return analytic.LinearBottomSolution(a0, b0, b1, c0, x1, x2)
+            return analytic.LinearBottomSolution(a0, bed.b0, bed.b1, c0, x1, x2)
         except ValueError as exc:
             raise ConfigError("initial: {}".format(exc))
 
@@ -289,34 +251,20 @@ class ScenarioConfig:
             # Prescribed-in-time ghost values keep the comparison exact at
             # the boundaries, which is the point of this initial kind.
             inflow = analytic.inflow(self.analytic_solution(self.build_grid()))
-        try:
-            return solver.SolverConfig(
-                t_end=self.solver["t_end"],
-                cfl=self.solver["cfl"],
-                boundary=self.solver["boundary"],
-                h_min=self.solver["h_min"],
-                snapshot_interval=self.solver["snapshot_interval"],
-                second_order=self.solver["second_order"],
-                stop_at_first_event=self.solver["stop_at_first_event"],
-                inflow=inflow,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        return _build(solver.SolverConfig, **self.solver, inflow=inflow)
 
     def build_detector_config(self) -> detector.DetectorConfig:
-        return detector.DetectorConfig(
-            eps_px=self.detector["eps_px"],
-            alert_eps_r=self.detector["alert_eps_r"],
-            alert_eps_gamma=self.detector["alert_eps_gamma"],
-        )
+        return _build(detector.DetectorConfig, **self.detector)
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError("cannot parse {}: {}".format(path, exc))
+    except yaml.YAMLError as exc:
+        raise ConfigError("cannot parse {}: {}".format(path, exc))
+    except UnicodeDecodeError as exc:
+        raise ConfigError("cannot decode {} as UTF-8: {}".format(path, exc))
     return ScenarioConfig.from_doc(doc)
 
 
@@ -354,14 +302,14 @@ def _output_root(cli_value: str | None) -> Path:
 def _run_one(path: str, args) -> int:
     try:
         cfg = load_config(path)
+        if args.t_end is not None:
+            cfg.solver["t_end"] = _as_float(args.t_end, "solver.t_end")
+        if args.cfl is not None:
+            cfg.solver["cfl"] = _as_float(args.cfl, "solver.cfl")
     except (OSError, ConfigError) as exc:
         print("config error [{}]: {}".format(path, exc))
         return EXIT_CONFIG
 
-    if args.t_end is not None:
-        cfg.solver["t_end"] = args.t_end
-    if args.cfl is not None:
-        cfg.solver["cfl"] = args.cfl
     if args.second_order:
         cfg.solver["second_order"] = True
     if args.stop_at_first_event:
@@ -432,7 +380,7 @@ def convergence_study(
     t_end: float,
     x_lo: float,
     x_hi: float,
-    cfl: float = 0.45,
+    cfl: float = solver.SolverConfig.cfl,
     second_order: bool = False,
     flux_perturbation: float = 0.0,
 ):
@@ -525,18 +473,17 @@ def _parse_bathy_spec(spec: str, grid: Grid, b_column):
         if not eq:
             raise ValueError("bad bathymetry parameter {!r}".format(item))
         params[key.strip()] = value.strip()
-    if kind == "flat":
-        return Flat(float(params["b0"]))
-    if kind == "linear":
-        return Linear(float(params["b0"]), float(params["b1"]))
-    if kind == "tanh_safe":
-        return TanhSafe(float(params["h"]), float(params["K"]))
-    if kind == "sampled":
-        return Sampled.from_csv(params["path"])
-    raise ValueError("unknown bathymetry kind {!r}".format(kind))
+    return from_spec(kind, params)
 
 
 def cmd_detect(args) -> int:
+    try:
+        det = detector.DetectorConfig(
+            args.eps_px, args.alert_eps_r, args.alert_eps_gamma
+        )
+    except ValueError as exc:
+        print("invalid parameters: {}".format(exc))
+        return EXIT_CONFIG
     try:
         grid, state, b_column = fields.load_state(args.state)
     except (OSError, ValueError) as exc:
@@ -544,16 +491,16 @@ def cmd_detect(args) -> int:
         return EXIT_CONFIG
     try:
         bathy = _parse_bathy_spec(args.bathy, grid, b_column)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print("bad bathymetry spec: {}".format(exc))
         return EXIT_CONFIG
 
     try:
-        flds = riemann.inland(state, bathy, grid, args.eps_px)
+        flds = riemann.inland(state, bathy, grid, det.eps_px)
         grads = detector.surface_gradients(state, bathy, grid, flds.gamma)
         residual = detector.tangent_match_residual(state, bathy, grid, grads)
         alerts = detector.alert_nodes(
-            state, bathy, grid, args.alert_eps_r, args.alert_eps_gamma, grads
+            state, bathy, grid, det.alert_eps_r, det.alert_eps_gamma, grads
         )
         points = detector.find_critical_points(flds, bathy, grid, flds.eps_px)
         gamma_ref = (
@@ -583,7 +530,7 @@ def cmd_detect(args) -> int:
     )
     print(
         "alert nodes (|r|<={:g} and gamma<={:g}): {} of {}".format(
-            args.alert_eps_r, args.alert_eps_gamma, int(np.sum(alerts)), grid.n
+            det.alert_eps_r, det.alert_eps_gamma, int(np.sum(alerts)), grid.n
         )
     )
     if args.mean_depth is not None:
@@ -695,8 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="kind:key=value,... or a bathymetry CSV path; default: b column",
     )
     p_det.add_argument("--eps-px", type=float, default=None)
-    p_det.add_argument("--alert-eps-r", type=float, default=1e-3)
-    p_det.add_argument("--alert-eps-gamma", type=float, default=0.1)
+    det = detector.DetectorConfig
+    p_det.add_argument("--alert-eps-r", type=float, default=det.alert_eps_r)
+    p_det.add_argument("--alert-eps-gamma", type=float, default=det.alert_eps_gamma)
     p_det.add_argument("--gamma-ref", type=float, default=None)
     p_det.add_argument("--mean-depth", type=float, default=None)
     p_det.set_defaults(func=cmd_detect)

@@ -29,6 +29,7 @@ whole-grid arrays.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -101,6 +102,13 @@ class DetectorConfig:
     eps_px: float | None = None
     alert_eps_r: float = 1e-3
     alert_eps_gamma: float = 0.1
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not ((value is None and name == "eps_px") or 0.0 < value < math.inf):
+                raise ValueError(
+                    "{} must be positive and finite, got {}".format(name, value)
+                )
 
 
 @dataclass(frozen=True)
@@ -471,8 +479,8 @@ def alert_nodes(
     state: FlowState,
     bathy,
     grid: Grid,
-    alert_eps_r: float = 1e-3,
-    alert_eps_gamma: float = 0.1,
+    alert_eps_r: float = DetectorConfig.alert_eps_r,
+    alert_eps_gamma: float = DetectorConfig.alert_eps_gamma,
     gradients: SurfaceGradients | None = None,
 ) -> np.ndarray:
     """Boolean mask of nodes in the dangerous small-r, small-gamma corner.

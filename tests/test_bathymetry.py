@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shoalwave.bathymetry import Flat, Linear, Sampled, TanhSafe, _node_derivatives
+from shoalwave.bathymetry import (
+    Flat,
+    Linear,
+    Sampled,
+    TanhSafe,
+    _node_derivatives,
+    from_spec,
+)
 from shoalwave.errors import DomainError
 
 
@@ -268,3 +275,52 @@ class TestSampled:
         path.write_text("0,1\n1,2\n2,3\n3,4\n4,5\n")
         with pytest.raises(ValueError):
             Sampled.from_csv(path)
+
+
+class TestFromSpec:
+    @pytest.mark.parametrize(
+        "kind, params, expected",
+        [
+            ("flat", {"b0": -2.5}, Flat(-2.5)),
+            ("flat", {"b0": "-2.5"}, Flat(-2.5)),
+            ("flat", {"b0": -3}, Flat(-3.0)),
+            ("linear", {"b0": -1.0, "b1": 0.1}, Linear(-1.0, 0.1)),
+            ("linear", {"b1": "0.1", "b0": "-1"}, Linear(-1.0, 0.1)),
+            ("tanh_safe", {"h": 0.02, "K": 1.99}, TanhSafe(0.02, 1.99)),
+            ("tanh_safe", {"h": "0.02", "K": "1.99"}, TanhSafe(0.02, 1.99)),
+        ],
+    )
+    def test_matches_the_constructor(self, kind, params, expected):
+        bed = from_spec(kind, params)
+        assert bed == expected
+        assert all(type(v) is float for v in vars(bed).values())
+
+    def test_sampled_reads_its_path(self, tmp_path):
+        path = tmp_path / "bed.csv"
+        path.write_text("x,b\n" + "".join("{},-1.0\n".format(x) for x in range(6)))
+        bed = from_spec("sampled", {"path": str(path)})
+        assert np.array_equal(bed.x_nodes, np.arange(6.0))
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("volcano", {"h": 1.0}, "unknown bathymetry kind 'volcano'"),
+            (["flat"], {"b0": -1.0}, "unknown bathymetry kind ['flat']"),
+            ("linear", {"b0": -1.0}, "linear needs parameters: ['b1']"),
+            ("sampled", {}, "sampled needs parameters: ['path']"),
+            ("flat", {"b0": -1.0, "b1": 7.0}, "unknown flat parameters: ['b1']"),
+            ("tanh_safe", {"h": 0.02, "K": 1.99, "extra": 3}, "unknown tanh_safe"),
+            ("sampled", {"path": 0}, "sampled path must be a string"),
+            ("flat", {"b0": float("nan")}, "flat parameter 'b0' must be a finite"),
+            ("flat", {"b0": "inf"}, "flat parameter 'b0' must be a finite"),
+            ("flat", {"b0": True}, "flat parameter 'b0' must be a finite"),
+            ("flat", {"b0": "deep"}, "flat parameter 'b0' must be a finite"),
+            ("linear", {"b0": -1.0, "b1": None}, "linear parameter 'b1' must be"),
+            ("tanh_safe", {"h": -1.0, "K": 1.0}, "TanhSafe requires h > 0"),
+        ],
+    )
+    def test_bad_spec_is_one_line_value_error(self, kind, params, message):
+        with pytest.raises(ValueError) as info:
+            from_spec(kind, params)
+        assert str(info.value).startswith(message)
+        assert "\n" not in str(info.value)

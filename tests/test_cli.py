@@ -8,8 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shoalwave import cli
+from shoalwave.detector import DetectorConfig
+from shoalwave.solver import SolverConfig
 from shoalwave.fields import FlowState, Grid, save_state
 from shoalwave.bathymetry import Flat
 
@@ -148,6 +152,10 @@ class TestRunFailures:
             lambda d: d["detector"].update(window=3),
             lambda d: d["detector"].update(alert_eps_r=-1.0),
             lambda d: d["detector"].update(eps_px=0.0),
+            lambda d: d["solver"].update(second_order="false"),
+            lambda d: d["solver"].update(stop_at_first_event=1),
+            lambda d: d["solver"].update(t_end=float("nan")),
+            lambda d: d["solver"].update(h_min=float("inf")),
         ],
     )
     def test_bad_documents_exit_config(self, tmp_path, mangle):
@@ -172,6 +180,72 @@ class TestRunFailures:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("config error [{}]: ".format(cfg))
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (
+                lambda d: d["solver"].update(second_order="false"),
+                "key 'solver.second_order' must be true or false, got 'false'",
+            ),
+            (
+                lambda d: d["solver"].update(t_end="1e400"),
+                "key 'solver.t_end' must be a finite number, got '1e400'",
+            ),
+            (
+                lambda d: d["detector"].update(alert_eps_r=float("nan")),
+                "key 'detector.alert_eps_r' must be a finite number, got nan",
+            ),
+            (
+                lambda d: d["bathymetry"].update(b1=7.0),
+                "bathymetry: unknown flat parameters: ['b1']",
+            ),
+            (
+                lambda d: d["bathymetry"].update(b0=float("-inf")),
+                "bathymetry: flat parameter 'b0' must be a finite number",
+            ),
+            (
+                lambda d: d["initial"].update(surfce=0.5),
+                "unknown initial keys: ['surfce']",
+            ),
+            (
+                lambda d: d.update(initial={"kind": "from_file", "path": 0}),
+                "key 'initial.path' must be a string, got 0",
+            ),
+        ],
+    )
+    def test_bad_value_is_one_line_naming_it(self, tmp_path, capsys, mangle, message):
+        doc = yaml.safe_load(SMALL_RUN)
+        mangle(doc)
+        cfg = write_cfg(tmp_path, yaml.safe_dump(doc))
+        assert cli.main(["run", cfg]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error [{}]: {}".format(cfg, message))
+
+    @pytest.mark.parametrize("flag", ["--t-end", "--cfl"])
+    def test_nonfinite_override_exits_config(self, tmp_path, capsys, flag):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        assert cli.main(["run", cfg, flag, "nan"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "config error [{}]: key 'solver.{}' must be a finite number, "
+            "got nan".format(cfg, flag[2:].replace("-", "_"))
+        ]
+
+    def test_undecodable_config_does_not_stop_the_batch(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv(cli.OUTPUT_ENV, str(tmp_path / "out"))
+        binary = tmp_path / "bin.cfg"
+        binary.write_bytes(b"name: \xff\xfe\n")
+        good = write_cfg(tmp_path, SMALL_RUN, "good.cfg")
+        assert cli.main(["run", str(binary), good]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        errors = [line for line in lines if line.startswith("config error")]
+        assert len(errors) == 1
+        assert errors[0].startswith("config error [{}]: ".format(binary))
+        assert (tmp_path / "out" / "tiny" / "run.json").exists()
 
     def test_bad_config_does_not_stop_the_batch(self, tmp_path, capsys, monkeypatch):
         # The sampled bed ends short of the grid's last node; that is a
@@ -227,7 +301,78 @@ class TestRunFailures:
         assert "numeric blow-up" in capsys.readouterr().out
 
 
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_positive = _finite(1e-12, 1e6)
+
+# Every required key, and any subset of the optional ones.
+SCENARIO_DOCS = st.fixed_dictionaries(
+    {
+        "name": st.text("abcxyz_-0123456789", min_size=1, max_size=12),
+        "grid": st.fixed_dictionaries(
+            {"x0": _finite(-1e6, 1e6), "dx": _positive, "n": st.integers(8, 10**6)}
+        ),
+        "bathymetry": st.one_of(
+            st.fixed_dictionaries({"kind": st.just("flat"), "b0": _finite(-1e4, 0)}),
+            st.fixed_dictionaries(
+                {"kind": st.just("tanh_safe"), "h": _positive, "K": _positive}
+            ),
+        ),
+        "initial": st.fixed_dictionaries(
+            {"kind": st.just("lake_at_rest")},
+            optional={"surface": _finite(-1.0, 1.0)},
+        ),
+        "solver": st.fixed_dictionaries(
+            {"t_end": _finite(0.0, 1e6)},
+            optional={
+                "cfl": _finite(1e-6, 1.0),
+                "boundary": st.sampled_from(["transmissive", "reflective", "periodic"]),
+                "h_min": _positive,
+                "snapshot_interval": st.none() | _positive,
+                "second_order": st.booleans(),
+                "stop_at_first_event": st.booleans(),
+            },
+        ),
+    },
+    optional={
+        "detector": st.fixed_dictionaries(
+            {},
+            optional={
+                "eps_px": st.none() | _positive,
+                "alert_eps_r": _positive,
+                "alert_eps_gamma": _positive,
+            },
+        ),
+        "output_dir": st.none() | st.just("runs/x"),
+    },
+)
+
+
 class TestConfigRoundTrip:
+    @settings(max_examples=200)
+    @given(doc=SCENARIO_DOCS)
+    def test_file_and_library_agree(self, doc):
+        # Parsing is the identity on the canonical form, and what a file
+        # sets (or leaves to default) builds the objects the library builds
+        # from the same keyword arguments.
+        cfg = cli.ScenarioConfig.from_doc(doc)
+        again = cli.ScenarioConfig.from_doc(yaml.safe_load(cli.serialize_config(cfg)))
+        assert again == cfg
+        assert cfg.build_solver_config() == SolverConfig(**doc["solver"])
+        assert cfg.build_detector_config() == DetectorConfig(
+            **(doc.get("detector") or {})
+        )
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        doc = yaml.safe_load(SMALL_RUN)
+        doc["solver"] = {"t_end": 2.5}
+        del doc["detector"]
+        cfg = cli.ScenarioConfig.from_doc(doc)
+        assert cfg.build_solver_config() == SolverConfig(t_end=2.5)
+        assert cfg.build_detector_config() == DetectorConfig()
+
     def test_parse_serialize_parse_is_identity(self, tmp_path):
         cfg = cli.load_config(write_cfg(tmp_path, SMALL_RUN))
         text = cli.serialize_config(cfg)
@@ -312,6 +457,32 @@ class TestDetect:
         state = str(DATA / "shoaling_alert_state.csv")
         assert cli.main(["detect", state, "--bathy", "volcano:h=1"]) == 1
         assert "bad bathymetry spec" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("tanh_safe:h=nan,K=1.99", "tanh_safe parameter 'h' must be a finite"),
+            ("tanh_safe:h=0.02,K=1.99,extra=3", "unknown tanh_safe parameters"),
+            ("tanh_safe:h=0.02", "tanh_safe needs parameters: ['K']"),
+        ],
+    )
+    def test_bad_bathy_parameter_is_one_line(self, capsys, spec, message):
+        state = str(DATA / "shoaling_alert_state.csv")
+        assert cli.main(["detect", state, "--bathy", spec]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("bad bathymetry spec: " + message)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--eps-px", "-1"), ("--eps-px", "nan"), ("--alert-eps-r", "-1")],
+    )
+    def test_bad_threshold_exits_config(self, capsys, flag, value):
+        state = str(DATA / "shoaling_alert_state.csv")
+        assert cli.main(["detect", state, flag, value]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("invalid parameters: " + flag[2:].replace("-", "_"))
 
     def test_gamma_ref_override_downgrades_alert(self):
         # A tiny reference depth makes every event look deep relative to it,

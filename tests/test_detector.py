@@ -349,6 +349,19 @@ class TestTangentMatch:
         mask = detector.alert_nodes(noisy, bathy, g, 1e-6, 0.1)
         assert not np.all(mask)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("eps_px", 0.0),
+            ("eps_px", float("nan")),
+            ("alert_eps_r", -1.0),
+            ("alert_eps_gamma", float("inf")),
+        ],
+    )
+    def test_config_rejects_bad_thresholds(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            detector.DetectorConfig(**{field: value})
+
 
 class TestDeepSea:
     def test_indicator_values(self):
