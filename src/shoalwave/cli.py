@@ -384,18 +384,21 @@ def convergence_study(
     second_order: bool = False,
     flux_perturbation: float = 0.0,
 ):
-    """Max-norm errors against the closed form at resolutions n and 2n."""
+    """Max-norm errors against the closed form at resolutions n and 2n.
+
+    Both grids and the solver config are built before the first step, so a
+    malformed input raises their ValueError before any work is done.
+    """
+    grids = [Grid(x_lo, (x_hi - x_lo) / (nodes - 1), nodes) for nodes in (n, 2 * n)]
+    config = solver.SolverConfig(
+        t_end=t_end,
+        cfl=cfl,
+        inflow=analytic.inflow(sol),
+        second_order=second_order,
+        flux_perturbation=flux_perturbation,
+    )
     errors = []
-    grids = []
-    for nodes in (n, 2 * n):
-        grid = Grid(x_lo, (x_hi - x_lo) / (nodes - 1), nodes)
-        config = solver.SolverConfig(
-            t_end=t_end,
-            cfl=cfl,
-            inflow=analytic.inflow(sol),
-            second_order=second_order,
-            flux_perturbation=flux_perturbation,
-        )
+    for grid in grids:
         state = analytic.make_initial_state(sol, grid, config.h_min)
         bathy = sol.bathymetry()
         domain = solver.prepare(bathy, grid, config)
@@ -407,7 +410,6 @@ def convergence_study(
         u_ref, surf_ref, _ = analytic.eval_solution(sol, state.t, grid.x)
         err = max(_linf(state.velocity, u_ref), _linf(state.gamma_surface, surf_ref))
         errors.append(err)
-        grids.append(grid)
     return errors, grids
 
 
@@ -423,14 +425,8 @@ def cmd_verify_analytic(args) -> int:
         print("invalid solution family: {}".format(exc))
         return EXIT_CONFIG
 
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(64):
-        t = rng.uniform(0.0, args.t_end)
-        x = rng.uniform(args.x_lo, args.x_hi)
-        worst = max(worst, np.max(np.abs(analytic.residuals(sol, t, x))))
-    print("closed-form residual max: {:.3e}".format(worst))
-
+    # The study runs first: it rejects a malformed grid, end time or range
+    # before the residual sampling draws from them.
     try:
         errors, grids = convergence_study(
             sol,
@@ -441,9 +437,20 @@ def cmd_verify_analytic(args) -> int:
             second_order=args.second_order,
             flux_perturbation=args.flux_perturbation,
         )
+    except ValueError as exc:
+        print("invalid parameters: {}".format(exc))
+        return EXIT_CONFIG
     except (NearDryError, NumericBlowUpError, DomainError) as exc:
         print("solver failed during the study: {}".format(exc))
         return EXIT_CONFIG
+
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(64):
+        t = rng.uniform(0.0, args.t_end)
+        x = rng.uniform(args.x_lo, args.x_hi)
+        worst = max(worst, np.max(np.abs(analytic.residuals(sol, t, x))))
+    print("closed-form residual max: {:.3e}".format(worst))
     for err, grid in zip(errors, grids):
         print("n={} dx={:.6e} Linf={:.6e}".format(grid.n, grid.dx, err))
 
@@ -481,6 +488,10 @@ def cmd_detect(args) -> int:
         det = detector.DetectorConfig(
             args.eps_px, args.alert_eps_r, args.alert_eps_gamma
         )
+        if args.gamma_ref is not None and not 0.0 < args.gamma_ref < math.inf:
+            raise ValueError(
+                "gamma_ref must be positive and finite, got {}".format(args.gamma_ref)
+            )
     except ValueError as exc:
         print("invalid parameters: {}".format(exc))
         return EXIT_CONFIG
@@ -497,26 +508,16 @@ def cmd_detect(args) -> int:
 
     try:
         flds = riemann.inland(state, bathy, grid, det.eps_px)
-        grads = detector.surface_gradients(state, bathy, grid, flds.gamma)
-        residual = detector.tangent_match_residual(state, bathy, grid, grads)
+        residual = detector.tangent_match_residual(state, bathy, grid, flds.gamma)
         alerts = detector.alert_nodes(
-            state, bathy, grid, det.alert_eps_r, det.alert_eps_gamma, grads
+            residual, flds.gamma, det.alert_eps_r, det.alert_eps_gamma
         )
         points = detector.find_critical_points(flds, bathy, grid, flds.eps_px)
         gamma_ref = (
             float(np.max(flds.gamma)) if args.gamma_ref is None else args.gamma_ref
         )
         events = [
-            detector.classify(
-                pt.x_star,
-                flds,
-                state,
-                bathy,
-                grid,
-                gamma_ref=gamma_ref,
-                plateau=pt.plateau,
-                gradients=grads,
-            )
+            detector.classify(pt, flds, state, grid, gamma_ref=gamma_ref)
             for pt in points
         ]
     except NearDryError as exc:

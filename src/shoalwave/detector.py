@@ -19,11 +19,11 @@ The surface-minus-bed slope used here is formed as 2 * gamma * ddx(gamma),
 i.e. through the same stencil as p_x, which keeps the tangent-match
 residual identity r = gamma * p_x exact to rounding.
 
-Per crossing, classify computes those quantities from a six-node window
-around x_star with the interior stencils of ddx and d2dx2, bit for bit
-what the whole-grid arrays of surface_gradients hold at those nodes; a
-crossing whose window reaches a one-sided end stencil falls back to the
-whole-grid arrays.
+Per point, classify computes those quantities from at most six nodes
+around x_star with the stencils of ddx and d2dx2, the one-sided ones at
+the grid ends included, and interpolates them as np.interp would over
+the whole-grid arrays, bit for bit. The bed slope at the point comes from
+the point itself, which the search evaluated for its filter.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .fields import DRY_COLUMN, FlowState, Grid, Workspace, d2dx2, ddx, require_wet
+from .fields import DRY_COLUMN, FlowState, Grid, Workspace, ddx, require_wet
 from .riemann import InlandFields, RiemannFields
 
 __all__ = [
@@ -49,8 +48,6 @@ __all__ = [
     "EventDiagnostics",
     "CriticalEvent",
     "CriticalPoint",
-    "SurfaceGradients",
-    "surface_gradients",
     "find_crossings",
     "find_critical_points",
     "classify",
@@ -113,11 +110,15 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """Sub-cell location where p_x vanishes; plateau marks a whole run."""
+    """Sub-cell location where p_x vanishes, with the bed slope b_x there.
+
+    plateau marks a whole run of vanishing p_x rather than a sign change.
+    """
 
     x_star: float
     node_index: int
-    plateau: bool = False
+    plateau: bool
+    b_x: float
 
 
 @dataclass(frozen=True)
@@ -181,35 +182,6 @@ class DegenerateSpec:
             raise ValueError("gamma_local must be positive")
 
 
-class SurfaceGradients(NamedTuple):
-    """Node arrays of the local quantities classification interpolates."""
-
-    gamma: np.ndarray
-    u_x: np.ndarray
-    u_xx: np.ndarray
-    excess: np.ndarray
-    excess_x: np.ndarray
-
-
-def surface_gradients(
-    state: FlowState, bathy, grid: Grid, gamma: np.ndarray | None = None
-) -> SurfaceGradients:
-    """Depth root, velocity derivatives and the surface-minus-bed slope.
-
-    gamma, when given, must be the depth root of state, as
-    riemann.inland computes it; the bed is then not evaluated again.
-    """
-    if gamma is None:
-        w = state.gamma_surface - bathy.eval(grid.x)
-        require_wet(w, state.t, DRY_COLUMN)
-        gamma = np.sqrt(w)
-    u_x = ddx(state.velocity, grid)
-    u_xx = d2dx2(state.velocity, grid)
-    excess = 2.0 * gamma * ddx(gamma, grid)
-    excess_x = ddx(excess, grid)
-    return SurfaceGradients(gamma, u_x, u_xx, excess, excess_x)
-
-
 def find_crossings(
     fields: RiemannFields | InlandFields,
     bathy,
@@ -245,9 +217,10 @@ def find_crossings(
     points = []
     for i in np.nonzero(crossing)[0]:
         x_star = x[i] + grid.dx * px[i] / (px[i] - px[i + 1])
-        if abs(float(bathy.slope(x_star))) <= eps:
+        b_x = float(bathy.slope(x_star))
+        if abs(b_x) <= eps:
             continue
-        points.append(CriticalPoint(float(x_star), int(i), False))
+        points.append(CriticalPoint(float(x_star), int(i), False, b_x))
     points.sort(key=lambda pt: pt.x_star)
     return points
 
@@ -273,9 +246,10 @@ def _find_plateaus(
             continue
         center = (start + stop - 1) // 2
         x_star = float(x[center])
-        if abs(float(bathy.slope(x_star))) <= eps:
+        b_x = float(bathy.slope(x_star))
+        if abs(b_x) <= eps:
             continue
-        points.append(CriticalPoint(x_star, int(center), True))
+        points.append(CriticalPoint(x_star, int(center), True, b_x))
     return points
 
 
@@ -310,101 +284,110 @@ def _between(x_star: float, x0: float, x1: float, f0: float, f1: float) -> float
     return value
 
 
+def _d1(f: list, k: int, inv2: float) -> float:
+    """ddx's stencil at index k of the node window f, operand for operand.
+
+    The window's first and last entries take the one-sided end stencils,
+    so the caller asks for them only where they are the grid's own ends.
+    """
+    if k == 0:
+        return (-3.0 * f[0] + 4.0 * f[1] - f[2]) * inv2
+    if k == len(f) - 1:
+        return (3.0 * f[k] - 4.0 * f[k - 1] + f[k - 2]) * inv2
+    return (f[k + 1] - f[k - 1]) * inv2
+
+
+def _d2(f: list, k: int, inv: float) -> float:
+    """d2dx2's stencil at index k of the node window f; ends as in _d1."""
+    if k == 0:
+        return (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) * inv
+    if k == len(f) - 1:
+        return (2.0 * f[k] - 5.0 * f[k - 1] + 4.0 * f[k - 2] - f[k - 3]) * inv
+    return (f[k + 1] - 2.0 * f[k] + f[k - 1]) * inv
+
+
 def _local_diagnostics(
     x_star: float, gamma: np.ndarray, velocity: np.ndarray, grid: Grid, x: np.ndarray
-) -> tuple | None:
-    """(u_x, u_xx, excess, excess_x, gamma) at x_star from six nodes.
+) -> tuple:
+    """(u_x, u_xx, excess, excess_x, gamma) at x_star from the nodes around it.
 
-    With x[i] <= x_star < x[i+1], the values at nodes i and i+1 come from
-    gamma[i-2:i+4] and velocity[i-1:i+3] through the interior stencils of
-    ddx and d2dx2, operand for operand, and are interpolated as np.interp
-    interpolates, so each equals np.interp over the surface_gradients
-    arrays bit for bit. None when the window reaches a one-sided end
-    stencil (i < 2 or i > n - 4) or x does not bracket x_star at the
-    node the spacing points to.
+    The bracket x[i] <= x_star < x[i+1] is the one np.interp finds; an
+    x_star on the last node takes that node's values. The values at nodes
+    i and i+1 come from gamma and velocity at nodes i-2 .. i+3, clipped to
+    the grid, through the stencils of ddx and d2dx2 operand for operand,
+    the one-sided ones at the grid ends included, and are interpolated as
+    np.interp interpolates. So each equals np.interp over the whole-grid
+    arrays bit for bit. x_star must lie in [x[0], x[-1]].
     """
-    x_star = float(x_star)
+    n = grid.n
+    # The spacing points to the bracket up to rounding; x decides.
     i = int((x_star - grid.x0) / grid.dx)
-    if i < 2 or i > grid.n - 4:
-        return None
+    if i > n - 2:
+        i = n - 2
     x0, x1 = x[i : i + 2].tolist()
-    if not x0 <= x_star < x1:
-        return None
+    while x_star < x0 and i > 0:
+        i -= 1
+        x0, x1 = x[i : i + 2].tolist()
+    while x_star >= x1 and i < n - 2:
+        i += 1
+        x0, x1 = x[i : i + 2].tolist()
+    lo = i - 2 if i > 2 else 0
+    hi = i + 4 if i + 4 < n else n
+    g = gamma[lo:hi].tolist()
+    u = velocity[lo:hi].tolist()
     inv2 = 1.0 / (2.0 * grid.dx)
     inv = 1.0 / grid.dx**2
-    g = gamma[i - 2 : i + 4].tolist()
-    u = velocity[i - 1 : i + 3].tolist()
-    # excess = 2.0 * gamma * ddx(gamma) at nodes i-1 .. i+2
-    e = [2.0 * g[k] * ((g[k + 1] - g[k - 1]) * inv2) for k in range(1, 5)]
-    left, right = (
-        (
-            (u[k + 1] - u[k - 1]) * inv2,
-            (u[k + 1] - 2.0 * u[k] + u[k - 1]) * inv,
-            e[k],
-            (e[k + 1] - e[k - 1]) * inv2,
-            g[k + 1],
-        )
-        for k in (1, 2)
-    )
+    # excess = 2.0 * gamma * ddx(gamma) at window indices a .. b-1: every
+    # node whose stencil the window holds, so that e ends where the grid
+    # ends and nowhere else.
+    a = 0 if lo == 0 else 1
+    b = len(g) if hi == n else len(g) - 1
+    e = [2.0 * g[k] * _d1(g, k, inv2) for k in range(a, b)]
+    left, right = [
+        (_d1(u, k, inv2), _d2(u, k, inv), e[k - a], _d1(e, k - a, inv2), g[k])
+        for k in (i - lo, i + 1 - lo)
+    ]
+    if x_star >= x1:  # on the last node
+        return right
     if x_star == x0:
         return left
-    return tuple(_between(x_star, x0, x1, f0, f1) for f0, f1 in zip(left, right))
+    return tuple([_between(x_star, x0, x1, f0, f1) for f0, f1 in zip(left, right)])
 
 
 def classify(
-    x_star: float,
+    point: CriticalPoint,
     fields: RiemannFields | InlandFields,
     state: FlowState,
-    bathy,
     grid: Grid,
     *,
     gamma_ref: float | None = None,
-    plateau: bool = False,
-    gradients: SurfaceGradients | None = None,
     x: np.ndarray | None = None,
 ) -> CriticalEvent:
-    """Classify the singular point at x_star from the local wave shape.
+    """Classify the singular point from the local wave shape.
 
-    gamma_ref anchors the depth regime (defaults to the largest depth root
-    in the analyzed fields; a driver tracking a whole run should pass the
-    initial maximum). plateau=True labels the point DegeneratePlateau,
-    which never claims an infinite speed. x, when given, must be grid.x.
-
-    Without gradients the local quantities come from the six nodes around
-    x_star, or, where that window reaches an end of the grid, from
-    surface_gradients(state, bathy, grid, fields.gamma); the bed is not
-    evaluated either way. gradients, when given, must be
-    surface_gradients(state, bathy, grid) and are read instead; a caller
-    that needs the whole-grid arrays anyway passes them.
+    The local quantities come from the nodes around point.x_star (see
+    _local_diagnostics) and the bed slope from point.b_x, so the bed is
+    not evaluated. gamma_ref anchors the depth regime (defaults to the
+    largest depth root in the analyzed fields; a caller tracking a whole
+    run should pass the initial maximum). A plateau point is labelled
+    DegeneratePlateau, which never claims an infinite speed. x, when
+    given, must be grid.x.
     """
+    x_star = point.x_star
     if x is None:
         x = grid.x
     if not x[0] <= x_star <= x[-1]:
         raise DomainError("x_star={} outside grid [{}, {}]".format(x_star, x[0], x[-1]))
-    local = None
-    if gradients is None:
-        local = _local_diagnostics(x_star, fields.gamma, state.velocity, grid, x)
-        if local is None:
-            gradients = surface_gradients(state, bathy, grid, fields.gamma)
-    if local is None:
-        local = tuple(
-            float(np.interp(x_star, x, arr))
-            for arr in (
-                gradients.u_x,
-                gradients.u_xx,
-                gradients.excess,
-                gradients.excess_x,
-                gradients.gamma,
-            )
-        )
-    u_x, u_xx, excess, excess_x, gamma = local
+    u_x, u_xx, excess, excess_x, gamma = _local_diagnostics(
+        x_star, fields.gamma, state.velocity, grid, x
+    )
     diagnostics = EventDiagnostics(
         u_x=u_x,
         u_xx=u_xx,
         excess_slope=excess,
         excess_slope_x=excess_x,
         gamma=gamma,
-        b_x=float(bathy.slope(x_star)),
+        b_x=point.b_x,
     )
 
     ref = float(np.max(fields.gamma)) if gamma_ref is None else float(gamma_ref)
@@ -415,7 +398,7 @@ def classify(
     else:
         regime = DepthRegime.INTERMEDIATE
 
-    if plateau:
+    if point.plateau:
         return CriticalEvent(
             state.t, x_star, Classification.DEGENERATE_PLATEAU, Side.UNKNOWN,
             diagnostics, regime,
@@ -460,37 +443,34 @@ def classify_degenerate(spec: DegenerateSpec) -> DegenerateRegime:
 
 
 def tangent_match_residual(
-    state: FlowState, bathy, grid: Grid, gradients: SurfaceGradients | None = None
+    state: FlowState, bathy, grid: Grid, gamma: np.ndarray | None = None
 ) -> np.ndarray:
     """Node residual r = (surface_x - b_x) + u_x * gamma.
 
     Algebraically r equals gamma * p_x, so |r| -> 0 with small gamma is the
     configuration in which the surface slope tangentially matches the bed
     slope while the column is thin: the precursor the alert thresholds are
-    aimed at. gradients, when given, must be surface_gradients(state,
-    bathy, grid).
+    aimed at. gamma, when given, must be the depth root of state, as
+    riemann.inland computes it; the bed is then not evaluated.
     """
-    if gradients is None:
-        gradients = surface_gradients(state, bathy, grid)
-    return gradients.excess + gradients.u_x * gradients.gamma
+    if gamma is None:
+        w = state.gamma_surface - bathy.eval(grid.x)
+        require_wet(w, state.t, DRY_COLUMN)
+        gamma = np.sqrt(w)
+    return 2.0 * gamma * ddx(gamma, grid) + ddx(state.velocity, grid) * gamma
 
 
 def alert_nodes(
-    state: FlowState,
-    bathy,
-    grid: Grid,
+    residual: np.ndarray,
+    gamma: np.ndarray,
     alert_eps_r: float = DetectorConfig.alert_eps_r,
     alert_eps_gamma: float = DetectorConfig.alert_eps_gamma,
-    gradients: SurfaceGradients | None = None,
 ) -> np.ndarray:
     """Boolean mask of nodes in the dangerous small-r, small-gamma corner.
 
-    gradients, when given, must be surface_gradients(state, bathy, grid).
+    residual is tangent_match_residual's and gamma the depth root it used.
     """
-    if gradients is None:
-        gradients = surface_gradients(state, bathy, grid)
-    r = gradients.excess + gradients.u_x * gradients.gamma
-    return (np.abs(r) <= alert_eps_r) & (gradients.gamma <= alert_eps_gamma)
+    return (np.abs(residual) <= alert_eps_r) & (gamma <= alert_eps_gamma)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ amplitude-to-depth ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,11 @@ class NondimParams:
     amplitude: float
 
     def __post_init__(self):
-        if self.wavelength <= 0.0 or self.depth <= 0.0 or self.gravity <= 0.0:
-            raise ValueError("wavelength, depth and gravity must be positive")
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be nonnegative")
+        scales = (self.wavelength, self.depth, self.gravity)
+        if not all(0.0 < v < math.inf for v in scales):
+            raise ValueError("wavelength, depth and gravity must be positive and finite")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError("amplitude must be nonnegative and finite")
 
     @property
     def delta(self) -> float:
@@ -105,8 +107,8 @@ def shallowness_report(params: NondimParams, ratio_max: float = 0.1) -> Shallown
     with no wave there is no amplitude scale for the dispersion terms to be
     small against.
     """
-    if ratio_max <= 0.0:
-        raise ValueError("ratio_max must be positive")
+    if not 0.0 < ratio_max < math.inf:
+        raise ValueError("ratio_max must be positive and finite")
     d2 = params.delta**2
     eps = params.epsilon
     return ShallownessReport(d2, eps, bool(d2 <= ratio_max * eps))
@@ -114,9 +116,9 @@ def shallowness_report(params: NondimParams, ratio_max: float = 0.1) -> Shallown
 
 def sound_speed(depth: float, gravity: float = 9.8):
     """Gravity-wave speed over the given depth: returns (m/s, km/h)."""
-    if depth <= 0.0:
-        raise DomainError("depth must be positive, got {}".format(depth))
-    if gravity <= 0.0:
-        raise DomainError("gravity must be positive, got {}".format(gravity))
+    if not 0.0 < depth < math.inf:
+        raise DomainError("depth must be positive and finite, got {}".format(depth))
+    if not 0.0 < gravity < math.inf:
+        raise DomainError("gravity must be positive and finite, got {}".format(gravity))
     ms = float(np.sqrt(gravity * depth))
     return ms, ms * 3.6

@@ -90,8 +90,8 @@ class SolverConfig:
     flux_perturbation: float = 0.0
 
     def __post_init__(self):
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be >= 0, got {}".format(self.t_end))
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and >= 0, got {}".format(self.t_end))
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must be in (0, 1], got {}".format(self.cfl))
         if self.boundary not in BOUNDARY_KINDS:
@@ -100,10 +100,11 @@ class SolverConfig:
                     BOUNDARY_KINDS, self.boundary
                 )
             )
-        if self.h_min <= 0.0:
-            raise ValueError("h_min must be positive")
-        if self.snapshot_interval is not None and self.snapshot_interval <= 0.0:
-            raise ValueError("snapshot_interval must be positive when set")
+        if not 0.0 < self.h_min < math.inf:
+            raise ValueError("h_min must be positive and finite")
+        interval = self.snapshot_interval
+        if interval is not None and not 0.0 < interval < math.inf:
+            raise ValueError("snapshot_interval must be positive and finite when set")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -491,9 +492,7 @@ def run(
             inland, bathy, grid, inland.eps_px, x=domain.x, work=domain.work
         )
         step_events = [
-            classify(
-                pt.x_star, inland, state, bathy, grid, gamma_ref=gamma_ref, x=domain.x
-            )
+            classify(pt, inland, state, grid, gamma_ref=gamma_ref, x=domain.x)
             for pt in points
         ]
         fresh = tracker.fresh(step_events)

@@ -202,7 +202,7 @@ def test_criterion_08_synthetic_crossings():
         ]
         assert len(pts) == 1, label
         assert abs(pts[0].x_star) <= grid.dx / 2.0, label
-        ev = detector.classify(pts[0].x_star, f, state, bathy, grid)
+        ev = detector.classify(pts[0], f, state, grid)
         assert ev.classification is expected, (label, ev.classification)
     print("criterion 8: inland, offshore, and gate-flip cases hold")
 

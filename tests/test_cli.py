@@ -475,7 +475,15 @@ class TestDetect:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--eps-px", "-1"), ("--eps-px", "nan"), ("--alert-eps-r", "-1")],
+        [
+            ("--eps-px", "-1"),
+            ("--eps-px", "nan"),
+            ("--alert-eps-r", "-1"),
+            ("--gamma-ref", "nan"),
+            ("--gamma-ref", "-1"),
+            ("--gamma-ref", "0"),
+            ("--gamma-ref", "inf"),
+        ],
     )
     def test_bad_threshold_exits_config(self, capsys, flag, value):
         state = str(DATA / "shoaling_alert_state.csv")
@@ -554,6 +562,21 @@ class TestVerifyAnalytic:
         assert cli.main(["verify-analytic", "--x1", "2.0", "--x2", "-2.0"]) == 1
         assert "invalid solution family" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "3"],
+            ["--t-end", "-1"],
+            ["--t-end", "nan"],
+            ["--x-lo", "5", "--x-hi", "1"],
+        ],
+    )
+    def test_malformed_input_is_one_line(self, capsys, argv):
+        assert cli.main(["verify-analytic"] + argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("invalid parameters: ")
+
 
 class TestSmallTools:
     def test_classify_degenerate_prints_label(self, capsys):
@@ -601,3 +624,21 @@ class TestSmallTools:
     def test_speed_rejects_nonpositive_depth(self, capsys):
         assert cli.main(["speed", "-4"]) == 1
         assert "invalid parameters" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["speed", "nan"],
+            ["speed", "inf"],
+            ["speed", "1", "nan"],
+            ["nondim", "1", "1", "1", "inf"],
+            ["nondim", "nan", "1", "1", "1"],
+            ["nondim", "1", "inf", "1", "1"],
+            ["nondim", "1", "1", "1", "1", "--ratio-max", "nan"],
+        ],
+    )
+    def test_non_finite_number_is_one_line(self, capsys, argv):
+        assert cli.main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("invalid parameters: ")

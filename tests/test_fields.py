@@ -98,13 +98,13 @@ def _dry_at_node_5(t):
         lambda s, b, g: check_wet(s, b, g, h_min=1e-6),
         lambda s, b, g: solver.step(s, b, g, solver.SolverConfig(t_end=10.0)),
         lambda s, b, g: riemann.inland(s, b, g),
-        lambda s, b, g: detector.surface_gradients(s, b, g),
+        lambda s, b, g: detector.tangent_match_residual(s, b, g),
         lambda s, b, g: detector.deep_sea_diagnostics(s, b, g, mean_depth=0.0),
         lambda s, b, g: riemann.characteristic_residual(
             s, FlowState(3.0, np.zeros(16), np.zeros(16)), b, g
         ),
     ],
-    ids=["check_wet", "step", "inland", "surface_gradients", "deep_sea", "residual"],
+    ids=["check_wet", "step", "inland", "tangent_match", "deep_sea", "residual"],
 )
 def test_dry_column_errors_carry_node_t_and_depth(check):
     g, bed, state = _dry_at_node_5(2.5)

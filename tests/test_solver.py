@@ -27,6 +27,10 @@ DATA = Path(__file__).parent / "data"
         {"t_end": 1.0, "h_min": 0.0},
         {"t_end": 1.0, "snapshot_interval": -0.5},
         {"t_end": 1.0, "max_steps": 0},
+        {"t_end": float("nan")},
+        {"t_end": float("inf")},
+        {"t_end": 1.0, "h_min": float("nan")},
+        {"t_end": 1.0, "snapshot_interval": float("nan")},
     ],
 )
 def test_config_validation(kwargs):
@@ -593,29 +597,67 @@ def test_run_evaluates_the_bed_a_fixed_number_of_times(monkeypatch, inland_setup
     assert (evals_long, x_long) == (evals_short, x_short)
 
 
+def _end_crossing():
+    # build_crossing plants its zero between nodes 59 and 60 of 120; keeping
+    # nodes 0..61 puts it in the last three cells, where the window around
+    # it reaches the one-sided end stencils.
+    grid, state, bathy = build_crossing()
+    n = 62
+    cut = FlowState(0.0, state.gamma_surface[:n], state.velocity[:n])
+    return Grid(grid.x0, grid.dx, n), cut, bathy
+
+
+class _WatchedBed:
+    """A bed whose eval and slope go through the given wrapper."""
+
+    def __init__(self, bed, counted):
+        self.eval = counted("eval", bed.eval, only_inside=True)
+        self.slope = counted("slope", bed.slope, only_inside=True)
+
+
 def test_run_builds_no_whole_grid_gradients(monkeypatch):
-    # A shoaling stretch whose crossings all sit away from the grid ends:
-    # classify reads six nodes around each, so the run never builds the
-    # whole-grid surface gradients or second derivative. Both are counted
-    # wherever a module binds them.
+    # classify reads the nodes around each crossing, in the last three cells
+    # too, so the run builds no whole-grid second derivative or residual,
+    # and classify never evaluates the bed (the run itself does, outside
+    # it). Each function is counted wherever a module binds it.
     grid, state, b = load_state(DATA / "shoaling_alert_state.csv")
-    bathy = Sampled(grid.x, b)
+    cases = [(grid, state, Sampled(grid.x, b)), _end_crossing()]
+    inside = []
     calls = []
 
-    def counted(name, fn):
+    def counted(name, fn, only_inside=False):
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            if inside or not only_inside:
+                calls.append(name)
             return fn(*args, **kwargs)
 
         return wrapper
 
     for module in (detector, fields, solver):
-        for name in ("surface_gradients", "d2dx2"):
+        for name in ("d2dx2", "tangent_match_residual"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    result = solver.run(
-        state, bathy, grid, solver.SolverConfig(t_end=0.05), detector.DetectorConfig()
-    )
-    assert result.steps > 10
-    assert result.events
+    in_last_cells = []
+    classify = solver.classify
+
+    def watched_classify(point, flds, st, g, **kwargs):
+        in_last_cells.append(point.node_index >= g.n - 3)
+        inside.append(point)
+        try:
+            return classify(point, flds, st, g, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(solver, "classify", watched_classify)
+    for grid, state, bathy in cases:
+        result = solver.run(
+            state,
+            _WatchedBed(bathy, counted),
+            grid,
+            solver.SolverConfig(t_end=0.05),
+            detector.DetectorConfig(),
+        )
+        assert result.steps > 10
+        assert result.events
+    assert any(in_last_cells)
     assert calls == []
