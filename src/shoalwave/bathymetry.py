@@ -10,10 +10,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
+from .fields import read_rows
 
 __all__ = ["Bathymetry", "Flat", "Linear", "TanhSafe", "Sampled", "from_spec"]
 
@@ -163,8 +165,10 @@ class Sampled(Bathymetry):
 
     Values come from monotone cubic interpolation, so they never overshoot
     the data between nodes. Slope and curvature are finite-differenced on
-    the sample nodes and interpolated linearly in between. Needs at least
-    5 strictly increasing nodes; queries outside [x_0, x_last] raise
+    the sample nodes and interpolated linearly in between. The slope nodes
+    are built with the profile, the curvature nodes on the first
+    curvature() call; every stored array is read-only. Needs at least 5
+    strictly increasing nodes; queries outside [x_0, x_last] raise
     DomainError.
     """
 
@@ -187,9 +191,14 @@ class Sampled(Bathymetry):
         self._b = b
         self._interp = PchipInterpolator(x, b, extrapolate=False)
         self._slope_nodes = _node_derivatives(x, b, 1)
-        self._curv_nodes = _node_derivatives(x, b, 2)
-        for arr in (self._x, self._b, self._slope_nodes, self._curv_nodes):
+        for arr in (self._x, self._b, self._slope_nodes):
             arr.setflags(write=False)
+
+    @cached_property
+    def _curv_nodes(self):
+        nodes = _node_derivatives(self._x, self._b, 2)
+        nodes.setflags(write=False)
+        return nodes
 
     @property
     def x_nodes(self):
@@ -230,18 +239,28 @@ class Sampled(Bathymetry):
 
     @classmethod
     def from_csv(cls, path):
-        """Load a profile from a CSV file with header ``x,b``."""
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or [c.strip().lower() for c in rows[0]] != ["x", "b"]:
-            raise ValueError("expected CSV header 'x,b' in {}".format(path))
-        try:
-            data = np.array([[float(r[0]), float(r[1])] for r in rows[1:] if r])
-        except (ValueError, IndexError) as exc:
-            raise ValueError("malformed bathymetry row in {}: {}".format(path, exc))
+        """Load a profile from a CSV file with header ``x,b`` in any case.
+
+        Every row holds two numbers, read by fields.read_rows. Any fault
+        raises ValueError naming the path.
+        """
+        with open(path, encoding="utf-8", errors="backslashreplace") as fh:
+            header = next(csv.reader([fh.readline()]), [])
+            if [c.strip().lower() for c in header] != ["x", "b"]:
+                raise ValueError("expected CSV header 'x,b' in {}".format(path))
+            data = read_rows(fh, path, "bathymetry")
         if data.size == 0:
             raise ValueError("no samples in {}".format(path))
-        return cls(data[:, 0], data[:, 1])
+        if data.shape[1] != 2:
+            raise ValueError(
+                "malformed bathymetry row in {}: {} columns, expected 2".format(
+                    path, data.shape[1]
+                )
+            )
+        try:
+            return cls(data[:, 0], data[:, 1])
+        except ValueError as exc:
+            raise ValueError("bad samples in {}: {}".format(path, exc))
 
 
 def finite_float(value, what: str) -> float:

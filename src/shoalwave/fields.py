@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "check_wet",
     "save_state",
     "load_state",
+    "read_rows",
 ]
 
 # require_wet message for a column at or below zero thickness.
@@ -182,21 +184,49 @@ def save_state(state: FlowState, bathy, grid: Grid, path) -> None:
         fh.write("x,gamma_surface,u,b\r\n" + "".join(rows))
 
 
+def read_rows(fh, path, kind: str) -> np.ndarray:
+    """The numbers in the rest of an open CSV file, one array row per line.
+
+    One np.loadtxt pass, which parses each cell with the parser of float():
+    optional sign and surrounding whitespace, ASCII decimal or exponent
+    notation, nan and inf in any case, optionally in double quotes; digit
+    groups such as 1_000 are not numbers. Empty lines are skipped, and with
+    no rows left the result has shape (0, 0). A cell that is not a number,
+    or a row whose length differs from the first row's, raises
+    ValueError("malformed {kind} row in {path}: ...").
+    """
+    lines = iter(fh)
+    # np.loadtxt skips empty lines as well, but warns when it finds no row.
+    first = next((line for line in lines if line != "\n"), None)
+    if first is None:
+        return np.empty((0, 0))
+    try:
+        return np.loadtxt(
+            itertools.chain((first,), lines),
+            delimiter=",",
+            comments=None,
+            quotechar='"',
+            ndmin=2,
+        )
+    except ValueError as exc:
+        raise ValueError("malformed {} row in {}: {}".format(kind, path, exc))
+
+
 def load_state(path, t: float = 0.0):
     """Read a snapshot CSV back as (grid, state, bed_elevations).
 
-    The x column must be uniformly spaced since every operation in this
-    package assumes a uniform grid.
+    The header must be x,gamma_surface,u,b and every row four numbers, read
+    by read_rows (an undecodable byte fails as a malformed row). There must
+    be at least 8 rows, and the x column must be uniformly spaced since
+    every operation in this package assumes a uniform grid. Any fault
+    raises ValueError naming the path.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["x", "gamma_surface", "u", "b"]:
-        raise ValueError("expected header 'x,gamma_surface,u,b' in {}".format(path))
-    try:
-        data = np.array([[float(v) for v in row] for row in rows[1:] if row])
-    except ValueError as exc:
-        raise ValueError("malformed state row in {}: {}".format(path, exc))
-    if data.ndim != 2 or data.shape[1] != 4 or data.shape[0] < 8:
+    with open(path, encoding="utf-8", errors="backslashreplace") as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        if [c.strip() for c in header] != ["x", "gamma_surface", "u", "b"]:
+            raise ValueError("expected header 'x,gamma_surface,u,b' in {}".format(path))
+        data = read_rows(fh, path, "state")
+    if data.shape[1] != 4 or data.shape[0] < 8:
         raise ValueError("state file {} needs >= 8 rows of 4 columns".format(path))
     x = data[:, 0]
     dx = x[1] - x[0]

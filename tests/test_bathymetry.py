@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shoalwave import bathymetry
 from shoalwave.bathymetry import (
     Flat,
     Linear,
@@ -231,6 +232,29 @@ class TestSampled:
         b = Sampled(np.linspace(0, 1, 6), -np.ones(6))
         with pytest.raises(ValueError):
             b.x_nodes[0] = 99.0
+
+    def test_curvature_nodes_are_built_on_first_use(self, monkeypatch):
+        orders = []
+
+        def counting(x, b, order):
+            orders.append(order)
+            return _node_derivatives(x, b, order)
+
+        monkeypatch.setattr(bathymetry, "_node_derivatives", counting)
+        x = np.cumsum(np.random.default_rng(5).uniform(0.1, 1.0, 40))
+        y = np.cos(x) - 2.0
+        bed = Sampled(x, y)
+        assert orders == [1]
+        q = np.linspace(x[0], x[-1], 57)
+        first = bed.curvature(q)
+        assert orders == [1, 2]
+        second = bed.curvature(q)
+        assert orders == [1, 2]
+        expected = np.interp(q, x, _node_derivatives(x, y, 2))
+        assert np.array_equal(first, expected)
+        assert np.array_equal(second, expected)
+        stored = (bed._x, bed._b, bed._slope_nodes, bed._curv_nodes)
+        assert not any(arr.flags.writeable for arr in stored)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "bed.csv"

@@ -2,6 +2,7 @@
 
 import importlib.resources
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -14,12 +15,50 @@ from hypothesis import strategies as st
 from shoalwave import cli
 from shoalwave.detector import DetectorConfig
 from shoalwave.solver import SolverConfig
-from shoalwave.fields import FlowState, Grid, save_state
-from shoalwave.bathymetry import Flat
+from shoalwave.fields import FlowState, Grid, load_state, save_state
+from shoalwave.bathymetry import Flat, Sampled
 
 from conftest import build_crossing
 
 DATA = Path(__file__).parent / "data"
+# detect's stdout and exit code on the alert fixture, recorded with the
+# csv.reader snapshot reader that np.loadtxt replaced; args are relative
+# to DATA.
+DETECT_GOLDEN = json.loads((DATA / "detect_golden.json").read_text())
+
+
+def _alert_fixture_lines(columns):
+    """Lines of the alert fixture holding only the given columns."""
+    rows = (DATA / "shoaling_alert_state.csv").read_text().splitlines()
+    return [",".join(r.split(",")[i] for i in columns) for r in rows]
+
+
+def _mangle(lines, how):
+    """A CSV file, given as its header and rows, broken one way, as bytes."""
+    header, *rows = (line.encode() for line in lines)
+    cells = rows[2].split(b",")
+    if how == "header only":
+        rows = []
+    elif how == "four rows":
+        rows = rows[:4]
+    else:
+        rows[2] = {
+            "ragged row": b",".join(cells[:-1]),
+            "trailing comma": rows[2] + b",",
+            "empty field": b",".join([cells[0], b""] + cells[2:]),
+            "non-UTF-8 byte": b"\xff" + rows[2],
+        }[how]
+    return b"\n".join([header] + rows) + b"\n"
+
+
+MALFORMED = [
+    "header only",
+    "four rows",
+    "ragged row",
+    "trailing comma",
+    "empty field",
+    "non-UTF-8 byte",
+]
 
 
 def stage_bundled_cfg(tmp_path, name):
@@ -448,6 +487,46 @@ class TestDetect:
             warnings.simplefilter("error")
             assert cli.main(["detect", str(path)]) == 2
         assert "state is dry: dry column at node 40" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "case", DETECT_GOLDEN, ids=lambda case: " ".join(case["args"])
+    )
+    def test_output_matches_the_frozen_bytes(self, capsys, case):
+        first, *flags = case["args"]
+        code = cli.main(["detect", str(DATA / first), *flags])
+        assert code == case["exit"]
+        assert capsys.readouterr().out == case["stdout"]
+
+    @pytest.mark.parametrize("how", MALFORMED)
+    def test_malformed_state_file_is_one_line(self, tmp_path, capsys, how):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(_mangle(_alert_fixture_lines(range(4)), how))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_state(path)
+            assert cli.main(["detect", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cannot read state file: ")
+        assert str(path) in lines[0]
+
+    @pytest.mark.parametrize("how", MALFORMED)
+    def test_malformed_bed_file_is_one_line(self, tmp_path, capsys, how):
+        path = tmp_path / "bad.csv"
+        lines = _alert_fixture_lines([0, 3])
+        lines[0] = "x,b"
+        path.write_bytes(_mangle(lines, how))
+        state = str(DATA / "shoaling_alert_state.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                Sampled.from_csv(path)
+            assert cli.main(["detect", state, "--bathy", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("bad bathymetry spec: ")
+        assert str(path) in lines[0]
 
     def test_missing_file_exits_config(self, tmp_path, capsys):
         assert cli.main(["detect", str(tmp_path / "nope.csv")]) == 1

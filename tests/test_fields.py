@@ -211,6 +211,130 @@ def test_save_state_writes_the_csv_writer_bytes(columns, x0, dx):
     assert np.array_equal(b_col, bathy.eval(grid.x))
 
 
+class _Column:
+    """A bed whose nodes hold the given values, whatever the grid."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def eval(self, x):
+        return self.values
+
+
+_FINITE_EDGES = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072009e-308,
+    -1e-310,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+]
+_FINITE_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    _FINITE_EDGES
+)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(8, 16).flatmap(
+        lambda n: st.lists(
+            st.tuples(_FINITE_VALUES, _FINITE_VALUES, _FINITE_VALUES),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.floats(-100.0, 100.0),
+    st.floats(1e-3, 10.0),
+)
+@example([tuple(_FINITE_EDGES[i : i + 3]) for i in range(6)] * 2, -1.0, 0.25)
+def test_save_then_load_gives_back_every_bit(rows, x0, dx):
+    surface, velocity, bed = (np.array(c, dtype=float) for c in zip(*rows))
+    grid = Grid(x0, dx, len(rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.csv"
+        save_state(FlowState(0.0, surface, velocity), _Column(bed), grid, path)
+        back_grid, back, b_col = load_state(path)
+    assert _same_bits(back.gamma_surface, surface)
+    assert _same_bits(back.velocity, velocity)
+    assert _same_bits(b_col, bed)
+    x = grid.x
+    assert (back_grid.x0, back_grid.dx, back_grid.n) == (x[0], x[1] - x[0], grid.n)
+
+
+def _csv_reader_load_state(path, t=0.0):
+    """The snapshot reader as it was: csv.reader rows, float() per cell."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or [c.strip() for c in rows[0]] != ["x", "gamma_surface", "u", "b"]:
+        raise ValueError("expected header 'x,gamma_surface,u,b' in {}".format(path))
+    try:
+        data = np.array([[float(v) for v in row] for row in rows[1:] if row])
+    except ValueError as exc:
+        raise ValueError("malformed state row in {}: {}".format(path, exc))
+    if data.ndim != 2 or data.shape[1] != 4 or data.shape[0] < 8:
+        raise ValueError("state file {} needs >= 8 rows of 4 columns".format(path))
+    x = data[:, 0]
+    dx = x[1] - x[0]
+    if dx <= 0 or not np.allclose(np.diff(x), dx, rtol=1e-9, atol=1e-12 * abs(dx)):
+        raise ValueError("state file {} is not on a uniform grid".format(path))
+    grid = Grid(float(x[0]), float(dx), int(x.size))
+    state = FlowState(t, data[:, 1], data[:, 2])
+    return grid, state, data[:, 3]
+
+
+_CELL_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.floats().map("{:.17g}".format),
+    st.sampled_from(
+        ["nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "-0.0", "0", ".5", "5.", "+1E+3"]
+    ),
+)
+# How a cell is written: as is, padded with whitespace, or in double quotes.
+_DRESS = st.sampled_from(["{}", " {} ", "\t{}  ", '"{}"', '" {} "'])
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(8, 12).flatmap(
+        lambda n: st.lists(
+            st.tuples(_CELL_TEXT, _CELL_TEXT, _CELL_TEXT), min_size=n, max_size=n
+        )
+    ),
+    st.floats(-100.0, 100.0),
+    st.floats(1e-3, 10.0),
+    st.data(),
+)
+def test_load_state_reads_what_the_csv_reader_read(cells, x0, dx, data):
+    grid = Grid(x0, dx, len(cells))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["x,gamma_surface,u,b"]
+    for x, row in zip(grid.x.tolist(), cells):
+        dressed = [data.draw(_DRESS).format(c) for c in ("{:.17g}".format(x),) + row]
+        lines.append(",".join(dressed))
+    # Empty lines anywhere after the header, the end included.
+    for at in data.draw(st.lists(st.integers(1, len(lines)), max_size=4)):
+        lines.insert(at, "")
+    text = newline.join(lines)
+    if data.draw(st.booleans()):
+        text += newline
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.csv"
+        path.write_bytes(text.encode())
+        want_grid, want, want_b = _csv_reader_load_state(path, t=0.5)
+        got_grid, got, got_b = load_state(path, t=0.5)
+    assert got_grid == want_grid
+    assert got.t == want.t
+    assert _same_bits(got.gamma_surface, want.gamma_surface)
+    assert _same_bits(got.velocity, want.velocity)
+    assert _same_bits(got_b, want_b)
+
+
 def test_load_state_rejects_garbage(tmp_path):
     path = tmp_path / "state.csv"
     path.write_text("a,b,c,d\n" + "\n".join("0,0,0,0" for _ in range(9)))
