@@ -184,16 +184,22 @@ def save_state(state: FlowState, bathy, grid: Grid, path) -> None:
         fh.write("x,gamma_surface,u,b\r\n" + "".join(rows))
 
 
+# The CSV dialect of read_rows, as np.loadtxt arguments.
+_ROW_FORMAT = {"delimiter": ",", "comments": None, "quotechar": '"'}
+
+
 def read_rows(fh, path, kind: str) -> np.ndarray:
     """The numbers in the rest of an open CSV file, one array row per line.
 
-    One np.loadtxt pass, which parses each cell with the parser of float():
-    optional sign and surrounding whitespace, ASCII decimal or exponent
-    notation, nan and inf in any case, optionally in double quotes; digit
-    groups such as 1_000 are not numbers. Empty lines are skipped, and with
-    no rows left the result has shape (0, 0). A cell that is not a number,
-    or a row whose length differs from the first row's, raises
-    ValueError("malformed {kind} row in {path}: ...").
+    fh is a seekable text file positioned after a one-line header. One
+    np.loadtxt pass parses each cell with the parser of float(): optional
+    sign and surrounding whitespace, ASCII decimal or exponent notation,
+    nan and inf in any case, optionally in double quotes; digit groups such
+    as 1_000 are not numbers. Empty lines are skipped, and with no rows left
+    the result has shape (0, 0). A cell that is not a number, or a row whose
+    length differs from the first row's, raises ValueError("malformed {kind}
+    row in {path}: line N: ...") with N the line of the file, header
+    included.
     """
     lines = iter(fh)
     # np.loadtxt skips empty lines as well, but warns when it finds no row.
@@ -201,15 +207,34 @@ def read_rows(fh, path, kind: str) -> np.ndarray:
     if first is None:
         return np.empty((0, 0))
     try:
-        return np.loadtxt(
-            itertools.chain((first,), lines),
-            delimiter=",",
-            comments=None,
-            quotechar='"',
-            ndmin=2,
-        )
+        return np.loadtxt(itertools.chain((first,), lines), **_ROW_FORMAT, ndmin=2)
     except ValueError as exc:
-        raise ValueError("malformed {} row in {}: {}".format(kind, path, exc))
+        fh.seek(0)
+        problem = _first_bad_line(fh) or str(exc).split(";")[0]
+        raise ValueError("malformed {} row in {}: {}".format(kind, path, problem))
+
+
+def _first_bad_line(lines):
+    """'line N: ...' for the first body line np.loadtxt rejects, else None.
+
+    Parses the lines after the header one by one with the format of
+    read_rows, so that the line number counts every line of the file.
+    """
+    width = None
+    for number, line in enumerate(lines, 1):
+        if number == 1 or not line.rstrip("\r\n"):
+            continue
+        try:
+            cells = np.loadtxt([line], **_ROW_FORMAT, ndmin=1).size
+        except ValueError:
+            return "line {}: cannot read {!r} as numbers".format(
+                number, line.rstrip("\r\n")
+            )
+        if width is None:
+            width = cells
+        elif cells != width:
+            return "line {}: expected {} numbers, got {}".format(number, width, cells)
+    return None
 
 
 def load_state(path, t: float = 0.0):

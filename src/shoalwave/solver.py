@@ -3,12 +3,22 @@
 The evolved variables are the column thickness w = gamma_surface - b and
 its momentum w * u, with gravity scaled to one. Interface fluxes come from
 a two-wave approximate Riemann solver on bed-matched interface states
-(each side sees the column above the higher of the two bed values), which
-keeps a lake at rest exactly at rest; the detector keys on tiny
+(each side sees the column above the higher of the two bed values). An
+interface whose two states are identical takes the left flux, so that a
+balanced state produces bitwise-zero updates; the detector keys on tiny
 surface-minus-bed slopes, so the bed source must not leak truncation
-noise into a balanced state. An optional limited piecewise-linear
+noise into a balanced state. The interface states of a lake at rest are
+identical only where the bed offsets are exact: a first-order lake at
+surface 0 stays bitwise still as long as neighbouring bed values lie
+within a factor of two of each other. A periodic seam joining beds
+further apart, a nonzero level and the second-order path can leave
+deviations of order 1e-16. An optional limited piecewise-linear
 reconstruction with two-stage time stepping raises the order to two for
 convergence studies; the first-order path is the default.
+
+Most of a quiet sea is such still water. When both end interfaces are
+still, the flux solve computes wave speeds and intermediate fluxes only
+from the first to the last interface whose states differ.
 
 The bed is static: prepare() evaluates it, its ghost cells and the
 first-order interface bed offsets once, and run() reuses them for every
@@ -203,35 +213,66 @@ def _extended(w, m, domain: Domain, config: SolverConfig, t: float):
 def _hll(wl, ul, wr, ur, work: Workspace):
     """Two-wave approximate flux between reconstructed interface states.
 
+    An interface whose two states are identical takes the left flux. When
+    both end interfaces are such still water, the wave speeds and the
+    intermediate flux are computed only from the first to the last
+    interface whose states differ, and the interfaces outside that window
+    take the left flux directly. A NaN state never equals itself, so it
+    always lies inside the window.
+
     Every temporary lives in work; the two returned flux arrays do too.
     Each line computes what its comment says, with the same operands in
     the same order, so the results are bitwise those of the plain
     expressions.
     """
     size = wl.size
-    ml, mr, sl, sr, fl1, fr1, slsr, safe, mid0, mid1, tmp = work.take(
-        "hll", (11, size)
-    )
-    left, right, same = work.take("hll masks", (3, size), bool)
+    rows = work.take("hll", (11, size))
+    masks = work.take("hll masks", (3, size), bool)
+    # f0 and f1 are the returned flux rows; mid0 and mid1 view their window.
+    ml, mr, fl1, tmp, f0, f1 = rows[:6]
+    same = masks[0]
 
     np.multiply(wl, ul, out=ml)
     np.multiply(wr, ur, out=mr)
+    np.logical_and(
+        np.equal(wl, wr, out=same), np.equal(ml, mr, out=masks[1]), out=same
+    )
+    # fl1 = ml * ul + 0.5 * wl * wl
+    half = np.multiply(0.5, wl, out=tmp)
+    np.add(np.multiply(ml, ul, out=fl1), np.multiply(half, wl, out=tmp), out=fl1)
+
+    # Windowing a grid with one still end, such as a shelf run whose wall
+    # side is still quiet, costs more in views and the reversed scan than
+    # it saves. argmin of a bool array stops at its first False.
+    if same[0] and same[-1]:
+        lo = int(same.argmin())
+        if same[lo]:
+            return ml, fl1
+        hi = size - int(same[::-1].argmin())
+        for flux, from_left in ((f0, ml), (f1, fl1)):
+            flux[:lo] = from_left[:lo]
+            flux[hi:] = from_left[hi:]
+        window = slice(lo, hi)
+        wl, ul, wr, ur = wl[window], ul[window], wr[window], ur[window]
+        rows = rows[:, window]
+        masks = masks[:, window]
+    ml, mr, fl1, tmp, mid0, mid1, fr1, sl, sr, slsr, safe = rows
+    same, left, right = masks
+
     cl = np.sqrt(wl, out=sr)
     cr = np.sqrt(wr, out=tmp)
     # sl = minimum(ul - cl, ur - cr); sr = maximum(ul + cl, ur + cr)
     np.minimum(np.subtract(ul, cl, out=sl), np.subtract(ur, cr, out=slsr), out=sl)
     np.maximum(np.add(ul, cl, out=sr), np.add(ur, cr, out=tmp), out=sr)
 
-    # fl1 = ml * ul + 0.5 * wl * wl; fr1 = mr * ur + 0.5 * wr * wr
-    half = np.multiply(0.5, wl, out=tmp)
-    np.add(np.multiply(ml, ul, out=fl1), np.multiply(half, wl, out=tmp), out=fl1)
+    # fr1 = mr * ur + 0.5 * wr * wr
     half = np.multiply(0.5, wr, out=tmp)
     np.add(np.multiply(mr, ur, out=fr1), np.multiply(half, wr, out=tmp), out=fr1)
 
     # safe = where(span > 0, span, 1) with span = sr - sl
     np.subtract(sr, sl, out=safe)
-    np.logical_not(np.greater(safe, 0.0, out=same), out=same)
-    np.copyto(safe, 1.0, where=same)
+    np.logical_not(np.greater(safe, 0.0, out=left), out=left)
+    np.copyto(safe, 1.0, where=left)
     np.multiply(sl, sr, out=slsr)
     # mid0 = (sr * ml - sl * mr + slsr * (wr - wl)) / safe
     np.multiply(sr, ml, out=mid0)
@@ -245,18 +286,15 @@ def _hll(wl, ul, wr, ur, work: Workspace):
     np.divide(mid1, safe, out=mid1)
 
     # One left/right mask pass picks each flux. Left takes the left flux:
-    # supersonic to the right, or identical interface states, so that a
-    # balanced state produces bitwise-zero updates. Right takes the right
-    # flux; the rest keep the intermediate one.
+    # supersonic to the right, or identical interface states. Right takes
+    # the right flux; the rest keep the intermediate one.
     np.greater_equal(sl, 0.0, out=left)
-    left |= np.logical_and(
-        np.equal(wl, wr, out=same), np.equal(ml, mr, out=right), out=same
-    )
+    left |= same
     np.less_equal(sr, 0.0, out=right)
     for flux, from_left, from_right in ((mid0, ml, mr), (mid1, fl1, fr1)):
         np.copyto(flux, from_right, where=right)
         np.copyto(flux, from_left, where=left)
-    return mid0, mid1
+    return f0, f1
 
 
 def _rhs(w, m, domain: Domain, grid: Grid, config: SolverConfig, t: float):

@@ -61,6 +61,16 @@ MALFORMED = [
 ]
 
 
+def _names_the_bad_line(message, how, width):
+    """Whether message names line 4, the row _mangle broke, and no numpy advice."""
+    if how in ("header only", "four rows"):
+        return "line " not in message
+    expected = {
+        "ragged row": "line 4: expected {} numbers, got {}".format(width, width - 1),
+    }.get(how, "line 4: cannot read ")
+    return expected in message and "usecols" not in message
+
+
 def stage_bundled_cfg(tmp_path, name):
     root = importlib.resources.files("shoalwave") / "scenarios"
     path = tmp_path / name
@@ -510,6 +520,7 @@ class TestDetect:
         assert len(lines) == 1
         assert lines[0].startswith("cannot read state file: ")
         assert str(path) in lines[0]
+        assert _names_the_bad_line(lines[0], how, 4), lines[0]
 
     @pytest.mark.parametrize("how", MALFORMED)
     def test_malformed_bed_file_is_one_line(self, tmp_path, capsys, how):
@@ -527,6 +538,7 @@ class TestDetect:
         assert len(lines) == 1
         assert lines[0].startswith("bad bathymetry spec: ")
         assert str(path) in lines[0]
+        assert _names_the_bad_line(lines[0], how, 2), lines[0]
 
     def test_missing_file_exits_config(self, tmp_path, capsys):
         assert cli.main(["detect", str(tmp_path / "nope.csv")]) == 1
