@@ -28,7 +28,7 @@ import os
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,12 +56,18 @@ OUTPUT_ENV = "SHOALWAVE_OUT"
 # SolverConfig fields that only library callers set.
 _RUN_ONLY = ("max_steps", "inflow", "flux_perturbation")
 
-# The keys each initial kind reads besides 'kind'.
-_INITIAL_KEYS = {
-    "lake_at_rest": {"surface"},
-    "gaussian_pulse": {"center", "width", "amplitude", "surface"},
-    "linear_bottom_analytic": {"a0", "c0", "x1", "x2"},
-    "from_file": {"path"},
+# The parameters of each initial kind besides 'kind', read by _section in
+# field order. x1 and x2 left out mean 10 cells beyond the grid's ends.
+_INITIAL_KINDS = {
+    name: make_dataclass(name, params, kw_only=True)
+    for name, params in {
+        "lake_at_rest": [("surface", float, 0.0)],
+        "gaussian_pulse": [("surface", float, 0.0)]
+        + [(key, float) for key in ("center", "width", "amplitude")],
+        "linear_bottom_analytic": [("a0", float), ("c0", float)]
+        + [(key, float, None) for key in ("x1", "x2")],
+        "from_file": [("path", str)],
+    }.items()
 }
 
 
@@ -199,28 +205,24 @@ class ScenarioConfig:
                 )
         return bed
 
-    def build_initial(self, grid: Grid, bathy):
-        kind = self.initial["kind"]
-        if kind not in _INITIAL_KEYS:
+    def _initial_params(self):
+        params = dict(self.initial)
+        kind = params.pop("kind")
+        if kind not in _INITIAL_KINDS:
             raise ConfigError("unknown initial kind {!r}".format(kind))
-        doc = _mapping(self.initial, "initial", _INITIAL_KEYS[kind] | {"kind"})
-        surface = _as_float(doc.get("surface", 0.0), "initial.surface")
+        return kind, _section(params, _INITIAL_KINDS[kind], "initial")
+
+    def build_initial(self, grid: Grid, bathy):
+        kind, params = self._initial_params()
         try:
             if kind == "lake_at_rest":
-                return solver.initial_lake_at_rest(grid, surface)
+                return solver.initial_lake_at_rest(grid, **params)
             if kind == "gaussian_pulse":
-                shape = {
-                    key: _as_float(_require(doc, key, "initial"), "initial." + key)
-                    for key in ("center", "width", "amplitude")
-                }
-                return solver.initial_gaussian_pulse(
-                    grid, bathy, surface=surface, **shape
-                )
+                return solver.initial_gaussian_pulse(grid, bathy, **params)
             if kind == "linear_bottom_analytic":
                 sol = self.analytic_solution(grid)
                 return analytic.make_initial_state(sol, grid, self.solver["h_min"])
-            path = _require(doc, "path", "initial")
-            _, state, _ = fields.load_state(_convert(path, str, "initial.path"))
+            _, state, _ = fields.load_state(params["path"])
             if state.gamma_surface.size != grid.n:
                 raise ConfigError("initial state file does not match the grid")
             return state
@@ -229,19 +231,17 @@ class ScenarioConfig:
 
     def analytic_solution(self, grid: Grid):
         """Closed-form family member described by a linear_bottom_analytic IC."""
-        doc = dict(self.initial)
-        if doc.pop("kind") != "linear_bottom_analytic":
+        if self.initial["kind"] != "linear_bottom_analytic":
             raise ConfigError("initial kind is not linear_bottom_analytic")
         if self.bathymetry.get("kind") != "linear":
             raise ConfigError("linear_bottom_analytic needs bathymetry kind 'linear'")
         bed = self.build_bathymetry()
-        a0 = _as_float(_require(doc, "a0", "initial"), "initial.a0")
-        c0 = _as_float(_require(doc, "c0", "initial"), "initial.c0")
+        _, p = self._initial_params()
         pad = 10.0 * grid.dx
-        x1 = _as_float(doc.get("x1", grid.x0 - pad), "initial.x1")
-        x2 = _as_float(doc.get("x2", grid.x_last + pad), "initial.x2")
+        x1 = grid.x0 - pad if p["x1"] is None else p["x1"]
+        x2 = grid.x_last + pad if p["x2"] is None else p["x2"]
         try:
-            return analytic.LinearBottomSolution(a0, bed.b0, bed.b1, c0, x1, x2)
+            return analytic.LinearBottomSolution(p["a0"], bed.b0, bed.b1, p["c0"], x1, x2)
         except ValueError as exc:
             raise ConfigError("initial: {}".format(exc))
 

@@ -76,9 +76,11 @@ class Workspace:
 
     take(name, shape, dtype) returns the same array on every call with the
     same arguments, so a loop that writes its temporaries into a workspace
-    through ufunc out= arguments allocates them once. Each function takes
-    blocks under its own names; what it returns from them is overwritten by
-    its next call. A workspace serves one caller at a time.
+    through ufunc out= arguments allocates them once. Blocks are keyed by
+    name, shape and dtype, so a caller whose length varies from call to call
+    takes its blocks at the largest length once and slices them. Each
+    function takes blocks under its own names; what it returns from them is
+    overwritten by its next call. A workspace serves one caller at a time.
     """
 
     def __init__(self):
@@ -134,12 +136,15 @@ def depth(state: FlowState, bathy, grid: Grid) -> np.ndarray:
     return _checked(state.gamma_surface, grid) - bathy.eval(grid.x)
 
 
-def require_wet(w, t, message: str, h_min: float | None = None) -> None:
+def require_wet(
+    w, t, message: str, h_min: float | None = None, first_node: int = 0
+) -> None:
     """Raise NearDryError at the thinnest column of w if it is too thin.
 
     The floor is w < h_min when h_min is given and w <= 0 otherwise. message
     is a format template that may use {depth}, {node}, {t} and {h_min}; the
-    error carries node, t and depth. NaN entries are skipped; an all-NaN w
+    error carries node, t and depth. Nodes count from first_node, for a w
+    that is a window of a longer row. NaN entries are skipped; an all-NaN w
     raises nothing.
     """
     i = int(np.argmin(w))
@@ -152,9 +157,10 @@ def require_wet(w, t, message: str, h_min: float | None = None) -> None:
         low = w[i]
     too_thin = low <= 0.0 if h_min is None else low < h_min
     if too_thin:
+        node = first_node + i
         raise NearDryError(
-            message.format(depth=low, node=i, t=t, h_min=h_min),
-            node=i,
+            message.format(depth=low, node=node, t=t, h_min=h_min),
+            node=node,
             t=t,
             depth=float(low),
         )

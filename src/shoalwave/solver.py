@@ -18,12 +18,19 @@ convergence studies; the first-order path is the default.
 
 Most of a quiet sea is such still water. When both end interfaces are
 still, the flux solve computes wave speeds and intermediate fluxes only
-from the first to the last interface whose states differ.
+from the first to the last interface whose states differ. run() goes
+further with an active window: after its first, whole-grid step, each
+first-order step computes only the cells next to one that moved in the
+step before, and copies the others, which stepping would give back bit
+for bit (see _ActiveWindow). Fixed cells are checked cell by cell, not
+assumed, so this needs no well-balance argument; the window closes for the
+rest of the run when it nears an end, and is never used with an inflow or
+at second order.
 
 The bed is static: prepare() evaluates it, its ghost cells and the
 first-order interface bed offsets once, and run() reuses them for every
 step and detector pass. The prepared domain also holds the run's
-workspace: the first-order kernel and the run's detector search write
+workspace: the kernel of either order and the run's detector search write
 every temporary into arrays allocated on the first step, so a step
 allocates only the state it returns.
 
@@ -128,10 +135,6 @@ class RunResult:
     post_singular: bool
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
-
-
 @dataclass(frozen=True, eq=False)
 class Domain:
     """The static bed of one run, evaluated once for its grid and boundary.
@@ -197,8 +200,17 @@ def prepare(bathy, grid: Grid, config: SolverConfig) -> Domain:
     return Domain(x, b, b_e, bed_left, bed_right, ghost_x, Workspace())
 
 
-def _extended(w, m, domain: Domain, config: SolverConfig, t: float):
-    """Ghost-extended (w, m) per boundary kind, in the domain's workspace."""
+def _extended(w, m, domain: Domain, config: SolverConfig, t: float, lo=0, hi=None):
+    """Ghost-extended (w, m) of the cells [lo, hi) of whole-grid rows w and m.
+
+    For the whole grid the ghosts follow the boundary kind and live in the
+    domain's workspace. A window with 2 <= lo and hi <= n - 2 reads the two
+    real cells beside each end as its ghosts: the result is a view of
+    w[lo-2:hi+2] and m[lo-2:hi+2].
+    """
+    hi = w.size if hi is None else hi
+    if hi - lo < w.size:
+        return w[lo - 2 : hi + 2], m[lo - 2 : hi + 2]
     w_e, m_e = domain.work.take("ghosts", (2, w.size + 4))
     _fill_ghosts(w_e, w, config.boundary)
     _fill_ghosts(m_e, m, config.boundary, odd=True)
@@ -210,7 +222,13 @@ def _extended(w, m, domain: Domain, config: SolverConfig, t: float):
     return w_e, m_e
 
 
-def _hll(wl, ul, wr, ur, work: Workspace):
+def _leading(block, size):
+    """The first size columns of a workspace block, without a new view when
+    that is all of it: a whole-grid step then pays nothing for windows."""
+    return block if block.shape[-1] == size else block[:, :size]
+
+
+def _hll(wl, ul, wr, ur, work: Workspace, capacity: int | None = None):
     """Two-wave approximate flux between reconstructed interface states.
 
     An interface whose two states are identical takes the left flux. When
@@ -221,13 +239,15 @@ def _hll(wl, ul, wr, ur, work: Workspace):
     always lies inside the window.
 
     Every temporary lives in work; the two returned flux arrays do too.
-    Each line computes what its comment says, with the same operands in
-    the same order, so the results are bitwise those of the plain
-    expressions.
+    Its blocks are taken capacity interfaces long (default: as many as
+    given), so calls of any size up to capacity share them. Each line
+    computes what its comment says, with the same operands in the same
+    order, so the results are bitwise those of the plain expressions.
     """
     size = wl.size
-    rows = work.take("hll", (11, size))
-    masks = work.take("hll masks", (3, size), bool)
+    capacity = size if capacity is None else capacity
+    rows = _leading(work.take("hll", (11, capacity)), size)
+    masks = _leading(work.take("hll masks", (3, capacity), bool), size)
     # f0 and f1 are the returned flux rows; mid0 and mid1 view their window.
     ml, mr, fl1, tmp, f0, f1 = rows[:6]
     same = masks[0]
@@ -297,48 +317,90 @@ def _hll(wl, ul, wr, ur, work: Workspace):
     return f0, f1
 
 
-def _rhs(w, m, domain: Domain, grid: Grid, config: SolverConfig, t: float):
-    """Flux divergence plus bed source, as d/dt arrays over the real cells.
+def _minmod(a, b, out, flags, tmp):
+    """where(a * b <= 0, 0, where(|a| < |b|, a, b)) into out.
 
-    The returned arrays live in the domain's workspace. The first-order
-    path allocates nothing; the second-order reconstruction and
-    flux_perturbation allocate what they add.
+    flags is a (2, size) bool block and tmp a (2, size) float block.
     """
+    flat, pick_a = flags
+    np.less_equal(np.multiply(a, b, out=tmp[0]), 0.0, out=flat)
+    np.less(np.abs(a, out=tmp[0]), np.abs(b, out=tmp[1]), out=pick_a)
+    np.copyto(out, b)
+    np.copyto(out, a, where=pick_a)
+    np.copyto(out, 0.0, where=flat)
+
+
+def _edges(arr, minus, plus, rows, flags):
+    """Limited piecewise-linear edge values of the inner cells of arr.
+
+    minus, plus = center - 0.5 * slope, center + 0.5 * slope, with
+    center = arr[1:-1] and slope the minmod of its two one-sided
+    differences. rows is a (4, arr.size) float block of scratch.
+    """
+    d = np.subtract(arr[1:], arr[:-1], out=rows[0, : arr.size - 1])
+    slope = rows[1, : arr.size - 2]
+    _minmod(d[1:], d[:-1], slope, flags, rows[2:, : arr.size - 2])
+    center = arr[1:-1]
+    half = np.multiply(0.5, slope, out=slope)
+    np.subtract(center, half, out=minus)
+    np.add(center, half, out=plus)
+
+
+def _rhs(
+    w, m, domain: Domain, grid: Grid, config: SolverConfig, t: float, lo=0, hi=None
+):
+    """Flux divergence plus bed source, as d/dt arrays over the cells [lo, hi).
+
+    w and m are whole-grid rows; [lo, hi) defaults to every cell, and a
+    smaller window must keep two cells to each side (see _extended). Every
+    temporary and the returned arrays live in the domain's workspace, in
+    blocks taken at the whole grid's length, so windows of any size share
+    them. Each line computes what its comment says, with the same operands
+    in the same order as the plain expression.
+    """
+    n = grid.n
+    hi = n if hi is None else hi
+    size = hi - lo
     work = domain.work
-    w_e, m_e = _extended(w, m, domain, config, t)
-    wls, wrs, g_right, tmp = work.take("rhs", (4, grid.n + 1))
+    w_e, m_e = _extended(w, m, domain, config, t, lo, hi)
+    wls, wrs, g_right, tmp = _leading(work.take("rhs", (4, n + 1)), size + 1)
 
     # Interface j sits between cell edge arrays at j (left) and j+1 (right).
     if config.second_order:
-        eta_e = w_e + domain.b_e
-        u_e = m_e / w_e
-
-        def edges(arr):
-            d = np.diff(arr)
-            slope = _minmod(d[1:], d[:-1])
-            center = arr[1:-1]
-            return center - 0.5 * slope, center + 0.5 * slope
-
-        w_minus, w_plus = edges(w_e)
-        eta_minus, eta_plus = edges(eta_e)
-        u_minus, u_plus = edges(u_e)
-        b_minus = eta_minus - w_minus
-        b_plus = eta_plus - w_plus
+        rec = work.take("reconstruction", (12, n + 4))
+        flags = work.take("reconstruction flags", (2, n + 2), bool)
+        eta_e, u_e, scratch = rec[0], rec[1], rec[2:6]
+        w_minus, w_plus, b_minus, b_plus, u_minus, u_plus = rec[6:, : n + 2]
+        np.add(w_e, domain.b_e, out=eta_e)
+        np.divide(m_e, w_e, out=u_e)
+        _edges(w_e, w_minus, w_plus, scratch, flags)
+        # b_minus, b_plus = eta_minus - w_minus, eta_plus - w_plus
+        _edges(eta_e, b_minus, b_plus, scratch, flags)
+        np.subtract(b_minus, w_minus, out=b_minus)
+        np.subtract(b_plus, w_plus, out=b_plus)
+        _edges(u_e, u_minus, u_plus, scratch, flags)
         bl = b_plus[:-1]
         br = b_minus[1:]
-        b_int = np.maximum(bl, br)
-        np.maximum(w_plus[:-1] + (bl - b_int), 0.0, out=wls)
-        np.maximum(w_minus[1:] + (br - b_int), 0.0, out=wrs)
+        b_int = np.maximum(bl, br, out=scratch[0, : n + 1])
+        # wls = maximum(w_plus[:-1] + (bl - b_int), 0); wrs likewise
+        np.add(w_plus[:-1], np.subtract(bl, b_int, out=wls), out=wls)
+        np.maximum(wls, 0.0, out=wls)
+        np.add(w_minus[1:], np.subtract(br, b_int, out=wrs), out=wrs)
+        np.maximum(wrs, 0.0, out=wrs)
         ul = u_plus[:-1]
         ur = u_minus[1:]
     else:
         center_w = w_e[1:-1]
-        center_u = np.divide(m_e[1:-1], center_w, out=work.take("rhs u", grid.n + 2))
-        np.maximum(np.add(center_w[:-1], domain.bed_left, out=wls), 0.0, out=wls)
-        np.maximum(np.add(center_w[1:], domain.bed_right, out=wrs), 0.0, out=wrs)
+        center_u = np.divide(
+            m_e[1:-1], center_w, out=work.take("rhs u", n + 2)[: size + 2]
+        )
+        bed_left = domain.bed_left[lo : hi + 1]
+        bed_right = domain.bed_right[lo : hi + 1]
+        np.maximum(np.add(center_w[:-1], bed_left, out=wls), 0.0, out=wls)
+        np.maximum(np.add(center_w[1:], bed_right, out=wrs), 0.0, out=wrs)
         ul = center_u[:-1]
         ur = center_u[1:]
-    f0, f1 = _hll(wls, ul, wrs, ur, work)
+    f0, f1 = _hll(wls, ul, wrs, ur, work, capacity=n + 1)
 
     # Group each hydrostatic correction with its own interface flux; at a
     # balanced state every grouped term is identically zero.
@@ -348,10 +410,13 @@ def _rhs(w, m, domain: Domain, grid: Grid, config: SolverConfig, t: float):
     half_sq = np.multiply(0.5, np.square(wrs, out=tmp), out=tmp)
     g_left = np.subtract(f1, half_sq, out=f1)
     if config.flux_perturbation != 0.0:
-        g_right = g_right + config.flux_perturbation * grid.dx * 0.5 * (wls + wrs)
+        # g_right += flux_perturbation * dx * 0.5 * (wls + wrs)
+        scale = config.flux_perturbation * grid.dx * 0.5
+        np.multiply(scale, np.add(wls, wrs, out=tmp), out=tmp)
+        np.add(g_right, tmp, out=g_right)
 
     inv_dx = 1.0 / grid.dx
-    rw, rm = work.take("rates", (2, grid.n))
+    rw, rm = _leading(work.take("rates", (2, n)), size)
     # rw = -(f0[1:] - f0[:-1]) * inv_dx
     np.negative(np.subtract(f0[1:], f0[:-1], out=rw), out=rw)
     np.multiply(rw, inv_dx, out=rw)
@@ -360,9 +425,15 @@ def _rhs(w, m, domain: Domain, grid: Grid, config: SolverConfig, t: float):
     if config.second_order:
         wm = w_minus[1:-1]
         wp = w_plus[1:-1]
-        cell_jump = 0.5 * wp**2 - 0.5 * wm**2
-        bed_term = -0.5 * (wm + wp) * (b_plus[1:-1] - b_minus[1:-1])
-        np.subtract(np.add(rm, cell_jump, out=rm), bed_term, out=rm)
+        jump, term = scratch[:2, :n]
+        # cell_jump = 0.5 * wp**2 - 0.5 * wm**2
+        np.multiply(0.5, np.square(wp, out=jump), out=jump)
+        np.subtract(jump, np.multiply(0.5, np.square(wm, out=term), out=term), out=jump)
+        np.add(rm, jump, out=rm)
+        # bed_term = -0.5 * (wm + wp) * (b_plus[1:-1] - b_minus[1:-1])
+        np.multiply(-0.5, np.add(wm, wp, out=term), out=term)
+        np.multiply(term, np.subtract(b_plus[1:-1], b_minus[1:-1], out=jump), out=term)
+        np.subtract(rm, term, out=rm)
     else:
         # With one value per cell the cell jump is +0.0 and the bed term
         # -0.0 exactly; adding +0.0 keeps their one effect on the sum,
@@ -373,17 +444,92 @@ def _rhs(w, m, domain: Domain, grid: Grid, config: SolverConfig, t: float):
     return rw, rm
 
 
-def _require_finite(arr, t, what):
+def _require_finite(arr, t, what, first_node=0):
     # A finite sum means every entry is finite; only a sum that is not
     # (a non-finite entry, or an overflow) pays for the per-node check.
     if math.isfinite(arr.sum()):
         return
     bad = ~np.isfinite(arr)
     if np.any(bad):
-        node = int(np.argmax(bad))
+        node = first_node + int(np.argmax(bad))
         raise NumericBlowUpError(
             "non-finite {} at node {} (t={})".format(what, node, t), node=node, t=t
         )
+
+
+# The end cells that every window leaves out, so that its ghosts are cells.
+_ENDS = (0, 1, -2, -1)
+
+
+class _ActiveWindow:
+    """The cells [lo, hi) that the next first-order step of a run computes.
+
+    Every other cell is fixed: its last step gave rates rw and rm of +-0
+    (before the dt multiply, since dt * r can underflow to 0) and its
+    surface and velocity back bit for bit. A first-order rate depends only
+    on the cell, its two neighbours and the static bed, not on dt, and with
+    zero rates the update does not depend on dt either. So a fixed cell
+    whose neighbours are fixed too steps to the same bits again, whatever
+    the bed, the level or the boundary kind; this is checked cell by cell
+    rather than assumed, and needs no well-balance argument. The next
+    window runs from the first moved cell minus 1 to the last moved cell
+    plus 1; it may grow and shrink, and a larger window is always safe.
+    When no cell moved, as in a lake at rest, any window is safe and the
+    run steps a single cell.
+
+    The window closes, and every later step takes the whole grid, when it
+    would come within two cells of an end (its ghosts must be real cells,
+    which also keeps a periodic seam fixed), and from the start for an
+    inflow, whose ghosts follow t, and for the second-order path, whose
+    stages reach two cells.
+    """
+
+    def __init__(self, grid: Grid, config: SolverConfig, work: Workspace):
+        self.n = grid.n
+        self.lo, self.hi = 0, grid.n
+        self.open = config.inflow is None and not config.second_order
+        self._masks = work.take("active window", (2, grid.n), bool)
+
+    def _close(self):
+        self.open = False
+        self.lo, self.hi = 0, self.n
+
+    def note_rates(self, rw, rm):
+        """Mark the cells of the window whose rates are both +-0."""
+        if not self.open:
+            return
+        # A whole-grid step whose end cells move cannot leave a window; a
+        # run that moves an end from its first step pays nothing more.
+        if self.hi - self.lo == self.n and not all(
+            rw[i] == 0.0 and rm[i] == 0.0 for i in _ENDS
+        ):
+            self._close()
+            return
+        still, same = _leading(self._masks, rw.size)
+        np.equal(rw, 0.0, out=still)
+        still &= np.equal(rm, 0.0, out=same)
+
+    def advance(self, old: FlowState, gamma_surface, velocity):
+        """Choose the next window from this step's rates and new state."""
+        if not self.open:
+            return
+        cells = slice(self.lo, self.hi)
+        still, same = _leading(self._masks, self.hi - self.lo)
+        pairs = ((old.gamma_surface, gamma_surface), (old.velocity, velocity))
+        for before, after in pairs:
+            still &= np.equal(
+                before[cells].view(np.int64), after[cells].view(np.int64), out=same
+            )
+        first = int(still.argmin())  # argmin of a bool array: the first False
+        if still[first]:  # nothing moved, so any window is safe: take one cell
+            lo, hi = 2, 3
+        else:
+            last = still.size - 1 - int(still[::-1].argmin())
+            lo, hi = self.lo + first - 1, self.lo + last + 2
+        if lo < 2 or hi > self.n - 2:
+            self._close()
+        else:
+            self.lo, self.hi = lo, hi
 
 
 def step(
@@ -394,6 +540,7 @@ def step(
     dt_max: float | None = None,
     *,
     domain: Domain | None = None,
+    _window: _ActiveWindow | None = None,
 ) -> FlowState:
     """Advance one step of size cfl * dx / max(|u| + sqrt(w)).
 
@@ -403,44 +550,76 @@ def step(
     prepare(bathy, grid, config); run() builds it once for all its steps.
     The returned state's arrays are new; the temporaries live in the
     domain's workspace.
+
+    A direct call steps every cell. run() also passes its active window
+    (see _ActiveWindow): the step then computes only the cells [lo, hi),
+    checks only them for wet and finite values, reporting the same nodes,
+    and copies every other cell, which stepping would give back bit for
+    bit. dt stays exact: the workspace keeps the whole row of wave speeds,
+    whose cells outside the window have not changed since they were
+    written. The window then moves on from this step's rates and state.
     """
     if domain is None:
         domain = prepare(bathy, grid, config)
+    n = grid.n
+    lo, hi = (0, n) if _window is None else (_window.lo, _window.hi)
+    whole = hi - lo == n
+    cells = slice(lo, hi)
+    reach = cells if whole else slice(lo - 2, hi + 2)
     b = domain.b
-    w, m, speed = domain.work.take("step", (3, grid.n))
-    np.subtract(state.gamma_surface, b, out=w)
-    require_wet(w, state.t, BELOW_H_MIN, config.h_min)
-    u = state.velocity
-    _require_finite(w, state.t, "thickness")
-    _require_finite(u, state.t, "velocity")
+    w_row, m_row, speed = domain.work.take("step", (3, n))
+    w_reach, m_reach = w_row[reach], m_row[reach]
+    np.subtract(state.gamma_surface[reach], b[reach], out=w_reach)
+    w, m, u, fast = w_row[cells], m_row[cells], state.velocity[cells], speed[cells]
+    require_wet(w, state.t, BELOW_H_MIN, config.h_min, first_node=lo)
+    _require_finite(w, state.t, "thickness", lo)
+    _require_finite(u, state.t, "velocity", lo)
 
-    # fastest = max(|u| + sqrt(w))
-    np.add(np.abs(u, out=speed), np.sqrt(w, out=m), out=speed)
+    # fastest = max(|u| + sqrt(w)) over the whole row
+    np.add(np.abs(u, out=fast), np.sqrt(w, out=m), out=fast)
     fastest = float(speed.max())
     dt = config.cfl * grid.dx / fastest
     if dt_max is not None:
         dt = min(dt, float(dt_max))
-    np.multiply(w, u, out=m)
+    np.multiply(w_reach, state.velocity[reach], out=m_reach)
 
     if config.second_order:
-        rw1, rm1 = _rhs(w, m, domain, grid, config, state.t)
-        w1 = w + dt * rw1
-        m1 = m + dt * rm1
+        rw1, rm1 = _rhs(w_row, m_row, domain, grid, config, state.t)
+        # w1 = w + dt * rw1; m1 = m + dt * rm1
+        w1, m1 = domain.work.take("stage", (2, n))
+        np.add(w, np.multiply(dt, rw1, out=rw1), out=w1)
+        np.add(m, np.multiply(dt, rm1, out=rm1), out=m1)
         require_wet(w1, state.t + dt, "intermediate stage dried out at node {node}")
         rw2, rm2 = _rhs(w1, m1, domain, grid, config, state.t + dt)
-        w_new = 0.5 * (w + w1 + dt * rw2)
-        m_new = 0.5 * (m + m1 + dt * rm2)
+        # w_new = 0.5 * (w + w1 + dt * rw2); m_new likewise, over w and m
+        for new, stage, rate in ((w, w1, rw2), (m, m1, rm2)):
+            np.add(new, stage, out=new)
+            np.add(new, np.multiply(dt, rate, out=rate), out=new)
+            np.multiply(0.5, new, out=new)
     else:
-        rw, rm = _rhs(w, m, domain, grid, config, state.t)
+        rw, rm = _rhs(w_row, m_row, domain, grid, config, state.t, lo, hi)
+        if _window is not None:
+            _window.note_rates(rw, rm)
         # w_new = w + dt * rw; m_new = m + dt * rm, over w and m
-        w_new = np.add(w, np.multiply(dt, rw, out=rw), out=w)
-        m_new = np.add(m, np.multiply(dt, rm, out=rm), out=m)
+        np.add(w, np.multiply(dt, rw, out=rw), out=w)
+        np.add(m, np.multiply(dt, rm, out=rm), out=m)
 
     t_new = state.t + dt
-    _require_finite(w_new, t_new, "thickness")
-    _require_finite(m_new, t_new, "momentum")
-    require_wet(w_new, t_new, BELOW_H_MIN, config.h_min)
-    return FlowState(t_new, w_new + b, m_new / w_new)
+    _require_finite(w, t_new, "thickness", lo)
+    _require_finite(m, t_new, "momentum", lo)
+    require_wet(w, t_new, BELOW_H_MIN, config.h_min, first_node=lo)
+    # gamma_surface = w_new + b; velocity = m_new / w_new, over the window
+    # of a copy of the old state
+    if whole:
+        gamma_surface, velocity = np.add(w, b), np.divide(m, w)
+    else:
+        gamma_surface = state.gamma_surface.copy()
+        velocity = state.velocity.copy()
+        np.add(w, b[cells], out=gamma_surface[cells])
+        np.divide(m, w, out=velocity[cells])
+    if _window is not None:
+        _window.advance(state, gamma_surface, velocity)
+    return FlowState(t_new, gamma_surface, velocity)
 
 
 class _EventTracker:
@@ -482,8 +661,11 @@ def run(
 ) -> RunResult:
     """Integrate to t_end, recording snapshots and detector events.
 
-    Every post-step state goes through the singular-point detector;
-    crossing events are logged at onset in time order. Plateau points are
+    The first step computes every cell; later first-order steps compute
+    only the active window of cells that can change (see _ActiveWindow),
+    with the same bits as whole-grid steps. Every post-step state goes
+    through the singular-point detector, over the whole grid; crossing
+    events are logged at onset in time order. Plateau points are
     not part of the run log (they persist for as long as the flow stays in
     the degenerate family; the one-shot detect command reports them).
     Integration continues after a rush event unless stop_at_first_event is
@@ -492,6 +674,7 @@ def run(
     det = detector_config if detector_config is not None else DetectorConfig()
     check_wet(initial, bathy, grid, config.h_min)
     domain = prepare(bathy, grid, config)
+    window = _ActiveWindow(grid, config, domain.work)
     gamma_ref = float(np.sqrt(np.max(initial.gamma_surface - domain.b)))
 
     state = initial.copy()
@@ -515,7 +698,13 @@ def run(
             )
         try:
             state = step(
-                state, bathy, grid, config, dt_max=config.t_end - state.t, domain=domain
+                state,
+                bathy,
+                grid,
+                config,
+                dt_max=config.t_end - state.t,
+                domain=domain,
+                _window=window,
             )
         except (NearDryError, NumericBlowUpError) as exc:
             exc.step = steps + 1

@@ -47,6 +47,25 @@ def test_round_trip_many_random_arrays():
     assert worst <= 1e-15
 
 
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)), min_size=1, max_size=50
+    )
+)
+def test_reconstruct_inverts_the_invariants(columns):
+    # (u, gamma) -> (p, q) -> (u, gamma) and back again, each within a few
+    # roundings of the column's own scale |u| + 2 gamma.
+    u, gamma = np.array(columns).T
+    p, q = u + 2.0 * gamma, u - 2.0 * gamma
+    u2, gamma2 = riemann.reconstruct(p, q)
+    scale = 2.0 * np.finfo(float).eps * (np.abs(u) + 2.0 * gamma)
+    assert np.all(np.abs(u2 - u) <= scale)
+    assert np.all(np.abs(gamma2 - gamma) <= scale)
+    assert np.all(np.abs((u2 + 2.0 * gamma2) - p) <= 2.0 * scale)
+    assert np.all(np.abs((u2 - 2.0 * gamma2) - q) <= 2.0 * scale)
+
+
 def test_reconstruct_rejects_crossed_invariants():
     with pytest.raises(InvalidInvariantsError):
         riemann.reconstruct(np.array([1.0, 0.0]), np.array([0.0, 0.5]))

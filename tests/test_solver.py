@@ -817,11 +817,25 @@ detector: {}
 """
 
 
-def test_still_sea_run_writes_the_frozen_bytes(tmp_path, capsys):
+def test_still_sea_run_writes_the_frozen_bytes(tmp_path, capsys, monkeypatch):
+    # Only the first step of the run solves every interface; the others
+    # solve the active window's.
+    interfaces = []
+    hll = solver._hll
+
+    def counted_hll(wl, *args, **kwargs):
+        interfaces.append(wl.size)
+        return hll(wl, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_hll", counted_hll)
     cfg = tmp_path / "still_sea.cfg"
     cfg.write_text(STILL_SEA)
     assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
+    cells = 2000
+    assert interfaces[0] == cells + 1
+    assert len(interfaces) > 100
+    assert max(interfaces[1:]) < cells + 1
     run_dir = tmp_path / "out" / "still_sea"
     got = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -831,3 +845,310 @@ def test_still_sea_run_writes_the_frozen_bytes(tmp_path, capsys):
     _, final, _ = load_state(run_dir / max(n for n in got if n.startswith("snap_")))
     for still in (final.gamma_surface, final.velocity):
         assert not np.any(still[:100]) and not np.any(still[-100:])
+
+
+class _StepLog:
+    """Within a with block, solver.step records each call of run().
+
+    windows holds each call's active window as (lo, hi), and states the
+    state it returned. plant(k, state, window), when given, may replace the
+    input state of call k (counted from 1) before the step sees it.
+    """
+
+    def __init__(self, plant=None):
+        self.plant = plant
+        self.windows = []
+        self.states = []
+
+    def __enter__(self):
+        self.step = solver.step
+
+        def logged(state, *args, _window, **kwargs):
+            self.windows.append((_window.lo, _window.hi))
+            if self.plant is not None:
+                state = self.plant(len(self.windows), state, _window)
+            out = self.step(state, *args, _window=_window, **kwargs)
+            self.states.append(out)
+            return out
+
+        solver.step = logged
+        return self
+
+    def __exit__(self, *exc):
+        solver.step = self.step
+        return False
+
+
+def _error_fields(exc):
+    return type(exc), str(exc), exc.node, exc.t, getattr(exc, "depth", None)
+
+
+def _run_matches_whole_grid_steps(grid, bathy, initial, config, plant=None):
+    """Compare run() with whole-grid step calls from the same start.
+
+    Every state must match bit for bit, and a failure must match in class,
+    message, node, t, depth and step. Returns the windows run() used.
+    """
+    failure = None
+    with _StepLog(plant) as log, np.errstate(all="ignore"):
+        try:
+            solver.run(initial, bathy, grid, config)
+        except (NearDryError, NumericBlowUpError) as exc:
+            failure = exc
+    state = initial
+    with np.errstate(all="ignore"):
+        for k in range(1, len(log.windows) + 1):
+            if plant is not None:
+                state = plant(k, state, None)
+            try:
+                want = solver.step(state, bathy, grid, config, dt_max=config.t_end - state.t)
+            except (NearDryError, NumericBlowUpError) as exc:
+                assert failure is not None and failure.step == k
+                assert _error_fields(failure) == _error_fields(exc)
+                return log.windows
+            got = log.states[k - 1]
+            assert got.t == want.t
+            assert _same_bits(got.gamma_surface, want.gamma_surface)
+            assert _same_bits(got.velocity, want.velocity)
+            state = want
+    assert failure is None
+    return log.windows
+
+
+def _steps_in(state, bathy, grid, config, steps):
+    """t_end for about the given number of steps from state."""
+    w = state.gamma_surface - bathy.eval(grid.x)
+    fastest = float(np.max(np.abs(state.velocity) + np.sqrt(w)))
+    return steps * config.cfl * grid.dx / fastest
+
+
+@st.composite
+def _disturbed_lakes(draw):
+    """A lake at a random level, disturbed over one range or not at all.
+
+    The range may touch either end, both or neither; the run is long
+    enough for a disturbance near an end to reach it part-way through.
+    """
+    n = draw(st.integers(12, 64))
+    grid = Grid(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.02, 0.3)), n)
+    bathy = _draw_bed(draw, grid, ["flat", "tanh", "sampled"])
+    level = draw(st.one_of(st.just(0.0), st.floats(-0.05, 0.05)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    surface = np.full(n, level)
+    velocity = np.zeros(n)
+    lo = draw(st.integers(0, n))
+    hi = draw(st.integers(lo, n))
+    depth = level - bathy.eval(grid.x[lo:hi])
+    surface[lo:hi] += rng.uniform(-0.3, 0.3, hi - lo) * depth
+    velocity[lo:hi] = rng.uniform(-0.3, 0.3, hi - lo)
+    state = FlowState(0.0, surface, velocity)
+    config = solver.SolverConfig(
+        t_end=1.0,
+        cfl=draw(st.floats(0.1, 0.9)),
+        boundary=draw(st.sampled_from(solver.BOUNDARY_KINDS)),
+        second_order=draw(st.booleans()),
+        flux_perturbation=draw(st.sampled_from([0.0, 0.0, 0.05])),
+    )
+    config.t_end = _steps_in(state, bathy, grid, config, draw(st.integers(1, 40)))
+    return grid, bathy, state, config
+
+
+@settings(deadline=None, max_examples=80)
+@given(_disturbed_lakes())
+def test_run_with_its_window_matches_whole_grid_steps(case):
+    _run_matches_whole_grid_steps(*case)
+
+
+def _pulse_in_a_still_sea(n=240, center=0.5, boundary="periodic", steps=60):
+    grid = Grid(0.0, 0.05, n)
+    bathy = TanhSafe(1.0, 0.5)
+    x = grid.x
+    # Zero beyond 10 cells of its crest, where a Gaussian's tail would not be.
+    hump = 0.01 * np.maximum(1.0 - ((x - x[int(center * n)]) / 0.5) ** 2, 0.0) ** 2
+    state = FlowState(0.0, hump, 0.5 * hump)
+    config = solver.SolverConfig(t_end=1.0, boundary=boundary)
+    config.t_end = _steps_in(state, bathy, grid, config, steps)
+    return grid, bathy, state, config
+
+
+@pytest.mark.parametrize("boundary", solver.BOUNDARY_KINDS)
+def test_window_grows_shrinks_and_closes_at_an_end(boundary):
+    # A pulse 30 cells from the right end, and 20 cells to its left a
+    # speck below rounding that the first step flushes to the still level:
+    # the window spans both, shrinks once the speck is still, follows the
+    # pulse, and the whole grid takes over when the pulse nears the end.
+    grid, bathy, state, config = _pulse_in_a_still_sea(
+        center=0.75, boundary=boundary, steps=200
+    )
+    state.gamma_surface[160] = 1e-20
+    windows = _run_matches_whole_grid_steps(grid, bathy, state, config)
+    n = grid.n
+    sizes = [hi - lo for lo, hi in windows]
+    assert sizes[0] == n
+    windowed = [k for k, size in enumerate(sizes) if size < n]
+    assert windowed[0] == 1 and len(windowed) > 20
+    assert sizes[windowed[-1] + 1 :] and set(sizes[windowed[-1] + 1 :]) == {n}
+    assert sizes[2] < sizes[1] and sizes[3] > sizes[2]
+
+
+@pytest.mark.parametrize("boundary", solver.BOUNDARY_KINDS)
+def test_still_lake_steps_one_cell_after_the_first_step(boundary):
+    grid = Grid(-3.0, 0.05, 120)
+    bathy = TanhSafe(1.0, 0.5)
+    state = solver.initial_lake_at_rest(grid)
+    config = solver.SolverConfig(t_end=1.0, boundary=boundary)
+    config.t_end = _steps_in(state, bathy, grid, config, 20)
+    windows = _run_matches_whole_grid_steps(grid, bathy, state, config)
+    assert windows[0] == (0, grid.n)
+    assert len(windows) > 10 and set(windows[1:]) == {(2, 3)}
+
+
+@pytest.mark.parametrize("moving", ["rw", "rm"])
+def test_a_cell_with_a_nonzero_rate_stays_in_the_window(moving):
+    # dt * 1e-300 underflows to 0, so the cell's state comes back unchanged,
+    # yet a larger dt could move it: its rate alone keeps it in the window.
+    # Rates of -0.0 count as zero.
+    grid = Grid(0.0, 0.1, 40)
+    config = solver.SolverConfig(t_end=1.0)
+    window = solver._ActiveWindow(grid, config, fields.Workspace())
+    state = solver.initial_lake_at_rest(grid)
+    rates = {"rw": np.full(grid.n, -0.0), "rm": np.zeros(grid.n)}
+    rates[moving][20] = 1e-300
+    window.note_rates(rates["rw"], rates["rm"])
+    window.advance(state, state.gamma_surface.copy(), state.velocity.copy())
+    assert window.open and (window.lo, window.hi) == (19, 22)
+
+
+def _plant(at_step, change, b):
+    """A plant for _StepLog: at call at_step, change(surface, velocity, b, i)
+    a copy of the state at node i, the middle of the windowed run's active
+    window; the whole-grid run takes the same node."""
+    nodes = []
+
+    def plant(k, state, window):
+        if k != at_step:
+            return state
+        if window is not None:
+            assert window.hi - window.lo < window.n
+            nodes.append((window.lo + window.hi) // 2)
+        state = state.copy()
+        change(state.gamma_surface, state.velocity, b, nodes[0])
+        return state
+
+    return plant
+
+
+def _drain(surface, velocity, b, i):
+    # Seven columns just above h_min flowing apart from the middle one: the
+    # step drains the two beside it below h_min.
+    surface[i - 3 : i + 4] = b[i - 3 : i + 4] + 1.1e-6
+    velocity[i - 3 : i + 4] = [-1.0, -1.0, -1.0, 0.0, 1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param(lambda s, u, b, i: s.__setitem__(i, b[i] + 0.5e-6), id="below-h_min"),
+        pytest.param(lambda s, u, b, i: s.__setitem__(i, np.nan), id="nan-surface"),
+        pytest.param(lambda s, u, b, i: u.__setitem__(i, np.nan), id="nan-velocity"),
+        pytest.param(lambda s, u, b, i: u.__setitem__(i, 1e200), id="momentum-overflow"),
+        pytest.param(_drain, id="drained"),
+    ],
+)
+def test_window_failure_matches_the_whole_grid_step(change):
+    grid, bathy, state, config = _pulse_in_a_still_sea()
+    plant = _plant(5, change, bathy.eval(grid.x))
+    _run_matches_whole_grid_steps(grid, bathy, state, config, plant)
+    with pytest.raises((NearDryError, NumericBlowUpError)) as info:
+        with _StepLog(plant) as log, np.errstate(all="ignore"):
+            solver.run(state, bathy, grid, config)
+    assert info.value.step == 5
+    lo, hi = log.windows[-1]
+    assert lo <= info.value.node < hi and hi - lo < grid.n
+
+
+def test_windowed_steps_keep_the_workspace_and_peak_flat():
+    # A few hundred windowed steps take no new workspace block and each
+    # allocates only the state it returns, whatever the window's size.
+    grid, bathy, state, config = _pulse_in_a_still_sea(n=2000, steps=300)
+    n = grid.n
+    domain = solver.prepare(bathy, grid, config)
+    window = solver._ActiveWindow(grid, config, domain.work)
+    state = solver.step(state, bathy, grid, config, domain=domain, _window=window)
+    blocks = set(domain.work._arrays)
+    sizes, peaks = set(), []
+    tracemalloc.start()
+    try:
+        for _ in range(300):
+            assert window.open
+            sizes.add(window.hi - window.lo)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            state = solver.step(state, bathy, grid, config, domain=domain, _window=window)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) > 10 and max(sizes) < n // 2
+    assert set(domain.work._arrays) == blocks
+    assert max(peaks) <= 3 * n * np.dtype(float).itemsize, max(peaks) / (n * 8)
+
+
+@pytest.mark.parametrize("flux_perturbation", [0.0, 0.05])
+def test_second_order_step_allocates_only_the_state_it_returns(flux_perturbation):
+    n = 12000
+    grid = Grid(0.0, 0.01, n)
+    bathy = TanhSafe(1.0, 0.5)
+    config = solver.SolverConfig(
+        t_end=1.0, second_order=True, flux_perturbation=flux_perturbation
+    )
+    hump = 0.01 * np.exp(-(((grid.x - 60.0) / 3.0) ** 2))
+    domain = solver.prepare(bathy, grid, config)
+    state = solver.step(FlowState(0.0, hump, hump.copy()), bathy, grid, config, domain=domain)
+    tracemalloc.start()
+    try:
+        solver.step(state, bathy, grid, config, domain=domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * np.dtype(float).itemsize, peak / (n * 8)
+
+
+@st.composite
+def _wet_states(draw, boundary):
+    """Random wet states, or lakes with still ends so the window engages."""
+    n = draw(st.integers(12, 64))
+    grid = Grid(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.02, 0.3)), n)
+    bathy = _draw_bed(draw, grid, ["flat", "tanh", "sampled"])
+    b = bathy.eval(grid.x)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        surface = b + rng.uniform(0.2, 2.0, n)
+        velocity = rng.uniform(-0.5, 0.5, n)
+    else:
+        surface = np.full(n, draw(st.floats(-0.05, 0.05)))
+        velocity = np.zeros(n)
+        lo = draw(st.integers(3, n - 4))
+        hi = draw(st.integers(lo, n - 3))
+        surface[lo:hi] += rng.uniform(-0.3, 0.3, hi - lo) * (surface[lo:hi] - b[lo:hi])
+        velocity[lo:hi] = rng.uniform(-0.5, 0.5, hi - lo)
+    state = FlowState(0.0, surface, velocity)
+    config = solver.SolverConfig(
+        t_end=1.0,
+        cfl=draw(st.floats(0.1, 0.9)),
+        boundary=boundary,
+        second_order=draw(st.booleans()),
+    )
+    config.t_end = _steps_in(state, bathy, grid, config, draw(st.integers(1, 40)))
+    return grid, bathy, state, config
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "reflective"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_closed_boundaries_conserve_mass(boundary, data):
+    grid, bathy, state, config = data.draw(_wet_states(boundary))
+    b = bathy.eval(grid.x)
+    result = solver.run(state, bathy, grid, config)
+    mass0 = float(np.sum(state.gamma_surface - b))
+    mass = float(np.sum(result.snapshots[-1].gamma_surface - b))
+    assert abs(mass - mass0) <= 1e-10 * mass0
