@@ -203,24 +203,40 @@ def find_crossings(
         x = grid.x
     if work is None:
         work = Workspace()
-    scratch = work.take("crossings", px.size)
-    resolved, crossing = work.take("crossing masks", (2, px.size), bool)
-    # crossing = (px[:-1] * px[1:] < 0) & resolved[:-1] & resolved[1:],
-    # with resolved = ~(|px| <= eps)
-    np.less_equal(np.abs(px, out=scratch), eps, out=resolved)
-    np.logical_not(resolved, out=resolved)
-    crossing = np.less(
-        np.multiply(px[:-1], px[1:], out=scratch[:-1]), 0.0, out=crossing[:-1]
+    pairs = work.take("crossing pairs", px.size - 1, bool)
+    products = work.take("crossings", px.size - 1)
+    _mark_pairs(px, pairs, products, 0, px.size)
+    return _crossings(px, pairs, eps, bathy, x, grid.dx)
+
+
+def _mark_pairs(px, pairs, products, lo: int, hi: int) -> None:
+    """Rewrite pairs[i] = px[i] * px[i + 1] < 0 wherever px[lo:hi] is read.
+
+    Those are the pairs [lo - 1, hi), clipped to the px.size - 1 pairs;
+    products is scratch of the pairs' length.
+    """
+    a, b = max(lo - 1, 0), min(hi, px.size - 1)
+    np.less(
+        np.multiply(px[a:b], px[a + 1 : b + 1], out=products[a:b]), 0.0, out=pairs[a:b]
     )
-    crossing &= resolved[:-1]
-    crossing &= resolved[1:]
+
+
+def _crossings(px, pairs, eps: float, bathy, x, dx: float) -> list[CriticalPoint]:
+    """find_crossings over the sign changes that pairs marks.
+
+    Both nodes of a crossing must be resolved: not |p_x| <= eps, which a
+    NaN threshold resolves every node for.
+    """
     points = []
-    for i in np.nonzero(crossing)[0]:
-        x_star = x[i] + grid.dx * px[i] / (px[i] - px[i + 1])
+    for i in pairs.nonzero()[0].tolist():
+        left, right = px[i], px[i + 1]
+        if abs(left) <= eps or abs(right) <= eps:
+            continue
+        x_star = x[i] + dx * left / (left - right)
         b_x = float(bathy.slope(x_star))
         if abs(b_x) <= eps:
             continue
-        points.append(CriticalPoint(float(x_star), int(i), False, b_x))
+        points.append(CriticalPoint(float(x_star), i, False, b_x))
     points.sort(key=lambda pt: pt.x_star)
     return points
 
@@ -373,14 +389,10 @@ def classify(
     DegeneratePlateau, which never claims an infinite speed. x, when
     given, must be grid.x.
     """
-    x_star = point.x_star
     if x is None:
         x = grid.x
-    if not x[0] <= x_star <= x[-1]:
-        raise DomainError("x_star={} outside grid [{}, {}]".format(x_star, x[0], x[-1]))
-    u_x, u_xx, excess, excess_x, gamma = _local_diagnostics(
-        x_star, fields.gamma, state.velocity, grid, x
-    )
+    verdict = _assess(point, fields.gamma, state.velocity, grid, x, gamma_ref)
+    classification, side, regime, (u_x, u_xx, excess, excess_x, gamma) = verdict
     diagnostics = EventDiagnostics(
         u_x=u_x,
         u_xx=u_xx,
@@ -389,20 +401,34 @@ def classify(
         gamma=gamma,
         b_x=point.b_x,
     )
+    return CriticalEvent(
+        state.t, point.x_star, classification, side, diagnostics, regime
+    )
 
-    ref = float(np.max(fields.gamma)) if gamma_ref is None else float(gamma_ref)
-    if gamma <= SHALLOW_FRACTION * ref:
+
+def _assess(point: CriticalPoint, gamma, velocity, grid: Grid, x, gamma_ref) -> tuple:
+    """classify's verdict without its records.
+
+    Returns (classification, side, depth_regime, local) with local the
+    tuple (u_x, u_xx, excess_slope, excess_slope_x, gamma) at the point;
+    gamma_ref None reads the largest entry of gamma.
+    """
+    x_star = point.x_star
+    if not x[0] <= x_star <= x[-1]:
+        raise DomainError("x_star={} outside grid [{}, {}]".format(x_star, x[0], x[-1]))
+    local = _local_diagnostics(x_star, gamma, velocity, grid, x)
+    u_x, u_xx, excess, excess_x, gamma_star = local
+
+    ref = float(np.max(gamma)) if gamma_ref is None else float(gamma_ref)
+    if gamma_star <= SHALLOW_FRACTION * ref:
         regime = DepthRegime.SHALLOW
-    elif gamma >= DEEP_FRACTION * ref:
+    elif gamma_star >= DEEP_FRACTION * ref:
         regime = DepthRegime.DEEP
     else:
         regime = DepthRegime.INTERMEDIATE
 
     if point.plateau:
-        return CriticalEvent(
-            state.t, x_star, Classification.DEGENERATE_PLATEAU, Side.UNKNOWN,
-            diagnostics, regime,
-        )
+        return Classification.DEGENERATE_PLATEAU, Side.UNKNOWN, regime, local
 
     if u_x < 0.0 and excess > 0.0:
         side = Side.CREST
@@ -416,8 +442,7 @@ def classify(
         classification = Classification.INLAND_RUSH
     elif side is Side.TROUGH and u_xx > 0.0 and excess_x > 0.5 * u_x**2:
         classification = Classification.OFFSHORE_RUSH
-
-    return CriticalEvent(state.t, x_star, classification, side, diagnostics, regime)
+    return classification, side, regime, local
 
 
 def classify_degenerate(spec: DegenerateSpec) -> DegenerateRegime:

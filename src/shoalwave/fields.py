@@ -26,6 +26,8 @@ __all__ = [
 
 # require_wet message for a column at or below zero thickness.
 DRY_COLUMN = "dry column at node {node} (t={t})"
+# require_wet message for a column thinner than h_min, as check_wet words it.
+THIN_COLUMN = "column {depth:.3e} below h_min={h_min:.3e} at node {node} (t={t})"
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,32 @@ def ddx(field, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     result and must not share memory with field.
     """
     f = _checked(field, grid)
-    inv2 = 1.0 / (2.0 * grid.dx)
     if out is None:
         out = np.empty_like(f)
-    inner = out[1:-1]
-    np.multiply(np.subtract(f[2:], f[:-2], out=inner), inv2, out=inner)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) * inv2
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) * inv2
+    _ddx_from(f, grid.dx, out, 0, f.size)
     return out
+
+
+def _ddx_from(f, dx: float, out, lo: int, hi: int):
+    """Rewrite ddx(f) in out at every node whose stencil reads f[lo:hi].
+
+    Those are the nodes [lo-1, hi+1), widened to node 0 when lo <= 2 and
+    to the last node when hi >= n-2, whose one-sided stencils read three
+    nodes in. [0, n) rewrites all of out. Returns the rewritten span as
+    (first, last).
+    """
+    n = f.size
+    first = lo - 1 if lo > 2 else 0
+    last = hi + 1 if hi < n - 2 else n
+    inv2 = 1.0 / (2.0 * dx)
+    a, b = max(first, 1), min(last, n - 1)
+    inner = np.subtract(f[a + 1 : b + 1], f[a - 1 : b - 1], out=out[a:b])
+    np.multiply(inner, inv2, out=inner)
+    if first == 0:
+        out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) * inv2
+    if last == n:
+        out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) * inv2
+    return first, last
 
 
 def d2dx2(field, grid: Grid) -> np.ndarray:
@@ -168,26 +188,54 @@ def require_wet(
 
 def check_wet(state: FlowState, bathy, grid: Grid, h_min: float) -> None:
     """Raise NearDryError if any column is thinner than h_min."""
-    require_wet(
-        depth(state, bathy, grid),
-        state.t,
-        "column {depth:.3e} below h_min={h_min:.3e} at node {node} (t={t})",
-        h_min,
-    )
+    require_wet(depth(state, bathy, grid), state.t, THIN_COLUMN, h_min)
 
 
-# One snapshot row, laid out as csv.writer writes it (no field needs quoting).
-_STATE_ROW = "{:.17g},{:.17g},{:.17g},{:.17g}\r\n".format
+# A snapshot file's header and one row of it, laid out as csv.writer writes
+# them (no field needs quoting); x and b come formatted.
+_STATE_HEADER = "x,gamma_surface,u,b\r\n"
+_STATE_ROW = "%s,%.17g,%.17g,%s\r\n"
+_FLOAT = "{:.17g}".format
+
+
+def _state_writer(grid: Grid, x: np.ndarray, b):
+    """write(state, path): a snapshot CSV of state over node coordinates x
+    and bed elevations b.
+
+    Each write checks the lengths of the surface, velocity and bed columns,
+    in that order. The static x and b columns are formatted on the first
+    write and kept; each write then fills its surface and velocity into
+    the interleaved cell list and formats the whole file in one % pass.
+    """
+    body = _STATE_ROW * grid.n
+    cells = []
+
+    def write(state: FlowState, path) -> None:
+        surface, velocity, bed = (
+            _checked(c, grid) for c in (state.gamma_surface, state.velocity, b)
+        )
+        if not cells:
+            cells.extend([None] * (4 * grid.n))
+            cells[0::4] = map(_FLOAT, x.tolist())
+            cells[3::4] = map(_FLOAT, bed.tolist())
+        cells[1::4] = surface.tolist()
+        cells[2::4] = velocity.tolist()
+        with open(path, "w", newline="") as fh:
+            fh.write(_STATE_HEADER + body % tuple(cells))
+
+    return write
 
 
 def save_state(state: FlowState, bathy, grid: Grid, path) -> None:
-    """Write a snapshot CSV with columns x, gamma_surface, u, b."""
+    """Write a snapshot CSV with columns x, gamma_surface, u, b.
+
+    Numbers are written with 17 significant digits, so reading them back
+    gives every bit; NaN and infinities as nan, inf and -inf. A caller
+    writing many states on one grid and bed (solver.write_outputs) formats
+    x and b once for all of them.
+    """
     x = grid.x
-    b = np.asarray(bathy.eval(x), dtype=float)
-    columns = (x, state.gamma_surface, state.velocity, b)
-    rows = map(_STATE_ROW, *(_checked(c, grid).tolist() for c in columns))
-    with open(path, "w", newline="") as fh:
-        fh.write("x,gamma_surface,u,b\r\n" + "".join(rows))
+    _state_writer(grid, x, bathy.eval(x))(state, path)
 
 
 # The CSV dialect of read_rows, as np.loadtxt arguments.

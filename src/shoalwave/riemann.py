@@ -25,7 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInvariantsError
-from .fields import DRY_COLUMN, FlowState, Grid, Workspace, ddx, require_wet
+from .fields import (
+    DRY_COLUMN,
+    FlowState,
+    Grid,
+    Workspace,
+    _ddx_from,
+    ddx,
+    require_wet,
+)
 
 __all__ = [
     "RiemannFields",
@@ -66,7 +74,12 @@ def default_eps_px(p, dx: float, scratch: np.ndarray | None = None) -> float:
 
     scratch, when given, receives |p|.
     """
-    return EPS_PX_SCALE * float(np.max(np.abs(p, out=scratch))) / dx
+    return _eps_of(np.abs(p, out=scratch), dx)
+
+
+def _eps_of(abs_p, dx: float) -> float:
+    """default_eps_px from |p|."""
+    return EPS_PX_SCALE * float(abs_p.max()) / dx
 
 
 @dataclass
@@ -135,15 +148,39 @@ def inland(
     if work is None:
         work = Workspace()
     gamma, p, p_x = work.take("inland", (3, grid.n))
-    w = np.subtract(state.gamma_surface, b, out=gamma)
-    require_wet(w, state.t, DRY_COLUMN)
-    np.sqrt(w, out=gamma)
-    np.add(state.velocity, np.multiply(2.0, gamma, out=p), out=p)
+    # |p| is needed only until p_x is written, so p_x's row holds it.
+    return _refresh_inland(state, b, grid, (gamma, p, p_x, p_x), 0, grid.n, eps_px)[0]
+
+
+def _refresh_inland(state: FlowState, b, grid: Grid, rows, lo: int, hi: int, eps_px):
+    """inland's fields in rows, recomputed where the state may have changed.
+
+    rows = (gamma, p, abs_p, p_x) are whole-grid rows that last held the
+    fields of a state equal to this one outside the nodes [lo, hi); [0, n)
+    fills them from scratch. gamma, p and |p| are recomputed on [lo, hi),
+    and p_x wherever its stencil reads them (see fields._ddx_from), each
+    with inland's operands. The wet check covers [lo, hi), where alone a
+    column can have become dry, and reports the same node. The default
+    threshold reads the whole |p| row; abs_p may share p_x's row only for
+    [0, n), and is not written when eps_px is given. Returns the fields and
+    the span of p_x rewritten.
+    """
+    gamma, p, abs_p, p_x = rows
+    cells = (state.gamma_surface, state.velocity, b, gamma, p, abs_p)
+    if hi - lo < grid.n:
+        cells = [row[lo:hi] for row in cells]
+    surface, velocity, bed, g, pw, aw = cells
+    w = np.subtract(surface, bed, out=g)
+    require_wet(w, state.t, DRY_COLUMN, first_node=lo)
+    np.sqrt(w, out=g)
+    np.add(velocity, np.multiply(2.0, g, out=pw), out=pw)
     if eps_px is None:
-        eps = default_eps_px(p, grid.dx, scratch=p_x)
+        np.abs(pw, out=aw)
+        eps = _eps_of(abs_p, grid.dx)
     else:
         eps = float(eps_px)
-    return InlandFields(gamma, p, ddx(p, grid, out=p_x), eps)
+    span = _ddx_from(p, grid.dx, p_x, lo, hi)
+    return InlandFields(gamma, p, p_x, eps), span
 
 
 def compute(state: FlowState, bathy, grid: Grid, eps_px: float | None = None) -> RiemannFields:

@@ -27,12 +27,18 @@ assumed, so this needs no well-balance argument; the window closes for the
 rest of the run when it nears an end, and is never used with an inflow or
 at second order.
 
+The detector search after each step follows the same window: it keeps
+its rows from step to step and recomputes them only where the step
+changed the state (see _Search). Only max|p|, which sets the default
+gradient threshold, and the scan for sign changes still read whole rows.
+
 The bed is static: prepare() evaluates it, its ghost cells and the
 first-order interface bed offsets once, and run() reuses them for every
 step and detector pass. The prepared domain also holds the run's
 workspace: the kernel of either order and the run's detector search write
 every temporary into arrays allocated on the first step, so a step
-allocates only the state it returns.
+allocates only the state it returns. write_outputs() formats the static x
+and b columns once and writes each snapshot in one formatting pass.
 
 The time step is cfl * dx / max(|u| + sqrt(w)); runs abort with
 NearDryError when any column drops below h_min and NumericBlowUpError on
@@ -54,11 +60,22 @@ from . import riemann
 from .detector import (
     Classification,
     DetectorConfig,
+    _assess,
+    _crossings,
+    _mark_pairs,
     classify,
-    find_crossings,
 )
 from .errors import NearDryError, NumericBlowUpError, ShoalwaveError
-from .fields import FlowState, Grid, Workspace, check_wet, require_wet, save_state
+from .fields import (
+    THIN_COLUMN,
+    FlowState,
+    Grid,
+    Workspace,
+    _checked,
+    _state_writer,
+    require_wet,
+    save_state,  # noqa: F401 - unused here; bench/test_bench.py reads solver.save_state
+)
 
 __all__ = [
     "SolverConfig",
@@ -622,6 +639,44 @@ def step(
     return FlowState(t_new, gamma_surface, velocity)
 
 
+class _Search:
+    """The detector search of a run: riemann.inland, then find_crossings.
+
+    Its rows (gamma, p, |p|, p_x and the pair marks p_x[i] * p_x[i+1] < 0)
+    live in the domain's workspace and carry over from step to step. A
+    step changes the state only on its window [lo, hi), so each search
+    recomputes gamma, p and |p| there, p_x wherever its stencil reads a
+    new p (one node beyond the window, and an end node whose one-sided
+    stencil reaches in; see fields._ddx_from), and the pairs that read a
+    new p_x, each with the operands of the whole-grid functions. The
+    first search, over [0, n), fills every row. Two things still read the
+    whole row on every step: max|p| for the default threshold, since one
+    cell anywhere can set it, and the scan of the pair marks for sign
+    changes, whose nodes are then tested against that threshold. So each
+    step finds the crossings, bit for bit, that inland and find_crossings
+    would.
+    """
+
+    def __init__(self, bathy, grid: Grid, domain: Domain, eps_px: float | None):
+        self.bathy, self.grid, self.domain, self.eps_px = bathy, grid, domain, eps_px
+        work = domain.work
+        self.rows = work.take("search", (4, grid.n))
+        self.pairs = work.take("search pairs", grid.n - 1, bool)
+        self.products = work.take("search products", grid.n - 1)
+
+    def __call__(self, state: FlowState, lo: int, hi: int):
+        """(fields, crossings) of state, which differs from the state of the
+        last call only on the cells [lo, hi)."""
+        grid, domain = self.grid, self.domain
+        fields, (first, last) = riemann._refresh_inland(
+            state, domain.b, grid, self.rows, lo, hi, self.eps_px
+        )
+        px, pairs = fields.p_x, self.pairs
+        _mark_pairs(px, pairs, self.products, first, last)
+        points = _crossings(px, pairs, fields.eps_px, self.bathy, domain.x, grid.dx)
+        return fields, points
+
+
 class _EventTracker:
     """Log a detector event only at onset.
 
@@ -635,20 +690,18 @@ class _EventTracker:
         self._window = window
         self._previous = []
 
-    def fresh(self, events):
+    def fresh(self, keys) -> list[int]:
+        """Indices of the fresh ones among this step's events, given as
+        (classification, depth_regime, x_star) keys."""
         out = [
-            ev
-            for ev in events
+            k
+            for k, (cls, regime, x_star) in enumerate(keys)
             if not any(
-                cls == ev.classification
-                and regime == ev.depth_regime
-                and abs(x - ev.x_star) <= self._window
-                for cls, regime, x in self._previous
+                cls == c and regime == r and abs(x - x_star) <= self._window
+                for c, r, x in self._previous
             )
         ]
-        self._previous = [
-            (ev.classification, ev.depth_regime, ev.x_star) for ev in events
-        ]
+        self._previous = keys
         return out
 
 
@@ -664,18 +717,24 @@ def run(
     The first step computes every cell; later first-order steps compute
     only the active window of cells that can change (see _ActiveWindow),
     with the same bits as whole-grid steps. Every post-step state goes
-    through the singular-point detector, over the whole grid; crossing
-    events are logged at onset in time order. Plateau points are
-    not part of the run log (they persist for as long as the flow stays in
-    the degenerate family; the one-shot detect command reports them).
-    Integration continues after a rush event unless stop_at_first_event is
-    set; the result is then flagged post_singular either way.
+    through the singular-point detector, which recomputes its rows only
+    where the step changed the state and finds the same crossings as a
+    whole-grid search (see _Search); crossing events are logged at onset
+    in time order, and only the fresh ones become event records. Plateau
+    points are not part of the run log (they persist for as long as the
+    flow stays in the degenerate family; the one-shot detect command
+    reports them). Integration continues after a rush event unless
+    stop_at_first_event is set; the result is then flagged post_singular
+    either way. The bed is evaluated once, by prepare(); the initial state
+    is checked against it as check_wet would.
     """
     det = detector_config if detector_config is not None else DetectorConfig()
-    check_wet(initial, bathy, grid, config.h_min)
     domain = prepare(bathy, grid, config)
+    depth = _checked(initial.gamma_surface, grid) - domain.b
+    require_wet(depth, initial.t, THIN_COLUMN, config.h_min)
     window = _ActiveWindow(grid, config, domain.work)
-    gamma_ref = float(np.sqrt(np.max(initial.gamma_surface - domain.b)))
+    search = _Search(bathy, grid, domain, det.eps_px)
+    gamma_ref = float(np.sqrt(np.max(depth)))
 
     state = initial.copy()
     snapshots = [initial.copy()]
@@ -696,6 +755,7 @@ def run(
             raise ShoalwaveError(
                 "exceeded max_steps={} at t={}".format(config.max_steps, state.t)
             )
+        lo, hi = window.lo, window.hi
         try:
             state = step(
                 state,
@@ -711,21 +771,25 @@ def run(
             raise
         steps += 1
 
-        # inland's arrays live in the workspace until the next step.
-        inland = riemann.inland(
-            state, bathy, grid, det.eps_px, b=domain.b, work=domain.work
-        )
-        points = find_crossings(
-            inland, bathy, grid, inland.eps_px, x=domain.x, work=domain.work
-        )
-        step_events = [
-            classify(pt, inland, state, grid, gamma_ref=gamma_ref, x=domain.x)
+        # The search's arrays live in the workspace until the next step.
+        inland, points = search(state, lo, hi)
+        verdicts = [
+            _assess(pt, inland.gamma, state.velocity, grid, domain.x, gamma_ref)
             for pt in points
         ]
-        fresh = tracker.fresh(step_events)
-        events.extend(fresh)
-        hit_rush = any(ev.classification in RUSH_CLASSES for ev in fresh)
-        if hit_rush:
+        fresh = tracker.fresh(
+            [
+                (cls, regime, pt.x_star)
+                for pt, (cls, _, regime, _) in zip(points, verdicts)
+            ]
+        )
+        # Only the fresh few (39 of 7056 on the bundled shelf run) become
+        # records; classify rebuilds their verdicts with them.
+        events.extend(
+            classify(points[k], inland, state, grid, gamma_ref=gamma_ref, x=domain.x)
+            for k in fresh
+        )
+        if any(verdicts[k][0] in RUSH_CLASSES for k in fresh):
             post_singular = True
             if config.stop_at_first_event:
                 break
@@ -784,15 +848,19 @@ def write_outputs(
 ) -> Path:
     """Write snap_<step>.csv files, events.jsonl, and the run.json manifest.
 
+    The snapshots hold the bytes save_state writes; the bed is evaluated
+    and the static x and b columns are formatted once for all of them.
     Paths inside the manifest are relative to out_dir so a run directory
     can be moved or compared byte-for-byte. Returns the manifest path.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    x = grid.x
+    write_state = _state_writer(grid, x, bathy.eval(x))
     snap_files = []
     for snap, k in zip(result.snapshots, result.snapshot_steps):
         name = "snap_{:06d}.csv".format(k)
-        save_state(snap, bathy, grid, out / name)
+        write_state(snap, out / name)
         snap_files.append(name)
     events_name = "events.jsonl"
     with open(out / events_name, "w") as fh:

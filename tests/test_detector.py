@@ -278,6 +278,43 @@ def test_planted_crossing_is_found_within_half_a_cell(**params):
     assert found or not resolved, (points, f.eps_px)
 
 
+def _plain_crossings(px, eps, bathy, x, dx):
+    """find_crossings as plain whole-row expressions."""
+    resolved = ~(np.abs(px) <= eps)
+    crossing = (px[:-1] * px[1:] < 0) & resolved[:-1] & resolved[1:]
+    points = []
+    for i in np.nonzero(crossing)[0]:
+        x_star = x[i] + dx * px[i] / (px[i] - px[i + 1])
+        b_x = float(bathy.slope(x_star))
+        if not abs(b_x) <= eps:
+            points.append((float(x_star).hex(), int(i), b_x.hex()))
+    return sorted(points, key=lambda pt: float.fromhex(pt[0]))
+
+
+_GRADIENTS = st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 0.5, -0.5, np.nan]) | st.floats(
+    -2.0, 2.0
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(8, 40).flatmap(lambda n: st.lists(_GRADIENTS, min_size=n, max_size=n)),
+    st.sampled_from([0.0, 1e-12, 1e-3, 0.3, np.inf, np.nan]),
+    st.sampled_from([0.0, 1e-13, 0.2]),
+)
+def test_find_crossings_matches_the_plain_expressions(px, eps, slope):
+    # NaN gradients never pair up; a NaN threshold resolves every node and
+    # filters no bed slope, as ~(|p_x| <= eps) does.
+    grid = Grid(-1.0, 0.05, len(px))
+    bathy = Linear(-1.0, slope)
+    f = riemann.InlandFields(np.ones(grid.n), np.ones(grid.n), np.array(px), eps)
+    got = [
+        (pt.x_star.hex(), pt.node_index, pt.b_x.hex())
+        for pt in detector.find_crossings(f, bathy, grid)
+    ]
+    assert got == _plain_crossings(f.p_x, eps, bathy, grid.x, grid.dx)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="eps_px = 1e-8 * max|p| / dx grows as dx shrinks, while |p_x| at "

@@ -211,6 +211,54 @@ def test_save_state_writes_the_csv_writer_bytes(columns, x0, dx):
     assert np.array_equal(b_col, bathy.eval(grid.x))
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(8, 20).flatmap(
+        lambda n: st.lists(
+            st.tuples(
+                st.lists(_SNAPSHOT_VALUES, min_size=n, max_size=n),
+                st.lists(_SNAPSHOT_VALUES, min_size=n, max_size=n),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    ),
+    st.floats(-100.0, 100.0),
+    st.floats(1e-3, 10.0),
+)
+def test_write_outputs_writes_the_csv_writer_bytes(snapshots, x0, dx):
+    # write_outputs formats x and b once for all snapshots; each file must
+    # still hold the bytes of the row-by-row csv.writer.
+    grid = Grid(x0, dx, len(snapshots[0][0]))
+    bathy = Linear(-1.0, 0.05)
+    states = [
+        FlowState(0.5 * k, np.array(surface), np.array(velocity))
+        for k, (surface, velocity) in enumerate(snapshots)
+    ]
+    steps = list(range(0, 3 * len(states), 3))
+    result = solver.RunResult(states, steps, [], steps[-1], False)
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir, old = Path(tmp) / "run", Path(tmp) / "old.csv"
+        solver.write_outputs(result, bathy, grid, run_dir, "r")
+        for state, k in zip(states, steps):
+            _csv_writer_save_state(state, bathy, grid, old)
+            new = run_dir / "snap_{:06d}.csv".format(k)
+            assert new.read_bytes() == old.read_bytes()
+
+
+def test_writers_check_every_column_length(tmp_path):
+    grid = Grid(0.0, 0.1, 10)
+    short = FlowState(0.0, np.zeros(9), np.zeros(9))
+    with pytest.raises(ValueError, match="field length"):
+        save_state(short, Linear(-1.0, 0.05), grid, tmp_path / "a.csv")
+    still = FlowState(0.0, np.zeros(10), np.zeros(10))
+    with pytest.raises(ValueError, match="field length"):
+        save_state(still, _Column(np.zeros(9)), grid, tmp_path / "b.csv")
+    result = solver.RunResult([still, short], [0, 1], [], 1, False)
+    with pytest.raises(ValueError, match="field length"):
+        solver.write_outputs(result, Linear(-1.0, 0.05), grid, tmp_path / "run", "r")
+
+
 class _Column:
     """A bed whose nodes hold the given values, whatever the grid."""
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from shoalwave import analytic, cli, detector, fields, solver
+from shoalwave import analytic, cli, detector, fields, riemann, solver
 from shoalwave.bathymetry import Flat, Linear, Sampled, TanhSafe
 from shoalwave.errors import NearDryError, NumericBlowUpError
 from shoalwave.fields import FlowState, Grid, load_state
@@ -680,7 +680,9 @@ def test_run_evaluates_the_bed_a_fixed_number_of_times(monkeypatch, inland_setup
         counts.append((result.steps, bed.evals, len(builds)))
     (short, evals_short, x_short), (long, evals_long, x_long) = counts
     assert long > 2 * short
-    assert (evals_long, x_long) == (evals_short, x_short)
+    # prepare() evaluates the bed; the initial wet check reads its result.
+    assert evals_short == evals_long == 1
+    assert x_long == x_short
 
 
 def _end_crossing():
@@ -702,9 +704,10 @@ class _WatchedBed:
 
 
 def test_run_builds_no_whole_grid_gradients(monkeypatch):
-    # classify reads the nodes around each crossing, in the last three cells
-    # too, so the run builds no whole-grid second derivative or residual,
-    # and classify never evaluates the bed (the run itself does, outside
+    # The run classifies each crossing (detector._assess, classify without
+    # its records) from the nodes around it, in the last three cells too,
+    # so it builds no whole-grid second derivative or residual, and
+    # classifying never evaluates the bed (the run itself does, outside
     # it). Each function is counted wherever a module binds it.
     grid, state, b = load_state(DATA / "shoaling_alert_state.csv")
     cases = [(grid, state, Sampled(grid.x, b)), _end_crossing()]
@@ -724,17 +727,17 @@ def test_run_builds_no_whole_grid_gradients(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     in_last_cells = []
-    classify = solver.classify
+    assess = solver._assess
 
-    def watched_classify(point, flds, st, g, **kwargs):
+    def watched_assess(point, gamma, velocity, g, *args):
         in_last_cells.append(point.node_index >= g.n - 3)
         inside.append(point)
         try:
-            return classify(point, flds, st, g, **kwargs)
+            return assess(point, gamma, velocity, g, *args)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(solver, "classify", watched_classify)
+    monkeypatch.setattr(solver, "_assess", watched_assess)
     for grid, state, bathy in cases:
         result = solver.run(
             state,
@@ -1152,3 +1155,246 @@ def test_closed_boundaries_conserve_mass(boundary, data):
     mass0 = float(np.sum(state.gamma_surface - b))
     mass = float(np.sum(result.snapshots[-1].gamma_surface - b))
     assert abs(mass - mass0) <= 1e-10 * mass0
+
+
+class _SearchLog:
+    """Within a with block, records each detector search of run().
+
+    calls holds (state, lo, hi, points) per search, points None for a
+    search that raised; rows holds copies of the search's (gamma, p, p_x,
+    pair marks) and its threshold after each search that returned.
+    """
+
+    def __enter__(self):
+        self.search = solver._Search.__call__
+        self.calls = []
+        self.rows = []
+
+        def logged(search, state, lo, hi):
+            self.calls.append([state, lo, hi, None])
+            fields, points = self.search(search, state, lo, hi)
+            self.calls[-1][3] = list(points)
+            rows = (fields.gamma, fields.p, fields.p_x, search.pairs)
+            self.rows.append(([row.copy() for row in rows], fields.eps_px))
+            return fields, points
+
+        solver._Search.__call__ = logged
+        return self
+
+    def __exit__(self, *exc):
+        solver._Search.__call__ = self.search
+        return False
+
+
+def _point_bits(points):
+    return [(pt.x_star.hex(), pt.node_index, pt.b_x.hex(), pt.plateau) for pt in points]
+
+
+def _whole_grid_search(state, bathy, grid, eps_px):
+    inland = riemann.inland(state, bathy, grid, eps_px)
+    return inland, detector.find_crossings(inland, bathy, grid)
+
+
+def _assert_search_matches_whole_grid(log, bathy, grid, eps_px):
+    """Every returned search of log has the rows, threshold and crossings
+    of whole-grid inland + find_crossings, bit for bit."""
+    for (state, _, _, points), (rows, eps) in zip(log.calls, log.rows):
+        inland, want = _whole_grid_search(state, bathy, grid, eps_px)
+        p_x = inland.p_x
+        pairs = p_x[:-1] * p_x[1:] < 0
+        for got, row in zip(rows, (inland.gamma, inland.p, p_x)):
+            assert _same_bits(got, row)
+        assert np.array_equal(rows[3], pairs)
+        assert eps.hex() == inland.eps_px.hex()
+        assert _point_bits(points) == _point_bits(want)
+
+
+def _whole_grid_events(states, bathy, grid, eps_px, gamma_ref):
+    """The events of a run through these post-step states, each searched
+    over the whole grid, classified and logged at onset."""
+    events, previous = [], []
+    for state in states:
+        inland, points = _whole_grid_search(state, bathy, grid, eps_px)
+        found = [
+            detector.classify(pt, inland, state, grid, gamma_ref=gamma_ref)
+            for pt in points
+        ]
+        events += [
+            ev
+            for ev in found
+            if not any(
+                cls == ev.classification
+                and regime == ev.depth_regime
+                and abs(x - ev.x_star) <= 3.0 * grid.dx
+                for cls, regime, x in previous
+            )
+        ]
+        previous = [(ev.classification, ev.depth_regime, ev.x_star) for ev in found]
+    return events
+
+
+def _records(events):
+    return [json.dumps(ev.to_record(), sort_keys=True) for ev in events]
+
+
+@pytest.mark.parametrize("boundary", solver.BOUNDARY_KINDS)
+@pytest.mark.parametrize("center", [0.1, 0.9])
+def test_search_rows_match_the_whole_grid_up_to_the_ends(center, boundary):
+    # A pulse running into an end: the window reaches cell 2 (or n - 2),
+    # where the one-sided end stencil of p_x reads a cell that moved, on
+    # the step before it closes.
+    grid, bathy, state, config = _pulse_in_a_still_sea(
+        n=240, center=center, boundary=boundary, steps=60
+    )
+    with _SearchLog() as log:
+        solver.run(state, bathy, grid, config)
+    windows = [tuple(call[1:3]) for call in log.calls]
+    assert any(lo == 2 or hi == grid.n - 2 for lo, hi in windows)
+    assert windows[-1] == (0, grid.n)
+    _assert_search_matches_whole_grid(log, bathy, grid, None)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_disturbed_lakes(), st.sampled_from([None, 1e-9, 1e-4, 0.05]))
+def test_run_search_matches_the_whole_grid_search(case, eps_px):
+    # On every step the run's search, which recomputes only what the step
+    # changed, finds the crossings of whole-grid inland + find_crossings
+    # bit for bit, fails as they fail, and logs the same events.
+    grid, bathy, initial, config = case
+    failure = result = None
+    with _SearchLog() as log, np.errstate(all="ignore"):
+        try:
+            result = solver.run(
+                initial, bathy, grid, config, detector.DetectorConfig(eps_px=eps_px)
+            )
+        except (NearDryError, NumericBlowUpError) as exc:
+            failure = exc
+    with np.errstate(all="ignore"):
+        _assert_search_matches_whole_grid(log, bathy, grid, eps_px)
+        if log.calls and log.calls[-1][3] is None:
+            with pytest.raises(NearDryError) as whole:
+                _whole_grid_search(log.calls[-1][0], bathy, grid, eps_px)
+            assert _error_fields(failure) == _error_fields(whole.value)
+            assert failure.step is whole.value.step is None
+            return
+        if failure is not None:
+            return
+        gamma_ref = float(np.sqrt(np.max(initial.gamma_surface - bathy.eval(grid.x))))
+        states = [state for state, _, _, _ in log.calls]
+        events = _whole_grid_events(states, bathy, grid, eps_px, gamma_ref)
+    assert _records(result.events) == _records(events)
+
+
+def _lake_over_a_bump(crest):
+    """A still lake over a bump whose crest sits between nodes 40 and 41
+    (x = 2.0 and 2.05), where p_x changes sign."""
+    grid = Grid(0.0, 0.05, 200)
+    x = grid.x
+    bathy = Sampled(x, -1.0 + 0.3 * np.exp(-(((x - crest) / 0.5) ** 2)))
+    return grid, bathy, np.zeros(grid.n)
+
+
+def test_search_finds_a_crossing_that_stays_outside_the_window():
+    # A pulse far to the right of the bump keeps the window away from its
+    # crossing on every step.
+    grid, bathy, surface = _lake_over_a_bump(2.013)
+    surface[140:161] = 0.01 * np.sin(np.linspace(0.0, np.pi, 21)) ** 2
+    state = FlowState(0.0, surface, 0.5 * surface)
+    config = solver.SolverConfig(t_end=1.0, boundary="reflective")
+    config.t_end = _steps_in(state, bathy, grid, config, 24)
+    with _SearchLog() as log:
+        solver.run(state, bathy, grid, config)
+    assert len(log.calls) >= 24 and log.calls[0][1:3] == [0, grid.n]
+    at_bump = set()
+    for _, lo, hi, points in log.calls[1:]:
+        assert 45 < lo and hi < grid.n - 2
+        (bump,) = [pt for pt in points if pt.node_index == 40]
+        at_bump.add(_point_bits([bump])[0])
+    assert len(at_bump) == 1
+    _assert_search_matches_whole_grid(log, bathy, grid, None)
+
+
+def _drain_to_one_ulp(k, state, window):
+    """A plant for _StepLog: at call 3, seven one-ulp columns flowing apart
+    from node 60, the middle of a pulse in a thin lake on a bed at -2**40."""
+    if k != 3:
+        return state
+    state = state.copy()
+    state.gamma_surface[57:64] = -(2.0**40) + 2.0**-13
+    state.velocity[57:64] = [-0.5, -0.5, -0.5, 0.0, 0.5, 0.5, 0.5]
+    return state
+
+
+def test_search_dry_column_matches_the_whole_grid_search(monkeypatch):
+    # On a bed at -2**40 one ulp of the surface is 2**-13: the step drains
+    # the middle column to a thickness above h_min but below half an ulp,
+    # so the search reads (w_new + b) - b = 0 there. The error matches that
+    # of a run whose window never leaves the whole grid, in message, node,
+    # t, depth and step.
+    bed = -(2.0**40)
+    grid = Grid(0.0, 0.05, 120)
+    bathy = Flat(bed)
+    surface = np.full(grid.n, bed + 2.0**-6)
+    surface[55:66] += 2.0**-9
+    state = FlowState(0.0, surface, np.zeros(grid.n))
+    config = solver.SolverConfig(t_end=1.0, cfl=0.9, boundary="periodic", h_min=1e-12)
+    with _StepLog(_drain_to_one_ulp), _SearchLog() as log:
+        with pytest.raises(NearDryError) as windowed:
+            solver.run(state, bathy, grid, config)
+    _, lo, hi, points = log.calls[-1]
+    assert points is None and len(log.calls) == 3 and hi - lo < grid.n
+    assert lo <= windowed.value.node < hi
+    assert str(windowed.value).startswith("dry column at node")
+    monkeypatch.setattr(solver._ActiveWindow, "advance", lambda *args: None)
+    with _StepLog(_drain_to_one_ulp), _SearchLog() as log:
+        with pytest.raises(NearDryError) as whole:
+            solver.run(state, bathy, grid, config)
+    assert [call[1:3] for call in log.calls] == [[0, grid.n]] * 3
+    assert _error_fields(windowed.value) == _error_fields(whole.value)
+    assert windowed.value.step == whole.value.step
+
+
+def test_search_follows_a_front_over_a_crossing():
+    # With the crest just left of node 41, p_x[41] is small. A surge from
+    # node 44 moves node 42, the left edge cell of the first windowed step,
+    # enough to flip the sign of p_x[41], so the pair (40, 41), left of the
+    # rewritten p_x, must be marked again.
+    grid, bathy, surface = _lake_over_a_bump(2.0499)
+    surface[44:60] = 0.2
+    state = FlowState(0.0, surface, np.zeros(grid.n))
+    config = solver.SolverConfig(t_end=1.0, boundary="reflective")
+    config.t_end = _steps_in(state, bathy, grid, config, 10)
+    with _SearchLog() as log:
+        solver.run(state, bathy, grid, config)
+    assert all(hi - lo < grid.n for _, lo, hi, _ in log.calls[1:])
+    _assert_search_matches_whole_grid(log, bathy, grid, None)
+
+
+@pytest.mark.parametrize("eps_px", [None, 1e-6])
+def test_windowed_search_allocates_no_row_per_step(eps_px):
+    # The smallest n-sized array, a bool row, takes n bytes.
+    grid, bathy, state, config = _pulse_in_a_still_sea(n=12000, steps=100)
+    n = grid.n
+    domain = solver.prepare(bathy, grid, config)
+    window = solver._ActiveWindow(grid, config, domain.work)
+    search = solver._Search(bathy, grid, domain, eps_px)
+    state = solver.step(state, bathy, grid, config, domain=domain, _window=window)
+    search(state, 0, n)
+    blocks = set(domain.work._arrays)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            assert window.open
+            lo, hi = window.lo, window.hi
+            state = solver.step(
+                state, bathy, grid, config, domain=domain, _window=window
+            )
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            search(state, lo, hi)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert set(domain.work._arrays) == blocks
+    assert max(peaks) < n, max(peaks)
