@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fields import DRY_COLUMN, FlowState, Grid, Workspace, ddx, require_wet
+from .fields import DRY_COLUMN, FlowState, Grid, ddx, require_wet
 from .riemann import InlandFields, RiemannFields
 
 __all__ = [
@@ -189,22 +189,19 @@ def find_crossings(
     eps_px: float | None = None,
     *,
     x: np.ndarray | None = None,
-    work: Workspace | None = None,
 ) -> list[CriticalPoint]:
     """Sign changes of p_x between adjacent resolved nodes, in ascending x.
 
     Each is interpolated linearly (placement error at most dx/2); one where
     the bed slope sits below the threshold is left out. x, when given, must
-    be grid.x; work, when given, holds the search's temporaries.
+    be grid.x.
     """
     eps = fields.eps_px if eps_px is None else float(eps_px)
     px = fields.p_x
     if x is None:
         x = grid.x
-    if work is None:
-        work = Workspace()
-    pairs = work.take("crossing pairs", px.size - 1, bool)
-    products = work.take("crossings", px.size - 1)
+    pairs = np.empty(px.size - 1, bool)
+    products = np.empty(px.size - 1)
     _mark_pairs(px, pairs, products, 0, px.size)
     return _crossings(px, pairs, eps, bathy, x, grid.dx)
 

@@ -105,15 +105,13 @@ def _checked(field, grid: Grid) -> np.ndarray:
     return f
 
 
-def ddx(field, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+def ddx(field, grid: Grid) -> np.ndarray:
     """First derivative: central in the interior, one-sided at both ends.
 
-    All stencils are second order in dx. out, when given, receives the
-    result and must not share memory with field.
+    All stencils are second order in dx.
     """
     f = _checked(field, grid)
-    if out is None:
-        out = np.empty_like(f)
+    out = np.empty_like(f)
     _ddx_from(f, grid.dx, out, 0, f.size)
     return out
 

@@ -29,7 +29,6 @@ from .fields import (
     DRY_COLUMN,
     FlowState,
     Grid,
-    Workspace,
     _ddx_from,
     ddx,
     require_wet,
@@ -69,12 +68,9 @@ class RiemannFields:
     eps_px: float
 
 
-def default_eps_px(p, dx: float, scratch: np.ndarray | None = None) -> float:
-    """Scale-aware gradient threshold: EPS_PX_SCALE * max|p| / dx.
-
-    scratch, when given, receives |p|.
-    """
-    return _eps_of(np.abs(p, out=scratch), dx)
+def default_eps_px(p, dx: float) -> float:
+    """Scale-aware gradient threshold: EPS_PX_SCALE * max|p| / dx."""
+    return _eps_of(np.abs(p), dx)
 
 
 def _eps_of(abs_p, dx: float) -> float:
@@ -128,26 +124,16 @@ def _correction(b_slope: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray
 
 
 def inland(
-    state: FlowState,
-    bathy,
-    grid: Grid,
-    eps_px: float | None = None,
-    b=None,
-    work: Workspace | None = None,
+    state: FlowState, bathy, grid: Grid, eps_px: float | None = None
 ) -> InlandFields:
     """Wet check, then gamma, p, p_x and the gradient threshold for one state.
 
-    b, when given, must be bathy.eval(grid.x); a caller analysing many
-    states on one static bed evaluates it once. work, when given, holds the
-    returned arrays until the next call with it; without one they are new.
+    The returned arrays are new.
     """
-    if b is None:
-        b = bathy.eval(grid.x)
+    b = bathy.eval(grid.x)
     if state.gamma_surface.shape != (grid.n,):
         raise ValueError("state does not match grid")
-    if work is None:
-        work = Workspace()
-    gamma, p, p_x = work.take("inland", (3, grid.n))
+    gamma, p, p_x = np.empty((3, grid.n))
     # |p| is needed only until p_x is written, so p_x's row holds it.
     return _refresh_inland(state, b, grid, (gamma, p, p_x, p_x), 0, grid.n, eps_px)[0]
 

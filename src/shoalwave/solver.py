@@ -16,16 +16,14 @@ deviations of order 1e-16. An optional limited piecewise-linear
 reconstruction with two-stage time stepping raises the order to two for
 convergence studies; the first-order path is the default.
 
-Most of a quiet sea is such still water. When both end interfaces are
-still, the flux solve computes wave speeds and intermediate fluxes only
-from the first to the last interface whose states differ. run() goes
-further with an active window: after its first, whole-grid step, each
-first-order step computes only the cells next to one that moved in the
-step before, and copies the others, which stepping would give back bit
-for bit (see _ActiveWindow). Fixed cells are checked cell by cell, not
-assumed, so this needs no well-balance argument; the window closes for the
-rest of the run when it nears an end, and is never used with an inflow or
-at second order.
+Most of a quiet sea is such still water, and run() skips it with an
+active window: after its first, whole-grid step, each first-order step
+computes only the cells next to one that moved in the step before, and
+copies the others, which stepping would give back bit for bit (see
+_ActiveWindow). Fixed cells are checked cell by cell, not assumed, so this
+needs no well-balance argument; the window closes for the rest of the run
+when it nears an end, and is never used with an inflow or at second
+order. A whole-grid step solves every interface.
 
 The detector search after each step follows the same window: it keeps
 its rows from step to step and recomputes them only where the step
@@ -248,12 +246,8 @@ def _leading(block, size):
 def _hll(wl, ul, wr, ur, work: Workspace, capacity: int | None = None):
     """Two-wave approximate flux between reconstructed interface states.
 
-    An interface whose two states are identical takes the left flux. When
-    both end interfaces are such still water, the wave speeds and the
-    intermediate flux are computed only from the first to the last
-    interface whose states differ, and the interfaces outside that window
-    take the left flux directly. A NaN state never equals itself, so it
-    always lies inside the window.
+    An interface whose two states are identical takes the left flux, so
+    that a balanced state produces bitwise-zero updates.
 
     Every temporary lives in work; the two returned flux arrays do too.
     Its blocks are taken capacity interfaces long (default: as many as
@@ -264,37 +258,15 @@ def _hll(wl, ul, wr, ur, work: Workspace, capacity: int | None = None):
     size = wl.size
     capacity = size if capacity is None else capacity
     rows = _leading(work.take("hll", (11, capacity)), size)
-    masks = _leading(work.take("hll masks", (3, capacity), bool), size)
-    # f0 and f1 are the returned flux rows; mid0 and mid1 view their window.
-    ml, mr, fl1, tmp, f0, f1 = rows[:6]
-    same = masks[0]
+    ml, mr, fl1, tmp, mid0, mid1, fr1, sl, sr, slsr, safe = rows
+    same, left, right = _leading(work.take("hll masks", (3, capacity), bool), size)
 
     np.multiply(wl, ul, out=ml)
     np.multiply(wr, ur, out=mr)
-    np.logical_and(
-        np.equal(wl, wr, out=same), np.equal(ml, mr, out=masks[1]), out=same
-    )
+    np.logical_and(np.equal(wl, wr, out=same), np.equal(ml, mr, out=left), out=same)
     # fl1 = ml * ul + 0.5 * wl * wl
     half = np.multiply(0.5, wl, out=tmp)
     np.add(np.multiply(ml, ul, out=fl1), np.multiply(half, wl, out=tmp), out=fl1)
-
-    # Windowing a grid with one still end, such as a shelf run whose wall
-    # side is still quiet, costs more in views and the reversed scan than
-    # it saves. argmin of a bool array stops at its first False.
-    if same[0] and same[-1]:
-        lo = int(same.argmin())
-        if same[lo]:
-            return ml, fl1
-        hi = size - int(same[::-1].argmin())
-        for flux, from_left in ((f0, ml), (f1, fl1)):
-            flux[:lo] = from_left[:lo]
-            flux[hi:] = from_left[hi:]
-        window = slice(lo, hi)
-        wl, ul, wr, ur = wl[window], ul[window], wr[window], ur[window]
-        rows = rows[:, window]
-        masks = masks[:, window]
-    ml, mr, fl1, tmp, mid0, mid1, fr1, sl, sr, slsr, safe = rows
-    same, left, right = masks
 
     cl = np.sqrt(wl, out=sr)
     cr = np.sqrt(wr, out=tmp)
@@ -331,7 +303,7 @@ def _hll(wl, ul, wr, ur, work: Workspace, capacity: int | None = None):
     for flux, from_left, from_right in ((mid0, ml, mr), (mid1, fl1, fr1)):
         np.copyto(flux, from_right, where=right)
         np.copyto(flux, from_left, where=left)
-    return f0, f1
+    return mid0, mid1
 
 
 def _minmod(a, b, out, flags, tmp):
@@ -726,7 +698,9 @@ def run(
     reports them). Integration continues after a rush event unless
     stop_at_first_event is set; the result is then flagged post_singular
     either way. The bed is evaluated once, by prepare(); the initial state
-    is checked against it as check_wet would.
+    is checked against it as check_wet would. A NearDryError or
+    NumericBlowUpError from a step, or from the search of the state it
+    produced, carries that step's number as its step attribute.
     """
     det = detector_config if detector_config is not None else DetectorConfig()
     domain = prepare(bathy, grid, config)
@@ -766,13 +740,14 @@ def run(
                 domain=domain,
                 _window=window,
             )
+            # The search's arrays live in the workspace until the next step.
+            inland, points = search(state, lo, hi)
         except (NearDryError, NumericBlowUpError) as exc:
+            # A failed step, or a dry column in the state it produced.
             exc.step = steps + 1
             raise
         steps += 1
 
-        # The search's arrays live in the workspace until the next step.
-        inland, points = search(state, lo, hi)
         verdicts = [
             _assess(pt, inland.gamma, state.velocity, grid, domain.x, gamma_ref)
             for pt in points

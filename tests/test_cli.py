@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shoalwave import cli
+from shoalwave import analytic, cli
 from shoalwave.detector import DetectorConfig
 from shoalwave.solver import SolverConfig
 from shoalwave.fields import FlowState, Grid, load_state, save_state
@@ -25,6 +25,11 @@ DATA = Path(__file__).parent / "data"
 # csv.reader snapshot reader that np.loadtxt replaced; args are relative
 # to DATA.
 DETECT_GOLDEN = json.loads((DATA / "detect_golden.json").read_text())
+# verify-analytic's stdout and exit code, and the float.hex of
+# convergence_study's errors, recorded while the flux solve still skipped
+# still interfaces at the grid ends. These runs have an inflow or are
+# second order, so every step solves the whole grid.
+VERIFY_GOLDEN = json.loads((DATA / "verify_analytic_golden.json").read_text())
 
 
 def _alert_fixture_lines(columns):
@@ -648,6 +653,28 @@ class TestVerifyAnalytic:
         out = capsys.readouterr().out
         order = float(out.split("observed order: ")[1].split()[0])
         assert order < 0.9
+
+    @pytest.mark.parametrize(
+        "case", VERIFY_GOLDEN, ids=lambda case: " ".join(case["args"]) or "default"
+    )
+    def test_study_matches_the_frozen_bytes(self, capsys, case):
+        argv = ["verify-analytic", *case["args"]]
+        assert cli.main(argv) == case["exit"]
+        assert capsys.readouterr().out == case["stdout"]
+        args = cli.build_parser().parse_args(argv)
+        sol = analytic.LinearBottomSolution(
+            args.a0, args.b0, args.b1, args.c0, args.x1, args.x2
+        )
+        errors, _ = cli.convergence_study(
+            sol,
+            args.n,
+            args.t_end,
+            args.x_lo,
+            args.x_hi,
+            second_order=args.second_order,
+            flux_perturbation=args.flux_perturbation,
+        )
+        assert [err.hex() for err in errors] == case["errors"]
 
     def test_invalid_family_exits_config(self, capsys):
         assert cli.main(["verify-analytic", "--x1", "2.0", "--x2", "-2.0"]) == 1

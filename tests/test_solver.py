@@ -1275,7 +1275,8 @@ def test_run_search_matches_the_whole_grid_search(case, eps_px):
             with pytest.raises(NearDryError) as whole:
                 _whole_grid_search(log.calls[-1][0], bathy, grid, eps_px)
             assert _error_fields(failure) == _error_fields(whole.value)
-            assert failure.step is whole.value.step is None
+            # The search of the state step k produced names step k.
+            assert failure.step == len(log.calls)
             return
         if failure is not None:
             return
@@ -1351,7 +1352,7 @@ def test_search_dry_column_matches_the_whole_grid_search(monkeypatch):
             solver.run(state, bathy, grid, config)
     assert [call[1:3] for call in log.calls] == [[0, grid.n]] * 3
     assert _error_fields(windowed.value) == _error_fields(whole.value)
-    assert windowed.value.step == whole.value.step
+    assert windowed.value.step == whole.value.step == 3
 
 
 def test_search_follows_a_front_over_a_crossing():
