@@ -299,7 +299,19 @@ def _output_root(cli_value: str | None) -> Path:
     return Path("out")
 
 
-def _run_one(path: str, args) -> int:
+@dataclass
+class _RunJob:
+    """One config of a `run` batch: its scenario, output directory and run
+    id, or the one config-error line that ends it before it runs."""
+
+    path: str
+    cfg: ScenarioConfig | None = None
+    out_dir: Path | None = None
+    run_id: str = ""
+    error: str | None = None
+
+
+def _load_job(path: str, args) -> _RunJob:
     try:
         cfg = load_config(path)
         if args.t_end is not None:
@@ -307,8 +319,7 @@ def _run_one(path: str, args) -> int:
         if args.cfl is not None:
             cfg.solver["cfl"] = _as_float(args.cfl, "solver.cfl")
     except (OSError, ConfigError) as exc:
-        print("config error [{}]: {}".format(path, exc))
-        return EXIT_CONFIG
+        return _RunJob(path, error=str(exc))
 
     if args.second_order:
         cfg.solver["second_order"] = True
@@ -319,7 +330,34 @@ def _run_one(path: str, args) -> int:
         out_dir = Path(cfg.output_dir)
     else:
         out_dir = _output_root(args.output_dir) / cfg.name
-    run_id = args.run_id or cfg.name
+    return _RunJob(path, cfg, out_dir, args.run_id or cfg.name)
+
+
+def _load_batch(args) -> list[_RunJob]:
+    """The batch's jobs in order. A config whose output directory an earlier
+    config of the batch claimed fails, so that no run replaces or mixes
+    with another's files, whatever order the runs finish in."""
+    jobs = []
+    claimed = {}
+    for path in args.config:
+        job = _load_job(path, args)
+        if job.error is None:
+            key = job.out_dir.resolve()
+            if key in claimed:
+                job.error = "output directory {} is already used by {}".format(
+                    job.out_dir, claimed[key]
+                )
+            else:
+                claimed[key] = path
+        jobs.append(job)
+    return jobs
+
+
+def _run_one(job: _RunJob) -> int:
+    path, cfg, run_id = job.path, job.cfg, job.run_id
+    if job.error is not None:
+        print("config error [{}]: {}".format(path, job.error))
+        return EXIT_CONFIG
 
     # Every failure ends this config with its own exit code, so the rest of
     # a batch still runs.
@@ -344,7 +382,7 @@ def _run_one(path: str, args) -> int:
         return EXIT_CONFIG
 
     manifest = solver.write_outputs(
-        result, bathy, grid, out_dir, run_id, config_doc=cfg.to_doc()
+        result, bathy, grid, job.out_dir, run_id, config_doc=cfg.to_doc()
     )
     print(
         "run {}: {} steps, {} snapshots, {} events, post_singular={}".format(
@@ -362,11 +400,12 @@ def _run_one(path: str, args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.jobs > 1 and len(args.config) > 1:
+    jobs = _load_batch(args)
+    if args.jobs > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(lambda p: _run_one(p, args), args.config))
+            codes = list(pool.map(_run_one, jobs))
     else:
-        codes = [_run_one(p, args) for p in args.config]
+        codes = [_run_one(job) for job in jobs]
     return max(codes)
 
 

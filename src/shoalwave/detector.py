@@ -202,20 +202,23 @@ def find_crossings(
         x = grid.x
     pairs = np.empty(px.size - 1, bool)
     products = np.empty(px.size - 1)
-    _mark_pairs(px, pairs, products, 0, px.size)
+    _mark_pairs(px[:-1], px[1:], pairs, products, 0, px.size)
     return _crossings(px, pairs, eps, bathy, x, grid.dx)
 
 
-def _mark_pairs(px, pairs, products, lo: int, hi: int) -> None:
-    """Rewrite pairs[i] = px[i] * px[i + 1] < 0 wherever px[lo:hi] is read.
+def _mark_pairs(left, right, pairs, products, lo: int, hi: int) -> None:
+    """Rewrite pairs[i] = px[i] * px[i + 1] < 0 wherever px[lo:hi] is read,
+    given left = px[:-1] and right = px[1:].
 
-    Those are the pairs [lo - 1, hi), clipped to the px.size - 1 pairs;
-    products is scratch of the pairs' length.
+    Those are the pairs [lo - 1, hi), clipped to the left.size pairs;
+    products is scratch of the pairs' length. A caller that marks every
+    pair on each call binds left and right once.
     """
-    a, b = max(lo - 1, 0), min(hi, px.size - 1)
-    np.less(
-        np.multiply(px[a:b], px[a + 1 : b + 1], out=products[a:b]), 0.0, out=pairs[a:b]
-    )
+    a, b = max(lo - 1, 0), min(hi, left.size)
+    if b - a < left.size:
+        rows = (left, right, pairs, products)
+        left, right, pairs, products = [row[a:b] for row in rows]
+    np.less(np.multiply(left, right, out=products), 0.0, out=pairs)
 
 
 def _crossings(px, pairs, eps: float, bathy, x, dx: float) -> list[CriticalPoint]:

@@ -87,6 +87,7 @@ class Workspace:
 
     def __init__(self):
         self._arrays = {}
+        self._rows = {}
 
     def take(self, name: str, shape, dtype=float) -> np.ndarray:
         key = (name, shape, dtype)
@@ -94,6 +95,22 @@ class Workspace:
         if arr is None:
             arr = self._arrays[key] = np.empty(shape, dtype)
         return arr
+
+    def rows(self, name: str, shape, size: int | None = None, dtype=float):
+        """The rows of take(name, shape, dtype), each cut to its first size
+        entries (default: all of them).
+
+        The whole rows are unpacked once and kept, so a caller at the full
+        length gets the same row objects on every call and pays for no new
+        views; a shorter size slices the block on each call.
+        """
+        if size is not None and size != shape[-1]:
+            return self.take(name, shape, dtype)[:, :size]
+        key = (name, shape, dtype)
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = tuple(self.take(name, shape, dtype))
+        return rows
 
 
 def _checked(field, grid: Grid) -> np.ndarray:
@@ -116,21 +133,24 @@ def ddx(field, grid: Grid) -> np.ndarray:
     return out
 
 
-def _ddx_from(f, dx: float, out, lo: int, hi: int):
+def _ddx_from(f, dx: float, out, lo: int, hi: int, inner=None):
     """Rewrite ddx(f) in out at every node whose stencil reads f[lo:hi].
 
     Those are the nodes [lo-1, hi+1), widened to node 0 when lo <= 2 and
     to the last node when hi >= n-2, whose one-sided stencils read three
-    nodes in. [0, n) rewrites all of out. Returns the rewritten span as
-    (first, last).
+    nodes in. [0, n) rewrites all of out; a caller that does so on every
+    call may pass inner = (f[2:], f[:-2], out[1:-1]), bound once. Returns
+    the rewritten span as (first, last).
     """
     n = f.size
     first = lo - 1 if lo > 2 else 0
     last = hi + 1 if hi < n - 2 else n
     inv2 = 1.0 / (2.0 * dx)
-    a, b = max(first, 1), min(last, n - 1)
-    inner = np.subtract(f[a + 1 : b + 1], f[a - 1 : b - 1], out=out[a:b])
-    np.multiply(inner, inv2, out=inner)
+    if inner is None:
+        a, b = max(first, 1), min(last, n - 1)
+        inner = (f[a + 1 : b + 1], f[a - 1 : b - 1], out[a:b])
+    ahead, behind, central = inner
+    np.multiply(np.subtract(ahead, behind, out=central), inv2, out=central)
     if first == 0:
         out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) * inv2
     if last == n:
@@ -165,7 +185,7 @@ def require_wet(
     that is a window of a longer row. NaN entries are skipped; an all-NaN w
     raises nothing.
     """
-    i = int(np.argmin(w))
+    i = int(w.argmin())
     low = w[i]
     if low != low:  # argmin stops at the first NaN
         try:

@@ -134,39 +134,55 @@ def inland(
     if state.gamma_surface.shape != (grid.n,):
         raise ValueError("state does not match grid")
     gamma, p, p_x = np.empty((3, grid.n))
-    # |p| is needed only until p_x is written, so p_x's row holds it.
-    return _refresh_inland(state, b, grid, (gamma, p, p_x, p_x), 0, grid.n, eps_px)[0]
+    # gamma's row takes w and then its root; |p| is needed only until p_x
+    # is written, so p_x's row holds it.
+    rows = _InlandRows(gamma, gamma, p, p_x, p_x)
+    return _refresh_inland(state, b, grid, rows, 0, grid.n, eps_px)[0]
+
+
+class _InlandRows:
+    """The whole-grid rows that _refresh_inland writes, and the shifted
+    views of p and p_x that a refresh over every node reads, bound once.
+
+    w may share gamma's row, whose root is then taken in place, and abs_p
+    may share p_x's row (see _refresh_inland).
+    """
+
+    def __init__(self, gamma, w, p, abs_p, p_x):
+        self.gamma, self.w, self.p, self.abs_p, self.p_x = gamma, w, p, abs_p, p_x
+        self.stencil = (p[2:], p[:-2], p_x[1:-1])
 
 
 def _refresh_inland(state: FlowState, b, grid: Grid, rows, lo: int, hi: int, eps_px):
     """inland's fields in rows, recomputed where the state may have changed.
 
-    rows = (gamma, p, abs_p, p_x) are whole-grid rows that last held the
-    fields of a state equal to this one outside the nodes [lo, hi); [0, n)
-    fills them from scratch. gamma, p and |p| are recomputed on [lo, hi),
-    and p_x wherever its stencil reads them (see fields._ddx_from), each
-    with inland's operands. The wet check covers [lo, hi), where alone a
-    column can have become dry, and reports the same node. The default
-    threshold reads the whole |p| row; abs_p may share p_x's row only for
-    [0, n), and is not written when eps_px is given. Returns the fields and
-    the span of p_x rewritten.
+    rows (an _InlandRows) last held the fields of a state equal to this one
+    outside the nodes [lo, hi); [0, n) fills them from scratch. w, gamma, p
+    and |p| are recomputed on [lo, hi), and p_x wherever its stencil reads
+    them (see fields._ddx_from), each with inland's operands. The wet check
+    covers [lo, hi), where alone a column can have become dry, and reports
+    the same node. The default threshold reads the whole |p| row; abs_p may
+    share p_x's row only for [0, n), and is not written when eps_px is
+    given. Returns the fields and the span of p_x rewritten.
     """
-    gamma, p, abs_p, p_x = rows
-    cells = (state.gamma_surface, state.velocity, b, gamma, p, abs_p)
-    if hi - lo < grid.n:
+    whole = hi - lo == grid.n
+    cells = (state.gamma_surface, state.velocity, b)
+    cells += (rows.w, rows.gamma, rows.p, rows.abs_p)
+    if not whole:
         cells = [row[lo:hi] for row in cells]
-    surface, velocity, bed, g, pw, aw = cells
-    w = np.subtract(surface, bed, out=g)
+    surface, velocity, bed, w, g, pw, aw = cells
+    np.subtract(surface, bed, out=w)
     require_wet(w, state.t, DRY_COLUMN, first_node=lo)
     np.sqrt(w, out=g)
     np.add(velocity, np.multiply(2.0, g, out=pw), out=pw)
     if eps_px is None:
         np.abs(pw, out=aw)
-        eps = _eps_of(abs_p, grid.dx)
+        eps = _eps_of(rows.abs_p, grid.dx)
     else:
         eps = float(eps_px)
-    span = _ddx_from(p, grid.dx, p_x, lo, hi)
-    return InlandFields(gamma, p, p_x, eps), span
+    inner = rows.stencil if whole else None
+    span = _ddx_from(rows.p, grid.dx, rows.p_x, lo, hi, inner)
+    return InlandFields(rows.gamma, rows.p, rows.p_x, eps), span
 
 
 def compute(state: FlowState, bathy, grid: Grid, eps_px: float | None = None) -> RiemannFields:

@@ -33,15 +33,30 @@ gradient threshold, and the scan for sign changes still read whole rows.
 The bed is static: prepare() evaluates it, its ghost cells and the
 first-order interface bed offsets once, and run() reuses them for every
 step and detector pass. The prepared domain also holds the run's
-workspace: the kernel of either order and the run's detector search write
-every temporary into arrays allocated on the first step, so a step
-allocates only the state it returns. write_outputs() formats the static x
-and b columns once and writes each snapshot in one formatting pass.
+workspace, whose rows prepare() takes and binds once (see _Rows): the
+step's w and m are the cells of their ghost-extended rows, so a
+whole-grid step writes only the two ghost cells at each end of each row,
+and every shifted view that the whole-grid kernel and search read is
+built once. A window's views are sliced on each step, because its bounds
+move. The kernel of either order and the run's detector search write
+every temporary into the workspace, so a step allocates only the state it
+returns. write_outputs() formats the static x and b columns once and
+writes each snapshot in one formatting pass.
 
 The time step is cfl * dx / max(|u| + sqrt(w)); runs abort with
 NearDryError when any column drops below h_min and NumericBlowUpError on
-non-finite values. After a rush event the integration keeps going by
-default and the run is flagged post-singular.
+non-finite values. Each step checks its starting w against h_min, and its
+starting w and u for non-finite values only when that maximum is not
+finite, which a non-finite w or u makes it. After the update it checks the
+new w and m for non-finite values only when one sum over both is not
+finite, then the new w against h_min. The run's detector search checks
+each state it reads for a dry column. So each check raises what checking
+every array in turn would, with the same node, t and depth. A step of the
+very state object that the run's search has just read takes w and sqrt(w)
+from the search's rows, which hold the bits the step would compute; any
+other state, a copy included, has them computed afresh. After a rush event
+the integration keeps going by default and the run is flagged
+post-singular.
 """
 
 from __future__ import annotations
@@ -161,8 +176,9 @@ class Domain:
     br - max(bl, br) of the hydrostatic reconstruction (Audusse et al.,
     SIAM J. Sci. Comput. 25, 2004), which depend on the bed alone. These
     arrays are read-only. work is the scratch space that every step and
-    detector pass overwrites, so a domain serves one run at a time. Build
-    one with prepare().
+    detector pass overwrites, so a domain serves one run at a time; rows
+    binds its whole-grid rows and their shifted views once (see _Rows).
+    Build one with prepare().
     """
 
     x: np.ndarray
@@ -172,27 +188,26 @@ class Domain:
     bed_right: np.ndarray
     ghost_x: tuple
     work: Workspace
+    rows: _Rows
 
 
-def _fill_ghosts(out, a, boundary: str, odd: bool = False):
-    """Copy a into out[2:-2] and fill two ghost cells per side.
-
-    odd marks a quantity that changes sign at a reflective wall (momentum).
+def _ghost_copies(e, boundary: str):
+    """(ghosts, cells) view pairs that fill the two ghost cells per side of
+    the rows e, each n + 4 long, from their cells e[..., 2:-2] as the
+    boundary kind lays them out. A reflective wall also flips the sign of
+    momentum's ghosts (see _Frame).
     """
-    out[2:-2] = a
     if boundary == "periodic":
-        out[:2] = a[-2:]
-        out[-2:] = a[:2]
-    elif boundary == "reflective":
-        out[:2] = -a[1::-1] if odd else a[1::-1]
-        out[-2:] = -a[-1:-3:-1] if odd else a[-1:-3:-1]
-    else:  # transmissive: zero-gradient
-        out[:2] = a[0]
-        out[-2:] = a[-1]
+        return ((e[..., :2], e[..., -4:-2]), (e[..., -2:], e[..., 2:4]))
+    if boundary == "reflective":
+        return ((e[..., :2], e[..., 3:1:-1]), (e[..., -2:], e[..., -3:-5:-1]))
+    # transmissive: zero-gradient
+    return ((e[..., :2], e[..., 2:3]), (e[..., -2:], e[..., -3:-2]))
 
 
 def prepare(bathy, grid: Grid, config: SolverConfig) -> Domain:
-    """Evaluate the bed and everything derived from it once for a run."""
+    """Evaluate the bed and everything derived from it once for a run, and
+    bind the run's workspace rows."""
     x = grid.x
     b = np.array(bathy.eval(x), dtype=float)
     ghost_x = (
@@ -200,7 +215,9 @@ def prepare(bathy, grid: Grid, config: SolverConfig) -> Domain:
         grid.x_last + grid.dx * np.array([1.0, 2.0]),
     )
     b_e = np.empty(grid.n + 4)
-    _fill_ghosts(b_e, b, config.boundary)
+    b_e[2:-2] = b
+    for ghosts, cells in _ghost_copies(b_e, config.boundary):
+        np.copyto(ghosts, cells)
     if config.inflow is not None:
         b_e[:2] = bathy.eval(ghost_x[0])
         b_e[-2:] = bathy.eval(ghost_x[1])
@@ -212,35 +229,109 @@ def prepare(bathy, grid: Grid, config: SolverConfig) -> Domain:
     bed_right = br - b_int
     for arr in (x, b, b_e, bed_left, bed_right, *ghost_x):
         arr.setflags(write=False)
-    return Domain(x, b, b_e, bed_left, bed_right, ghost_x, Workspace())
+    work = Workspace()
+    rows = _Rows(grid.n, config.boundary, work, bed_left, bed_right)
+    return Domain(x, b, b_e, bed_left, bed_right, ghost_x, work, rows)
 
 
-def _extended(w, m, domain: Domain, config: SolverConfig, t: float, lo=0, hi=None):
-    """Ghost-extended (w, m) of the cells [lo, hi) of whole-grid rows w and m.
+class _Rows:
+    """The workspace rows of one run, taken and bound once by prepare().
 
-    For the whole grid the ghosts follow the boundary kind and live in the
-    domain's workspace. A window with 2 <= lo and hi <= n - 2 reads the two
-    real cells beside each end as its ghosts: the result is a view of
-    w[lo-2:hi+2] and m[lo-2:hi+2].
+    ghosts holds the step's thickness and momentum with two ghost cells
+    per side; their cells are the rows w and m that a step writes from its
+    state, so a whole-grid step fills only the ghost cells. speed keeps the
+    wave speed of every cell from step to step. search holds the rows of
+    the run's detector search (gamma, w, p, |p| and p_x), and searched the
+    state they were last computed from, or None while they are being
+    rewritten: a step of that very state takes w and sqrt(w) from them
+    (see step). whole is the whole grid's frame.
     """
-    hi = w.size if hi is None else hi
-    if hi - lo < w.size:
-        return w[lo - 2 : hi + 2], m[lo - 2 : hi + 2]
-    w_e, m_e = domain.work.take("ghosts", (2, w.size + 4))
-    _fill_ghosts(w_e, w, config.boundary)
-    _fill_ghosts(m_e, m, config.boundary, odd=True)
+
+    def __init__(self, n: int, boundary: str, work: Workspace, bed_left, bed_right):
+        self.n = n
+        self.boundary = boundary
+        self.work = work
+        self.bed_left, self.bed_right = bed_left, bed_right
+        self.ghosts = work.take("ghosts", (2, n + 4))
+        self.speed = work.take("speed", n)
+        self.center_u = work.take("rhs u", n + 2)
+        self.search = riemann._InlandRows(*work.take("search", (5, n)))
+        self.searched = None
+        self.whole = _Frame(self, self.ghosts, 0, n)
+
+
+class _Frame:
+    """The views of a run's rows that one step (or stage) over the cells
+    [lo, hi) reads and writes.
+
+    block holds thickness and momentum rows n + 4 long; w_e and m_e are
+    its columns [lo, hi + 4), whose middle columns w and m are the cells.
+    The whole grid's ghost cells follow the boundary kind: ghost_copies
+    fills them from the cells, and ghost_flips names the momentum ghosts
+    whose sign a reflective wall flips. A window of 2 <= lo and hi <= n - 2
+    reads the two real cells beside each end as its ghosts, so its step
+    writes w and m over all of w_e and m_e; a whole-grid step writes the
+    cells. The other views are of the interface rows (size + 1 long), the
+    fluxes of _hll, the rates (size long, holding the new w and m at the
+    end of a step), the wave speeds over the cells and, for a step's
+    hand-off, the search's w and sqrt(w). prepare() binds the whole grid's
+    frame once; a window's is sliced on each step, because its bounds move.
+    """
+
+    def __init__(self, rows: _Rows, block, lo: int, hi: int):
+        n, size, work = rows.n, hi - lo, rows.work
+        whole = size == n
+        self.lo = lo
+        self.cells = slice(lo, hi)
+        ext = block if whole else block[:, lo : hi + 4]
+        self.w_e, self.m_e = ext
+        self.w, self.m = ext[:, 2:-2]
+        if whole:
+            self.reach = self.cells
+            self.w_reach, self.m_reach = self.w, self.m
+            self.ghost_copies = _ghost_copies(block, rows.boundary)
+            reflective = rows.boundary == "reflective"
+            self.ghost_flips = (self.m_e[:2], self.m_e[-2:]) if reflective else ()
+        else:
+            self.reach = slice(lo - 2, hi + 2)
+            self.w_reach, self.m_reach = self.w_e, self.m_e
+            self.ghost_copies = self.ghost_flips = None
+        center_w = self.w_e[1:-1]
+        self.center_w, self.center_m = center_w, self.m_e[1:-1]
+        self.w_left, self.w_right = center_w[:-1], center_w[1:]
+        u = rows.center_u if whole else rows.center_u[: size + 2]
+        self.center_u, self.ul, self.ur = u, u[:-1], u[1:]
+        self.bed_left = rows.bed_left[lo : hi + 1]
+        self.bed_right = rows.bed_right[lo : hi + 1]
+        interfaces = work.take("rhs", (4, n + 1))[:, : size + 1]
+        self.wls, self.wrs, self.g_right, self.tmp = interfaces
+        self.g_right_next = self.g_right[1:]
+        # A whole-grid _hll call returns these flux rows (see Workspace.rows).
+        self.f0 = self.f1 = None
+        if whole:
+            self.f0, self.f1 = work.rows("hll", (11, n + 1))[4:6]
+            self.flux_shifts = (self.f0[1:], self.f0[:-1], self.f1[:-1])
+        self.rates = work.take("rates", (2, n))[:, :size]
+        self.rw, self.rm = self.rates
+        self.speed = rows.speed[self.cells]
+        self.searched_w = rows.search.w[self.reach]
+        self.searched_root = rows.search.gamma[self.cells]
+
+
+def _fill_ghosts(frame: _Frame, domain: Domain, config: SolverConfig, t: float):
+    """Fill the ghost cells of a whole-grid frame from its cells, or from
+    the inflow at time t; a window's ghosts are real cells."""
+    if frame.ghost_copies is None:
+        return
+    for ghosts, cells in frame.ghost_copies:
+        np.copyto(ghosts, cells)
+    for ghosts in frame.ghost_flips:
+        np.negative(ghosts, out=ghosts)
     if config.inflow is not None:
         for sl, xg in zip((slice(0, 2), slice(-2, None)), domain.ghost_x):
             w_g, u_g = config.inflow(t, xg)
-            w_e[sl] = w_g
-            m_e[sl] = np.asarray(w_g) * np.asarray(u_g)
-    return w_e, m_e
-
-
-def _leading(block, size):
-    """The first size columns of a workspace block, without a new view when
-    that is all of it: a whole-grid step then pays nothing for windows."""
-    return block if block.shape[-1] == size else block[:, :size]
+            frame.w_e[sl] = w_g
+            frame.m_e[sl] = np.asarray(w_g) * np.asarray(u_g)
 
 
 def _hll(wl, ul, wr, ur, work: Workspace, capacity: int | None = None):
@@ -249,17 +340,19 @@ def _hll(wl, ul, wr, ur, work: Workspace, capacity: int | None = None):
     An interface whose two states are identical takes the left flux, so
     that a balanced state produces bitwise-zero updates.
 
-    Every temporary lives in work; the two returned flux arrays do too.
-    Its blocks are taken capacity interfaces long (default: as many as
-    given), so calls of any size up to capacity share them. Each line
+    Every temporary lives in work; the two returned flux arrays do too,
+    and a call of the full capacity returns the same two row objects each
+    time (see Workspace.rows). Its blocks are taken capacity interfaces
+    long (default: as many as given), so calls of any size up to capacity
+    share them. Each line
     computes what its comment says, with the same operands in the same
     order, so the results are bitwise those of the plain expressions.
     """
     size = wl.size
     capacity = size if capacity is None else capacity
-    rows = _leading(work.take("hll", (11, capacity)), size)
+    rows = work.rows("hll", (11, capacity), size)
     ml, mr, fl1, tmp, mid0, mid1, fr1, sl, sr, slsr, safe = rows
-    same, left, right = _leading(work.take("hll masks", (3, capacity), bool), size)
+    same, left, right = work.rows("hll masks", (3, capacity), size, bool)
 
     np.multiply(wl, ul, out=ml)
     np.multiply(wr, ur, out=mr)
@@ -335,27 +428,24 @@ def _edges(arr, minus, plus, rows, flags):
     np.add(center, half, out=plus)
 
 
-def _rhs(
-    w, m, domain: Domain, grid: Grid, config: SolverConfig, t: float, lo=0, hi=None
-):
-    """Flux divergence plus bed source, as d/dt arrays over the cells [lo, hi).
+def _rhs(frame: _Frame, domain: Domain, grid: Grid, config: SolverConfig, t: float):
+    """Flux divergence plus bed source, as d/dt arrays over the frame's cells.
 
-    w and m are whole-grid rows; [lo, hi) defaults to every cell, and a
-    smaller window must keep two cells to each side (see _extended). Every
-    temporary and the returned arrays live in the domain's workspace, in
-    blocks taken at the whole grid's length, so windows of any size share
-    them. Each line computes what its comment says, with the same operands
-    in the same order as the plain expression.
+    The frame's cells hold w and m (see _Frame); a window must keep two
+    cells to each side. Returns the frame's rate rows (rw, rm). Every
+    temporary lives in the domain's workspace, in blocks taken at the
+    whole grid's length, so windows of any size share them. Each line
+    computes what its comment says, with the same operands in the same
+    order as the plain expression.
     """
     n = grid.n
-    hi = n if hi is None else hi
-    size = hi - lo
     work = domain.work
-    w_e, m_e = _extended(w, m, domain, config, t, lo, hi)
-    wls, wrs, g_right, tmp = _leading(work.take("rhs", (4, n + 1)), size + 1)
+    _fill_ghosts(frame, domain, config, t)
+    wls, wrs, g_right, tmp = frame.wls, frame.wrs, frame.g_right, frame.tmp
 
     # Interface j sits between cell edge arrays at j (left) and j+1 (right).
     if config.second_order:
+        w_e, m_e = frame.w_e, frame.m_e
         rec = work.take("reconstruction", (12, n + 4))
         flags = work.take("reconstruction flags", (2, n + 2), bool)
         eta_e, u_e, scratch = rec[0], rec[1], rec[2:6]
@@ -379,16 +469,11 @@ def _rhs(
         ul = u_plus[:-1]
         ur = u_minus[1:]
     else:
-        center_w = w_e[1:-1]
-        center_u = np.divide(
-            m_e[1:-1], center_w, out=work.take("rhs u", n + 2)[: size + 2]
-        )
-        bed_left = domain.bed_left[lo : hi + 1]
-        bed_right = domain.bed_right[lo : hi + 1]
-        np.maximum(np.add(center_w[:-1], bed_left, out=wls), 0.0, out=wls)
-        np.maximum(np.add(center_w[1:], bed_right, out=wrs), 0.0, out=wrs)
-        ul = center_u[:-1]
-        ur = center_u[1:]
+        # center_u = m / w over the cells and one ghost cell per side
+        np.divide(frame.center_m, frame.center_w, out=frame.center_u)
+        np.maximum(np.add(frame.w_left, frame.bed_left, out=wls), 0.0, out=wls)
+        np.maximum(np.add(frame.w_right, frame.bed_right, out=wrs), 0.0, out=wrs)
+        ul, ur = frame.ul, frame.ur
     f0, f1 = _hll(wls, ul, wrs, ur, work, capacity=n + 1)
 
     # Group each hydrostatic correction with its own interface flux; at a
@@ -403,14 +488,18 @@ def _rhs(
         scale = config.flux_perturbation * grid.dx * 0.5
         np.multiply(scale, np.add(wls, wrs, out=tmp), out=tmp)
         np.add(g_right, tmp, out=g_right)
+    if f0 is frame.f0 and f1 is frame.f1:
+        f0_next, f0_prev, g_left_prev = frame.flux_shifts
+    else:
+        f0_next, f0_prev, g_left_prev = f0[1:], f0[:-1], g_left[:-1]
 
     inv_dx = 1.0 / grid.dx
-    rw, rm = _leading(work.take("rates", (2, n)), size)
+    rw, rm = frame.rw, frame.rm
     # rw = -(f0[1:] - f0[:-1]) * inv_dx
-    np.negative(np.subtract(f0[1:], f0[:-1], out=rw), out=rw)
+    np.negative(np.subtract(f0_next, f0_prev, out=rw), out=rw)
     np.multiply(rw, inv_dx, out=rw)
     # rm = -(g_right[1:] - g_left[:-1] + cell_jump - bed_term) * inv_dx
-    np.subtract(g_right[1:], g_left[:-1], out=rm)
+    np.subtract(frame.g_right_next, g_left_prev, out=rm)
     if config.second_order:
         wm = w_minus[1:-1]
         wp = w_plus[1:-1]
@@ -446,6 +535,15 @@ def _require_finite(arr, t, what, first_node=0):
         )
 
 
+def _require_finite_rows(block, t, whats, first_node=0):
+    """_require_finite(row, t, what, first_node) for each row of block and
+    its name in whats, in turn, after one sum over the block shows that
+    one of them has a non-finite entry or overflows."""
+    if not math.isfinite(block.sum()):
+        for row, what in zip(block, whats):
+            _require_finite(row, t, what, first_node)
+
+
 # The end cells that every window leaves out, so that its ghosts are cells.
 _ENDS = (0, 1, -2, -1)
 
@@ -477,7 +575,10 @@ class _ActiveWindow:
         self.n = grid.n
         self.lo, self.hi = 0, grid.n
         self.open = config.inflow is None and not config.second_order
-        self._masks = work.take("active window", (2, grid.n), bool)
+        self._work = work
+
+    def _masks(self, size):
+        return self._work.rows("active window", (2, self.n), size, bool)
 
     def _close(self):
         self.open = False
@@ -494,7 +595,7 @@ class _ActiveWindow:
         ):
             self._close()
             return
-        still, same = _leading(self._masks, rw.size)
+        still, same = self._masks(rw.size)
         np.equal(rw, 0.0, out=still)
         still &= np.equal(rm, 0.0, out=same)
 
@@ -503,7 +604,7 @@ class _ActiveWindow:
         if not self.open:
             return
         cells = slice(self.lo, self.hi)
-        still, same = _leading(self._masks, self.hi - self.lo)
+        still, same = self._masks(self.hi - self.lo)
         pairs = ((old.gamma_surface, gamma_surface), (old.velocity, velocity))
         for before, after in pairs:
             still &= np.equal(
@@ -535,7 +636,7 @@ def step(
 
     dt_max caps the step (used by run() to land exactly on t_end). Raises
     NearDryError if the starting or resulting state violates h_min and
-    NumericBlowUpError on non-finite results. domain, when given, must be
+    NumericBlowUpError on non-finite values. domain, when given, must be
     prepare(bathy, grid, config); run() builds it once for all its steps.
     The returned state's arrays are new; the temporaries live in the
     domain's workspace.
@@ -547,65 +648,87 @@ def step(
     bit. dt stays exact: the workspace keeps the whole row of wave speeds,
     whose cells outside the window have not changed since they were
     written. The window then moves on from this step's rates and state.
+
+    The checks raise what checking each array in turn would: the starting
+    w for h_min, then (only when the fastest wave speed is not finite,
+    which a non-finite w or u makes it) w and u for non-finite values;
+    after the update (only when one sum over the new w and m is not
+    finite) each of them for non-finite values, then the new w for h_min.
+    A state that the run's detector search has just read (the same
+    object) hands over its w and sqrt(w) from the search's rows, which hold
+    the bits computed here otherwise.
     """
     if domain is None:
         domain = prepare(bathy, grid, config)
     n = grid.n
+    rows = domain.rows
     lo, hi = (0, n) if _window is None else (_window.lo, _window.hi)
     whole = hi - lo == n
-    cells = slice(lo, hi)
-    reach = cells if whole else slice(lo - 2, hi + 2)
-    b = domain.b
-    w_row, m_row, speed = domain.work.take("step", (3, n))
-    w_reach, m_reach = w_row[reach], m_row[reach]
-    np.subtract(state.gamma_surface[reach], b[reach], out=w_reach)
-    w, m, u, fast = w_row[cells], m_row[cells], state.velocity[cells], speed[cells]
-    require_wet(w, state.t, BELOW_H_MIN, config.h_min, first_node=lo)
-    _require_finite(w, state.t, "thickness", lo)
-    _require_finite(u, state.t, "velocity", lo)
+    frame = rows.whole if whole else _Frame(rows, rows.ghosts, lo, hi)
+    t, h_min = state.t, config.h_min
+    surface, velocity, b = state.gamma_surface, state.velocity, domain.b
+    if not whole:
+        reach = frame.reach
+        surface, velocity, b = surface[reach], velocity[reach], b[reach]
+    w, m = frame.w, frame.m
+    if state is rows.searched:
+        np.copyto(frame.w_reach, frame.searched_w)
+        root = frame.searched_root
+    else:
+        np.subtract(surface, b, out=frame.w_reach)
+        root = None
+    require_wet(w, t, BELOW_H_MIN, h_min, first_node=lo)
+    if root is None:
+        root = np.sqrt(w, out=m)
+    u = velocity if whole else velocity[2:-2]
 
     # fastest = max(|u| + sqrt(w)) over the whole row
-    np.add(np.abs(u, out=fast), np.sqrt(w, out=m), out=fast)
-    fastest = float(speed.max())
+    np.add(np.abs(u, out=frame.speed), root, out=frame.speed)
+    fastest = float(rows.speed.max())
+    if not math.isfinite(fastest):
+        _require_finite(w, t, "thickness", lo)
+        _require_finite(u, t, "velocity", lo)
     dt = config.cfl * grid.dx / fastest
     if dt_max is not None:
         dt = min(dt, float(dt_max))
-    np.multiply(w_reach, state.velocity[reach], out=m_reach)
+    np.multiply(frame.w_reach, velocity, out=frame.m_reach)
 
     if config.second_order:
-        rw1, rm1 = _rhs(w_row, m_row, domain, grid, config, state.t)
-        # w1 = w + dt * rw1; m1 = m + dt * rm1
-        w1, m1 = domain.work.take("stage", (2, n))
+        rw1, rm1 = _rhs(frame, domain, grid, config, t)
+        # w1 = w + dt * rw1; m1 = m + dt * rm1, the cells of a second block
+        stage = _Frame(rows, domain.work.take("stage", (2, n + 4)), 0, n)
+        w1, m1 = stage.w, stage.m
         np.add(w, np.multiply(dt, rw1, out=rw1), out=w1)
         np.add(m, np.multiply(dt, rm1, out=rm1), out=m1)
-        require_wet(w1, state.t + dt, "intermediate stage dried out at node {node}")
-        rw2, rm2 = _rhs(w1, m1, domain, grid, config, state.t + dt)
-        # w_new = 0.5 * (w + w1 + dt * rw2); m_new likewise, over w and m
-        for new, stage, rate in ((w, w1, rw2), (m, m1, rm2)):
-            np.add(new, stage, out=new)
-            np.add(new, np.multiply(dt, rate, out=rate), out=new)
+        require_wet(w1, t + dt, "intermediate stage dried out at node {node}")
+        w_new, m_new = _rhs(stage, domain, grid, config, t + dt)
+        # w_new = 0.5 * (w + w1 + dt * rw2); m_new likewise, over rw2 and rm2
+        for old, mid, new in ((w, w1, w_new), (m, m1, m_new)):
+            np.add(old, mid, out=old)
+            np.add(old, np.multiply(dt, new, out=new), out=new)
             np.multiply(0.5, new, out=new)
     else:
-        rw, rm = _rhs(w_row, m_row, domain, grid, config, state.t, lo, hi)
+        w_new, m_new = _rhs(frame, domain, grid, config, t)
         if _window is not None:
-            _window.note_rates(rw, rm)
-        # w_new = w + dt * rw; m_new = m + dt * rm, over w and m
-        np.add(w, np.multiply(dt, rw, out=rw), out=w)
-        np.add(m, np.multiply(dt, rm, out=rm), out=m)
+            _window.note_rates(w_new, m_new)
+        # w_new = w + dt * rw; m_new = m + dt * rm, over rw and rm
+        np.add(w, np.multiply(dt, w_new, out=w_new), out=w_new)
+        np.add(m, np.multiply(dt, m_new, out=m_new), out=m_new)
 
-    t_new = state.t + dt
-    _require_finite(w, t_new, "thickness", lo)
-    _require_finite(m, t_new, "momentum", lo)
-    require_wet(w, t_new, BELOW_H_MIN, config.h_min, first_node=lo)
+    t_new = t + dt
+    # w_new and m_new are the rows of frame.rates (see _rhs).
+    _require_finite_rows(frame.rates, t_new, ("thickness", "momentum"), lo)
+    require_wet(w_new, t_new, BELOW_H_MIN, h_min, first_node=lo)
     # gamma_surface = w_new + b; velocity = m_new / w_new, over the window
     # of a copy of the old state
     if whole:
-        gamma_surface, velocity = np.add(w, b), np.divide(m, w)
+        gamma_surface, velocity = np.add(w_new, b), np.divide(m_new, w_new)
     else:
+        cells = frame.cells
         gamma_surface = state.gamma_surface.copy()
         velocity = state.velocity.copy()
-        np.add(w, b[cells], out=gamma_surface[cells])
-        np.divide(m, w, out=velocity[cells])
+        np.add(w_new, domain.b[cells], out=gamma_surface[cells])
+        np.divide(m_new, w_new, out=velocity[cells])
     if _window is not None:
         _window.advance(state, gamma_surface, velocity)
     return FlowState(t_new, gamma_surface, velocity)
@@ -614,10 +737,10 @@ def step(
 class _Search:
     """The detector search of a run: riemann.inland, then find_crossings.
 
-    Its rows (gamma, p, |p|, p_x and the pair marks p_x[i] * p_x[i+1] < 0)
-    live in the domain's workspace and carry over from step to step. A
+    Its rows (gamma, w, p, |p|, p_x and the pair marks p_x[i] * p_x[i+1]
+    < 0) live in the domain's workspace and carry over from step to step. A
     step changes the state only on its window [lo, hi), so each search
-    recomputes gamma, p and |p| there, p_x wherever its stencil reads a
+    recomputes w, gamma, p and |p| there, p_x wherever its stencil reads a
     new p (one node beyond the window, and an end node whose one-sided
     stencil reaches in; see fields._ddx_from), and the pairs that read a
     new p_x, each with the operands of the whole-grid functions. The
@@ -626,26 +749,30 @@ class _Search:
     cell anywhere can set it, and the scan of the pair marks for sign
     changes, whose nodes are then tested against that threshold. So each
     step finds the crossings, bit for bit, that inland and find_crossings
-    would.
+    would. domain.rows.searched names the state whose w and gamma the rows
+    hold, for the next step's hand-off (see step).
     """
 
     def __init__(self, bathy, grid: Grid, domain: Domain, eps_px: float | None):
         self.bathy, self.grid, self.domain, self.eps_px = bathy, grid, domain, eps_px
-        work = domain.work
-        self.rows = work.take("search", (4, grid.n))
+        work, p_x = domain.work, domain.rows.search.p_x
+        self.px_pairs = (p_x[:-1], p_x[1:])
         self.pairs = work.take("search pairs", grid.n - 1, bool)
         self.products = work.take("search products", grid.n - 1)
 
     def __call__(self, state: FlowState, lo: int, hi: int):
         """(fields, crossings) of state, which differs from the state of the
         last call only on the cells [lo, hi)."""
-        grid, domain = self.grid, self.domain
+        grid, domain, rows = self.grid, self.domain, self.domain.rows
+        rows.searched = None
         fields, (first, last) = riemann._refresh_inland(
-            state, domain.b, grid, self.rows, lo, hi, self.eps_px
+            state, domain.b, grid, rows.search, lo, hi, self.eps_px
         )
-        px, pairs = fields.p_x, self.pairs
-        _mark_pairs(px, pairs, self.products, first, last)
-        points = _crossings(px, pairs, fields.eps_px, self.bathy, domain.x, grid.dx)
+        rows.searched = state
+        _mark_pairs(*self.px_pairs, self.pairs, self.products, first, last)
+        points = _crossings(
+            fields.p_x, self.pairs, fields.eps_px, self.bathy, domain.x, grid.dx
+        )
         return fields, points
 
 
@@ -825,6 +952,8 @@ def write_outputs(
 
     The snapshots hold the bytes save_state writes; the bed is evaluated
     and the static x and b columns are formatted once for all of them.
+    Any other snap_*.csv file in out_dir, left by an earlier run, is
+    removed, so the directory holds the snapshots its manifest lists.
     Paths inside the manifest are relative to out_dir so a run directory
     can be moved or compared byte-for-byte. Returns the manifest path.
     """
@@ -837,6 +966,9 @@ def write_outputs(
         name = "snap_{:06d}.csv".format(k)
         write_state(snap, out / name)
         snap_files.append(name)
+    for stale in out.glob("snap_*.csv"):
+        if stale.name not in snap_files and stale.is_file():
+            stale.unlink()
     events_name = "events.jsonl"
     with open(out / events_name, "w") as fh:
         for ev in result.events:

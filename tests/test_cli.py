@@ -153,6 +153,42 @@ class TestRun:
         assert (tmp_path / "out" / "tiny" / "run.json").exists()
         assert (tmp_path / "out" / "tiny2" / "run.json").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_batch_rejects_an_output_directory_already_used(
+        self, tmp_path, capsys, monkeypatch, jobs
+    ):
+        # The second "tiny" would write over the first; it ends with one
+        # config error line and writes nothing, and the batch goes on.
+        monkeypatch.setenv(cli.OUTPUT_ENV, str(tmp_path / "out"))
+        first = write_cfg(tmp_path, SMALL_RUN, "first.cfg")
+        longer = SMALL_RUN.replace("t_end: 1.0", "t_end: 2.0")
+        again = write_cfg(tmp_path, longer, "again.cfg")
+        renamed = SMALL_RUN.replace("name: tiny", "name: other")
+        other = write_cfg(tmp_path, renamed, "other.cfg")
+        assert cli.main(["run", first, again, other, "--jobs", jobs]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        rejected = [line for line in lines if again in line]
+        assert rejected == [
+            "config error [{}]: output directory {} is already used by {}".format(
+                again, tmp_path / "out" / "tiny", first
+            )
+        ]
+        manifest = json.loads((tmp_path / "out" / "tiny" / "run.json").read_text())
+        assert manifest["config"]["solver"]["t_end"] == 1.0
+        assert (tmp_path / "out" / "other" / "run.json").exists()
+
+    def test_rerun_leaves_only_the_snapshots_its_manifest_lists(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        out = ["--output-dir", str(tmp_path / "out")]
+        run_dir = tmp_path / "out" / "tiny"
+        assert cli.main(["run", cfg] + out) == 0
+        first = sorted(p.name for p in run_dir.glob("snap_*.csv"))
+        assert cli.main(["run", cfg, "--t-end", "0.4"] + out) == 0
+        manifest = json.loads((run_dir / "run.json").read_text())
+        kept = sorted(p.name for p in run_dir.glob("snap_*.csv"))
+        assert kept == sorted(manifest["snapshot_files"])
+        assert len(first) == 3 and len(kept) == 2
+
     def test_batch_returns_worst_code(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_ENV, str(tmp_path / "out"))
         good = write_cfg(tmp_path, SMALL_RUN, "good.cfg")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from shoalwave import analytic, cli, detector, fields, riemann, solver
@@ -620,9 +620,10 @@ def test_first_order_step_allocates_only_the_state_it_returns():
     assert peak <= 3 * n * np.dtype(float).itemsize, peak / (n * 8)
 
 
-def test_still_sea_step_allocates_nothing_for_its_window():
-    # A still sea with a pulse in its middle: both end interfaces carry
-    # identical states, so _hll solves only the disturbed window.
+def test_whole_grid_step_takes_no_new_block_and_allocates_only_its_result():
+    # A still sea with a pulse in its middle, stepped over the whole grid
+    # after the step that filled the workspace: the step takes no new
+    # workspace block and allocates only the state it returns.
     n = 12000
     grid = Grid(0.0, 0.01, n)
     bathy = Flat(-1.0)
@@ -1399,3 +1400,210 @@ def test_windowed_search_allocates_no_row_per_step(eps_px):
         tracemalloc.stop()
     assert set(domain.work._arrays) == blocks
     assert max(peaks) < n, max(peaks)
+
+
+# The step fuses its checks. Checked one array at a time, in the order the
+# step names them, they are: the starting w for h_min, w and u for
+# non-finite values, then the new w and m for non-finite values and the new
+# w for h_min. The step must raise what that sequence raises.
+
+PLANTED = [np.nan, np.inf, -np.inf, 1e200, -1e200, 1.7e308, -1.7e308]
+# (row 0 or 1, position in the row or window, value)
+_PLANT = st.tuples(
+    st.integers(0, 1), st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(PLANTED)
+)
+
+
+def _checked_reference_step(state, bathy, grid, config, lo, hi, dt_max, plant_rates):
+    """A first-order step of the cells [lo, hi) of state by the reference
+    kernel, checked one array at a time; plant_rates(rw, rm, 0) may change
+    the whole-grid rates first."""
+    b = bathy.eval(grid.x)
+    t, cells = state.t, slice(lo, hi)
+    w = state.gamma_surface - b
+    u = state.velocity
+    fields.require_wet(w[cells], t, solver.BELOW_H_MIN, config.h_min, first_node=lo)
+    solver._require_finite(w[cells], t, "thickness", lo)
+    solver._require_finite(u[cells], t, "velocity", lo)
+    dt = min(config.cfl * grid.dx / float(np.max(np.abs(u) + np.sqrt(w))), dt_max)
+    m = w * u
+    rw, rm = _ref_rhs(w, m, b, grid, config, t, bathy)
+    plant_rates(rw, rm, 0)
+    w_new = (w + dt * rw)[cells]
+    m_new = (m + dt * rm)[cells]
+    t_new = t + dt
+    solver._require_finite(w_new, t_new, "thickness", lo)
+    solver._require_finite(m_new, t_new, "momentum", lo)
+    fields.require_wet(w_new, t_new, solver.BELOW_H_MIN, config.h_min, first_node=lo)
+    surface, velocity = state.gamma_surface.copy(), state.velocity.copy()
+    surface[cells] = w_new + b[cells]
+    velocity[cells] = m_new / w_new
+    return FlowState(t_new, surface, velocity)
+
+
+@st.composite
+def _planted_runs(draw):
+    """A first-order disturbed lake, the step to plant at, what to plant in
+    (the state, or the rates that make the new w and m) and the plants as
+    (row 0 or 1, position in the window, value)."""
+    grid, bathy, state, config = draw(_disturbed_lakes())
+    config.second_order = False
+    at_step = draw(st.integers(1, 8))
+    target = draw(st.sampled_from(["state", "rates"]))
+    plants = draw(st.lists(_PLANT, min_size=1, max_size=4))
+    return grid, bathy, state, config, at_step, target, plants
+
+
+@settings(deadline=None, max_examples=150)
+@given(_planted_runs())
+def test_fused_checks_raise_what_checking_each_array_in_turn_raises(case):
+    # Values planted in the surface and velocity of the state a step reads,
+    # or in its rates, at nodes of its window.
+    grid, bathy, initial, config, at_step, target, plants = case
+    calls, outputs = [], []
+
+    def plant(rows, lo, hi, offset):
+        for row, where, value in plants:
+            rows[row][lo + int(where * (hi - lo)) - offset] = value
+
+    def plant_rates(rw, rm, offset):
+        if target == "rates":
+            _, lo, hi, _ = calls[at_step - 1]
+            plant((rw, rm), lo, hi, offset)
+
+    step, rhs = solver.step, solver._rhs
+
+    def planted_step(state, *args, _window, **kwargs):
+        lo, hi = _window.lo, _window.hi
+        if len(calls) + 1 == at_step and target == "state":
+            state = state.copy()
+            plant((state.gamma_surface, state.velocity), lo, hi, 0)
+        calls.append((state, lo, hi, kwargs["dt_max"]))
+        outputs.append(step(state, *args, _window=_window, **kwargs))
+        return outputs[-1]
+
+    def planted_rhs(frame, *args):
+        rw, rm = rhs(frame, *args)
+        if len(calls) == at_step:
+            plant_rates(rw, rm, frame.lo)
+        return rw, rm
+
+    solver.step, solver._rhs = planted_step, planted_rhs
+    failure = None
+    try:
+        with np.errstate(all="ignore"):
+            solver.run(initial, bathy, grid, config)
+    except (NearDryError, NumericBlowUpError) as exc:
+        failure = exc
+    finally:
+        solver.step, solver._rhs = step, rhs
+    assume(len(calls) >= at_step)
+    state, lo, hi, dt_max = calls[at_step - 1]
+    try:
+        with np.errstate(all="ignore"):
+            want = _checked_reference_step(
+                state, bathy, grid, config, lo, hi, dt_max, plant_rates
+            )
+    except (NearDryError, NumericBlowUpError) as exc:
+        assert failure is not None and failure.step == at_step
+        assert len(outputs) == at_step - 1
+        assert _error_fields(failure) == _error_fields(exc)
+        return
+    assert len(outputs) >= at_step
+    got = outputs[at_step - 1]
+    assert got.t == want.t
+    assert _same_bits(got.gamma_surface, want.gamma_surface)
+    assert _same_bits(got.velocity, want.velocity)
+
+
+@settings(deadline=None, max_examples=300)
+@example(size=4, plants=[(0, 0.0, 1.7e308), (0, 0.5, 1.7e308)], first_node=3)
+@given(st.integers(1, 30), st.lists(_PLANT, max_size=4), st.integers(0, 50))
+def test_one_sum_over_both_rows_checks_what_each_row_checks(size, plants, first_node):
+    # Finite rows whose sum overflows raise nothing.
+    block = np.linspace(-1.0, 1.0, 2 * size).reshape(2, size)
+    for row, where, value in plants:
+        block[row, int(where * size)] = value
+    names = ("thickness", "momentum")
+    with np.errstate(all="ignore"):
+        try:
+            for row, what in zip(block, names):
+                solver._require_finite(row, 0.5, what, first_node)
+        except NumericBlowUpError as exc:
+            with pytest.raises(NumericBlowUpError) as fused:
+                solver._require_finite_rows(block, 0.5, names, first_node)
+            assert _error_fields(fused.value) == _error_fields(exc)
+        else:
+            solver._require_finite_rows(block, 0.5, names, first_node)
+
+
+def _reflective_shelf(steps):
+    """The bundled shelf run's grid, bed and pulse, for about the given
+    number of steps: its wall cells move from the first step, so every
+    step takes the whole grid."""
+    grid = Grid(-8.0, 0.01, 1200)
+    bathy = TanhSafe(0.02, 1.99)
+    state = solver.initial_gaussian_pulse(grid, bathy, -4.0, 1.0, 0.004)
+    config = solver.SolverConfig(t_end=1.0, boundary="reflective")
+    config.t_end = _steps_in(state, bathy, grid, config, steps)
+    return grid, bathy, state, config
+
+
+def test_handed_over_steps_allocate_only_the_states_they_return():
+    # From the second step on, each step reads the state the run's search
+    # has just read, and takes w and sqrt(w) from the search's rows. Each
+    # pass of the run's loop (step, search and assessment) allocates only
+    # the state it returns.
+    grid, bathy, state, config = _reflective_shelf(40)
+    n = grid.n
+    handed, peaks, starts = [], [], []
+    step = solver.step
+
+    def measured(state, *args, domain, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        if starts:
+            peaks.append(peak - starts[-1])
+        handed.append(state is domain.rows.searched)
+        tracemalloc.reset_peak()
+        starts.append(tracemalloc.get_traced_memory()[0])
+        return step(state, *args, domain=domain, **kwargs)
+
+    solver.step = measured
+    tracemalloc.start()
+    try:
+        result = solver.run(state, bathy, grid, config)
+    finally:
+        tracemalloc.stop()
+        solver.step = step
+    assert result.steps == len(handed) >= 40
+    assert handed[0] is False and all(handed[1:])
+    # The first passes fill the workspace blocks taken on first use.
+    assert max(peaks[2:]) <= 3 * n * np.dtype(float).itemsize, max(peaks[2:]) / (n * 8)
+
+
+def _nudge_every_third_step():
+    """A plant for _StepLog: at every third call, a copy of the state whose
+    surface is raised by 1e-7 at the middle of the active window, where the
+    search that read the original never saw it; the whole-grid run nudges
+    the same node."""
+    nodes = {}
+
+    def plant(k, state, window):
+        if k % 3:
+            return state
+        if window is not None:
+            nodes[k] = (window.lo + window.hi) // 2
+        state = state.copy()
+        state.gamma_surface[nodes[k]] += 1e-7
+        return state
+
+    return plant
+
+
+@pytest.mark.parametrize("setup", [_reflective_shelf, _pulse_in_a_still_sea])
+def test_a_state_replaced_after_its_search_is_stepped_from_its_own_values(setup):
+    grid, bathy, state, config = setup(steps=30)
+    windows = _run_matches_whole_grid_steps(
+        grid, bathy, state, config, _nudge_every_third_step()
+    )
+    assert len(windows) >= 30
