@@ -28,6 +28,7 @@ import os
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, make_dataclass
 from pathlib import Path
 
@@ -353,11 +354,13 @@ def _load_batch(args) -> list[_RunJob]:
     return jobs
 
 
-def _run_one(job: _RunJob) -> int:
+def _run_one(job: _RunJob) -> tuple[int, list[str]]:
+    """Run one config of a batch: its exit code and its lines of output."""
     path, cfg, run_id = job.path, job.cfg, job.run_id
+    lines = []
     if job.error is not None:
-        print("config error [{}]: {}".format(path, job.error))
-        return EXIT_CONFIG
+        lines.append("config error [{}]: {}".format(path, job.error))
+        return EXIT_CONFIG, lines
 
     # Every failure ends this config with its own exit code, so the rest of
     # a batch still runs.
@@ -369,22 +372,22 @@ def _run_one(job: _RunJob) -> int:
         det_cfg = cfg.build_detector_config()
         result = solver.run(initial, bathy, grid, sol_cfg, det_cfg)
     except ConfigError as exc:
-        print("config error [{}]: {}".format(path, exc))
-        return EXIT_CONFIG
+        lines.append("config error [{}]: {}".format(path, exc))
+        return EXIT_CONFIG, lines
     except NearDryError as exc:
-        print("near-dry abort [{}]: {}".format(run_id, exc))
-        return EXIT_NEAR_DRY
+        lines.append("near-dry abort [{}]: {}".format(run_id, exc))
+        return EXIT_NEAR_DRY, lines
     except NumericBlowUpError as exc:
-        print("numeric blow-up [{}]: {}".format(run_id, exc))
-        return EXIT_BLOW_UP
+        lines.append("numeric blow-up [{}]: {}".format(run_id, exc))
+        return EXIT_BLOW_UP, lines
     except ShoalwaveError as exc:
-        print("error [{}]: {}".format(run_id, exc))
-        return EXIT_CONFIG
+        lines.append("error [{}]: {}".format(run_id, exc))
+        return EXIT_CONFIG, lines
 
     manifest = solver.write_outputs(
         result, bathy, grid, job.out_dir, run_id, config_doc=cfg.to_doc()
     )
-    print(
+    lines.append(
         "run {}: {} steps, {} snapshots, {} events, post_singular={}".format(
             run_id,
             result.steps,
@@ -394,18 +397,22 @@ def _run_one(job: _RunJob) -> int:
         )
     )
     for ev in result.events:
-        print("  " + _event_line(ev))
-    print("  manifest: {}".format(manifest))
-    return EXIT_OK
+        lines.append("  " + _event_line(ev))
+    lines.append("  manifest: {}".format(manifest))
+    return EXIT_OK, lines
 
 
 def cmd_run(args) -> int:
     jobs = _load_batch(args)
-    if args.jobs > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(_run_one, jobs))
-    else:
-        codes = [_run_one(job) for job in jobs]
+    concurrent = args.jobs > 1 and len(jobs) > 1
+    pool = ThreadPoolExecutor(max_workers=args.jobs) if concurrent else nullcontext()
+    codes = []
+    with pool:
+        # Both maps yield in batch order: each config's lines print whole, in
+        # the order --jobs 1 prints them, whichever run finishes first.
+        for code, lines in (pool.map if concurrent else map)(_run_one, jobs):
+            print("\n".join(lines))
+            codes.append(code)
     return max(codes)
 
 

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericBlowUpError
 from .fields import DRY_COLUMN, FlowState, Grid, ddx, require_wet
 from .riemann import InlandFields, RiemannFields
 
@@ -193,8 +193,9 @@ def find_crossings(
     """Sign changes of p_x between adjacent resolved nodes, in ascending x.
 
     Each is interpolated linearly (placement error at most dx/2); one where
-    the bed slope sits below the threshold is left out. x, when given, must
-    be grid.x.
+    the bed slope sits below the threshold is left out. An infinite p_x
+    beside a sign change raises NumericBlowUpError. x, when given, must be
+    grid.x.
     """
     eps = fields.eps_px if eps_px is None else float(eps_px)
     px = fields.p_x
@@ -225,13 +226,19 @@ def _crossings(px, pairs, eps: float, bathy, x, dx: float) -> list[CriticalPoint
     """find_crossings over the sign changes that pairs marks.
 
     Both nodes of a crossing must be resolved: not |p_x| <= eps, which a
-    NaN threshold resolves every node for.
+    NaN threshold resolves every node for. An infinite p_x beside a sign
+    change (p_x overflowed on a finite p) leaves no place for the crossing
+    and raises NumericBlowUpError naming its node.
     """
     points = []
     for i in pairs.nonzero()[0].tolist():
         left, right = px[i], px[i + 1]
         if abs(left) <= eps or abs(right) <= eps:
             continue
+        if math.isinf(left) or math.isinf(right):
+            node = i if math.isinf(left) else i + 1
+            message = "non-finite p_x at node {}".format(node)
+            raise NumericBlowUpError(message, node=node)
         x_star = x[i] + dx * left / (left - right)
         b_x = float(bathy.slope(x_star))
         if abs(b_x) <= eps:

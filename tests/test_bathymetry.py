@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shoalwave import bathymetry
@@ -126,6 +126,58 @@ class TestTanhSafe:
             TanhSafe(h, K)
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def _beds_and_queries(draw):
+    """Strictly increasing, non-uniform nodes (0 among them or inside, now
+    and then), values, a subset of node indices, and slope and curvature
+    queries as (method, order, scalar or array), the first ones scalar
+    slopes.
+
+    Queries draw on the ends, the nodes (those at block edges most often),
+    their float neighbours, +-0, NaN, points between nodes and points
+    outside the range.
+    """
+    n = draw(st.integers(5, 300))
+    gaps = np.array(
+        draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1))
+    )
+    x0 = draw(st.just(0.0) | st.floats(-float(np.sum(gaps)), 0.0))
+    x = x0 + np.concatenate(([0.0], np.cumsum(gaps)))
+    assume(np.all(np.diff(x) > 0.0))
+    # Whole numbers, scaled, so that no tiny difference overflows the
+    # interpolator's slope division.
+    scale = 10.0 ** draw(st.integers(-9, -3))
+    b = scale * np.array(
+        draw(st.lists(st.integers(-(10**6), 10**6), min_size=n, max_size=n)), float
+    )
+    subset = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp)
+    block = bathymetry._BLOCK
+    edges = [i for k in range(block, n, block) for i in (k - 1, k)]
+    index = st.integers(0, n - 1) | st.sampled_from(edges or [0])
+    node = index.map(lambda i: float(x[i]))
+    between = index.map(lambda i: float(0.5 * (x[max(i - 1, 0)] + x[i])))
+    point = st.one_of(
+        node,
+        between,
+        node.map(lambda v: float(np.nextafter(v, np.inf))),
+        node.map(lambda v: float(np.nextafter(v, -np.inf))),
+        st.sampled_from([float(x[0]), float(x[-1]), 0.0, -0.0, math.nan]),
+        st.floats(float(x[0]), float(x[-1])),
+        st.floats(allow_nan=False),
+    )
+    scalar_slope = point.map(lambda v: ("slope", 1, v))
+    query = scalar_slope | st.tuples(
+        st.sampled_from([("slope", 1), ("curvature", 2)]),
+        point | st.lists(point, min_size=1, max_size=6).map(np.array),
+    ).map(lambda pair: (*pair[0], pair[1]))
+    scalars = draw(st.lists(scalar_slope, min_size=1, max_size=6))
+    return x, b, subset, scalars + draw(st.lists(query, max_size=8))
+
+
 class TestSampled:
     def test_node_values_are_interpolated_exactly(self):
         x = np.linspace(0.0, 4.0, 17)
@@ -233,28 +285,66 @@ class TestSampled:
         with pytest.raises(ValueError):
             b.x_nodes[0] = 99.0
 
-    def test_curvature_nodes_are_built_on_first_use(self, monkeypatch):
-        orders = []
+    def test_derivative_nodes_are_built_on_first_use(self, monkeypatch):
+        built = []
 
-        def counting(x, b, order):
-            orders.append(order)
-            return _node_derivatives(x, b, order)
+        def counting(x, b, order, nodes=None):
+            built.append((order, list(nodes)))
+            return _node_derivatives(x, b, order, nodes)
 
         monkeypatch.setattr(bathymetry, "_node_derivatives", counting)
-        x = np.cumsum(np.random.default_rng(5).uniform(0.1, 1.0, 40))
+        block = bathymetry._BLOCK
+        n = 4 * block + block // 2
+        x = np.cumsum(np.random.default_rng(5).uniform(0.1, 1.0, n))
         y = np.cos(x) - 2.0
         bed = Sampled(x, y)
-        assert orders == [1]
+        assert built == []
+        # The bracket [block - 1, block] straddles the first two blocks.
+        bed.slope(float(0.5 * (x[block - 1] + x[block])))
+        assert built == [(1, list(range(2 * block)))]
+        bed.slope(float(x[3]))
+        bed.slope(float(np.nextafter(x[2 * block - 1], -np.inf)))
+        assert len(built) == 1
+        # The last node's bracket is clamped to the last block.
+        bed.slope(float(x[-1]))
+        assert built[1:] == [(1, list(range(4 * block, n)))]
         q = np.linspace(x[0], x[-1], 57)
         first = bed.curvature(q)
-        assert orders == [1, 2]
+        assert built[2:] == [(2, list(range(n)))]
         second = bed.curvature(q)
-        assert orders == [1, 2]
+        assert len(built) == 3
+        slopes = bed.slope(q)
+        assert built[3:] == [(1, list(range(2 * block, 4 * block)))]
+        bed.slope(q)
+        bed.slope(float(x[2 * block]))
+        assert len(built) == 4
+        for order in (1, 2):
+            nodes = [i for o, ns in built if o == order for i in ns]
+            assert sorted(nodes) == list(range(n))
         expected = np.interp(q, x, _node_derivatives(x, y, 2))
         assert np.array_equal(first, expected)
         assert np.array_equal(second, expected)
-        stored = (bed._x, bed._b, bed._slope_nodes, bed._curv_nodes)
-        assert not any(arr.flags.writeable for arr in stored)
+        assert np.array_equal(slopes, np.interp(q, x, _node_derivatives(x, y, 1)))
+        assert not any(arr.flags.writeable for arr in (bed.x_nodes, bed.b_nodes))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_beds_and_queries())
+    def test_on_demand_nodes_match_the_eager_rows(self, case):
+        x, b, subset, queries = case
+        rows = {order: _node_derivatives(x, b, order) for order in (1, 2)}
+        for order, row in rows.items():
+            got = _node_derivatives(x, b, order, subset)
+            assert _bits(got) == _bits(row[subset])
+        bed = Sampled(x, b)
+        for name, order, q in queries:
+            query = getattr(bed, name)
+            if np.any(np.asarray(q) < x[0]) or np.any(np.asarray(q) > x[-1]):
+                with pytest.raises(DomainError):
+                    query(q)
+                continue
+            got = query(q)
+            assert type(got) is (float if isinstance(q, float) else np.ndarray)
+            assert _bits(got) == _bits(np.interp(q, x, rows[order]))
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "bed.csv"

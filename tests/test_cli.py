@@ -22,8 +22,12 @@ from conftest import build_crossing
 
 DATA = Path(__file__).parent / "data"
 # detect's stdout and exit code on the alert fixture, recorded with the
-# csv.reader snapshot reader that np.loadtxt replaced; args are relative
-# to DATA.
+# csv.reader snapshot reader that np.loadtxt replaced, and on the block-edge
+# fixture, recorded while a sampled bed still built all its slope nodes
+# when constructed. That fixture (n=200) reads the bed slope at two plateau
+# centres and at crossings between nodes 63|64 and 127|128; its bed file
+# holds the grid nodes plus one extra node in each of the first 70
+# intervals. CSV args are relative to DATA.
 DETECT_GOLDEN = json.loads((DATA / "detect_golden.json").read_text())
 # verify-analytic's stdout and exit code, and the float.hex of
 # convergence_study's errors, recorded while the flux solve still skipped
@@ -152,6 +156,31 @@ class TestRun:
         assert cli.main(["run", cfg_a, cfg_b, "--jobs", "2"]) == 0
         assert (tmp_path / "out" / "tiny" / "run.json").exists()
         assert (tmp_path / "out" / "tiny2" / "run.json").exists()
+
+    def test_jobs_print_each_block_whole_in_batch_order(self, tmp_path, capsys):
+        # The first config runs longest, so the others finish before it.
+        longest = SMALL_RUN.replace("name: tiny", "name: long").replace(
+            "n: 200", "n: 2000"
+        )
+        batch = [
+            write_cfg(tmp_path, longest.replace("t_end: 1.0", "t_end: 3.0"), "a.cfg"),
+            write_cfg(tmp_path, SMALL_RUN, "b.cfg"),
+            write_cfg(tmp_path, "name: broken\n", "c.cfg"),
+            write_cfg(tmp_path, SMALL_RUN.replace("name: tiny", "name: t2"), "d.cfg"),
+        ]
+        out = ["--output-dir", str(tmp_path / "out")]
+        printed = []
+        for jobs in ("1", "3"):
+            assert cli.main(["run", *batch, *out, "--jobs", jobs]) == 1
+            printed.append(capsys.readouterr().out)
+        assert printed[1] == printed[0]
+        starts = [line.split()[:2] for line in printed[0].splitlines()]
+        assert [s for s in starts if s[0] in ("run", "config")] == [
+            ["run", "long:"],
+            ["run", "tiny:"],
+            ["config", "error"],
+            ["run", "t2:"],
+        ]
 
     @pytest.mark.parametrize("jobs", ["1", "3"])
     def test_batch_rejects_an_output_directory_already_used(
@@ -544,6 +573,7 @@ class TestDetect:
     )
     def test_output_matches_the_frozen_bytes(self, capsys, case):
         first, *flags = case["args"]
+        flags = [str(DATA / f) if f.endswith(".csv") else f for f in flags]
         code = cli.main(["detect", str(DATA / first), *flags])
         assert code == case["exit"]
         assert capsys.readouterr().out == case["stdout"]

@@ -15,6 +15,7 @@ from shoalwave.detector import (
     DepthRegime,
     Side,
 )
+from shoalwave.errors import NumericBlowUpError
 from shoalwave.fields import FlowState, Grid
 
 from conftest import build_crossing
@@ -313,6 +314,20 @@ def test_find_crossings_matches_the_plain_expressions(px, eps, slope):
         for pt in detector.find_crossings(f, bathy, grid)
     ]
     assert got == _plain_crossings(f.p_x, eps, bathy, grid.x, grid.dx)
+
+
+@pytest.mark.parametrize("node", [4, 5])
+def test_infinite_gradient_beside_a_sign_change_is_a_blow_up(node):
+    # p_x overflows on a finite p whose entries near the float maximum
+    # differ in sign; no crossing can be placed between such nodes.
+    grid = Grid(-1.0, 0.05, 10)
+    px = np.where(np.arange(10) < 5, 0.5, -0.5)
+    px[node] *= np.inf
+    f = riemann.InlandFields(np.ones(10), np.ones(10), px, 1e-3)
+    message = "non-finite p_x at node {}".format(node)
+    with pytest.raises(NumericBlowUpError, match=message) as exc:
+        detector.find_crossings(f, Linear(-1.0, 0.2), grid)
+    assert exc.value.node == node
 
 
 @pytest.mark.xfail(

@@ -1456,6 +1456,21 @@ def _planted_runs(draw):
 
 @settings(deadline=None, max_examples=150)
 @given(_planted_runs())
+@example(
+    # Finite momentum rates near the float maximum: the step passes its
+    # checks, and p_x then overflows beside a sign change.
+    (
+        Grid(1.0, 0.25, 12),
+        TanhSafe(0.5, 0.5),
+        FlowState(0.0, np.zeros(12), np.zeros(12)),
+        solver.SolverConfig(
+            t_end=0.15885230261600933, cfl=0.5, boundary="transmissive"
+        ),
+        1,
+        "rates",
+        [(1, 0.0, 1.7e308), (1, 0.125, 1.7e308)],
+    )
+)
 def test_fused_checks_raise_what_checking_each_array_in_turn_raises(case):
     # Values planted in the surface and velocity of the state a step reads,
     # or in its rates, at nodes of its window.
