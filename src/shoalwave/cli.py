@@ -27,8 +27,6 @@ import math
 import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, make_dataclass
 from pathlib import Path
 
@@ -300,19 +298,13 @@ def _output_root(cli_value: str | None) -> Path:
     return Path("out")
 
 
-@dataclass
-class _RunJob:
-    """One config of a `run` batch: its scenario, output directory and run
-    id, or the one config-error line that ends it before it runs."""
+def _run_config(path: str, args, claimed: dict) -> int:
+    """Load, run and report one config of a `run` batch: its exit code.
 
-    path: str
-    cfg: ScenarioConfig | None = None
-    out_dir: Path | None = None
-    run_id: str = ""
-    error: str | None = None
-
-
-def _load_job(path: str, args) -> _RunJob:
+    claimed maps each output directory that an earlier config of the batch
+    took to that config's path; a config that would reuse one fails, so
+    that no run replaces or mixes with another's files.
+    """
     try:
         cfg = load_config(path)
         if args.t_end is not None:
@@ -320,7 +312,8 @@ def _load_job(path: str, args) -> _RunJob:
         if args.cfl is not None:
             cfg.solver["cfl"] = _as_float(args.cfl, "solver.cfl")
     except (OSError, ConfigError) as exc:
-        return _RunJob(path, error=str(exc))
+        print("config error [{}]: {}".format(path, exc))
+        return EXIT_CONFIG
 
     if args.second_order:
         cfg.solver["second_order"] = True
@@ -331,36 +324,16 @@ def _load_job(path: str, args) -> _RunJob:
         out_dir = Path(cfg.output_dir)
     else:
         out_dir = _output_root(args.output_dir) / cfg.name
-    return _RunJob(path, cfg, out_dir, args.run_id or cfg.name)
-
-
-def _load_batch(args) -> list[_RunJob]:
-    """The batch's jobs in order. A config whose output directory an earlier
-    config of the batch claimed fails, so that no run replaces or mixes
-    with another's files, whatever order the runs finish in."""
-    jobs = []
-    claimed = {}
-    for path in args.config:
-        job = _load_job(path, args)
-        if job.error is None:
-            key = job.out_dir.resolve()
-            if key in claimed:
-                job.error = "output directory {} is already used by {}".format(
-                    job.out_dir, claimed[key]
-                )
-            else:
-                claimed[key] = path
-        jobs.append(job)
-    return jobs
-
-
-def _run_one(job: _RunJob) -> tuple[int, list[str]]:
-    """Run one config of a batch: its exit code and its lines of output."""
-    path, cfg, run_id = job.path, job.cfg, job.run_id
-    lines = []
-    if job.error is not None:
-        lines.append("config error [{}]: {}".format(path, job.error))
-        return EXIT_CONFIG, lines
+    key = out_dir.resolve()
+    if key in claimed:
+        print(
+            "config error [{}]: output directory {} is already used by {}".format(
+                path, out_dir, claimed[key]
+            )
+        )
+        return EXIT_CONFIG
+    claimed[key] = path
+    run_id = args.run_id or cfg.name
 
     # Every failure ends this config with its own exit code, so the rest of
     # a batch still runs.
@@ -372,22 +345,22 @@ def _run_one(job: _RunJob) -> tuple[int, list[str]]:
         det_cfg = cfg.build_detector_config()
         result = solver.run(initial, bathy, grid, sol_cfg, det_cfg)
     except ConfigError as exc:
-        lines.append("config error [{}]: {}".format(path, exc))
-        return EXIT_CONFIG, lines
+        print("config error [{}]: {}".format(path, exc))
+        return EXIT_CONFIG
     except NearDryError as exc:
-        lines.append("near-dry abort [{}]: {}".format(run_id, exc))
-        return EXIT_NEAR_DRY, lines
+        print("near-dry abort [{}]: {}".format(run_id, exc))
+        return EXIT_NEAR_DRY
     except NumericBlowUpError as exc:
-        lines.append("numeric blow-up [{}]: {}".format(run_id, exc))
-        return EXIT_BLOW_UP, lines
+        print("numeric blow-up [{}]: {}".format(run_id, exc))
+        return EXIT_BLOW_UP
     except ShoalwaveError as exc:
-        lines.append("error [{}]: {}".format(run_id, exc))
-        return EXIT_CONFIG, lines
+        print("error [{}]: {}".format(run_id, exc))
+        return EXIT_CONFIG
 
     manifest = solver.write_outputs(
-        result, bathy, grid, job.out_dir, run_id, config_doc=cfg.to_doc()
+        result, bathy, grid, out_dir, run_id, config_doc=cfg.to_doc()
     )
-    lines.append(
+    print(
         "run {}: {} steps, {} snapshots, {} events, post_singular={}".format(
             run_id,
             result.steps,
@@ -397,23 +370,16 @@ def _run_one(job: _RunJob) -> tuple[int, list[str]]:
         )
     )
     for ev in result.events:
-        lines.append("  " + _event_line(ev))
-    lines.append("  manifest: {}".format(manifest))
-    return EXIT_OK, lines
+        print("  " + _event_line(ev))
+    print("  manifest: {}".format(manifest))
+    return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    jobs = _load_batch(args)
-    concurrent = args.jobs > 1 and len(jobs) > 1
-    pool = ThreadPoolExecutor(max_workers=args.jobs) if concurrent else nullcontext()
-    codes = []
-    with pool:
-        # Both maps yield in batch order: each config's lines print whole, in
-        # the order --jobs 1 prints them, whichever run finishes first.
-        for code, lines in (pool.map if concurrent else map)(_run_one, jobs):
-            print("\n".join(lines))
-            codes.append(code)
-    return max(codes)
+    """Run the configs one after another, in batch order; the exit code of
+    the batch is the highest per-config code."""
+    claimed = {}
+    return max([_run_config(path, args, claimed) for path in args.config])
 
 
 def _linf(a, b) -> float:
@@ -432,6 +398,8 @@ def convergence_study(
 ):
     """Max-norm errors against the closed form at resolutions n and 2n.
 
+    Each grid steps through solver.run, the loop and detector search of a
+    scenario run, and its last snapshot is compared with the closed form.
     Both grids and the solver config are built before the first step, so a
     malformed input raises their ValueError before any work is done.
     """
@@ -445,14 +413,8 @@ def convergence_study(
     )
     errors = []
     for grid in grids:
-        state = analytic.make_initial_state(sol, grid, config.h_min)
-        bathy = sol.bathymetry()
-        domain = solver.prepare(bathy, grid, config)
-        tiny = 1e-12 * max(1.0, t_end)
-        while state.t < t_end - tiny:
-            state = solver.step(
-                state, bathy, grid, config, dt_max=t_end - state.t, domain=domain
-            )
+        initial = analytic.make_initial_state(sol, grid, config.h_min)
+        state = solver.run(initial, sol.bathymetry(), grid, config).snapshots[-1]
         u_ref, surf_ref, _ = analytic.eval_solution(sol, state.t, grid.x)
         err = max(_linf(state.velocity, u_ref), _linf(state.gamma_surface, surf_ref))
         errors.append(err)
@@ -649,7 +611,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="integrate scenario config files")
     p_run.add_argument("config", nargs="+", help="scenario config path(s)")
-    p_run.add_argument("--jobs", type=int, default=1, help="run configs concurrently")
+    p_run.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for old command lines; the configs run one after another",
+    )
     p_run.add_argument("--output-dir", default=None, help="output root directory")
     p_run.add_argument("--run-id", default=None, help="override the run identifier")
     p_run.add_argument("--t-end", type=float, default=None)
@@ -726,7 +693,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Values near the float maximum can overflow inside numpy before a
+        # check reports them; the one-line message is the whole report.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except NearDryError as exc:
         print("near-dry abort: {}".format(exc))
         return EXIT_NEAR_DRY

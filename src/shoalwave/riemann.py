@@ -19,7 +19,6 @@ pass.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "compute",
     "reconstruct",
     "characteristic_residual",
-    "save_riemann_csv",
 ]
 
 # Relative floor for |p_x| below which the bed-slope correction is singular.
@@ -261,31 +259,3 @@ def characteristic_residual(state_a: FlowState, state_b: FlowState, bathy, grid:
     res_q = (q_b - q_a) / dt - (gamma_mid - u_mid) * q_x + b_slope
     return res_p, res_q
 
-
-def _fmt(v: float) -> str:
-    if np.isposinf(v):
-        return "+inf"
-    if np.isneginf(v):
-        return "-inf"
-    return "{:.17g}".format(v)
-
-
-def save_riemann_csv(fields: RiemannFields, grid: Grid, path) -> None:
-    """Dump the invariant fields; singular speeds appear as +inf / -inf."""
-    x = grid.x
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "gamma", "p", "q", "p_x", "q_x", "speed_p", "speed_q"])
-        for i in range(grid.n):
-            writer.writerow(
-                [
-                    _fmt(x[i]),
-                    _fmt(fields.gamma[i]),
-                    _fmt(fields.p[i]),
-                    _fmt(fields.q[i]),
-                    _fmt(fields.p_x[i]),
-                    _fmt(fields.q_x[i]),
-                    _fmt(fields.speed_p[i]),
-                    _fmt(fields.speed_q[i]),
-                ]
-            )

@@ -3,6 +3,7 @@
 import importlib.resources
 import json
 import re
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shoalwave import analytic, cli
+from shoalwave import analytic, cli, solver
 from shoalwave.detector import DetectorConfig
 from shoalwave.solver import SolverConfig
 from shoalwave.fields import FlowState, Grid, load_state, save_state
@@ -205,6 +206,23 @@ class TestRun:
         manifest = json.loads((tmp_path / "out" / "tiny" / "run.json").read_text())
         assert manifest["config"]["solver"]["t_end"] == 1.0
         assert (tmp_path / "out" / "other" / "run.json").exists()
+
+    def test_batch_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        threads = []
+        run = solver.run
+
+        def recorded_run(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "run", recorded_run)
+        batch = [
+            write_cfg(tmp_path, SMALL_RUN.replace("tiny", name), name + ".cfg")
+            for name in ("a", "b", "c")
+        ]
+        out = ["--output-dir", str(tmp_path / "out")]
+        assert cli.main(["run", *batch, *out, "--jobs", "3"]) == 0
+        assert threads == [threading.get_ident()] * 3
 
     def test_rerun_leaves_only_the_snapshots_its_manifest_lists(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_RUN)
@@ -418,6 +436,35 @@ class TestRunFailures:
         cfg = write_cfg(tmp_path, yaml.safe_dump(doc))
         assert cli.main(["run", cfg]) == 3
         assert "numeric blow-up" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["detect"], ["run"], ["run", "--jobs", "3"]])
+    def test_overflow_prints_one_line_and_no_warning(self, tmp_path, capfd, argv):
+        # Velocities near the float maximum overflow inside numpy before
+        # the blow-up check reports them: in the detector's p_x for the
+        # snapshot, and in the flux solve for the initial state.
+        detect = argv[0] == "detect"
+        g = Grid(0.0, 0.1, 12) if detect else Grid(-10.0, 0.1, 200)
+        u = np.zeros(g.n)
+        if detect:
+            u[:2] = 4.4e307, 4.7e307
+        else:
+            u[100] = 1e300
+        state_path = tmp_path / "state.csv"
+        save_state(FlowState(0.0, np.zeros(g.n), u), Flat(-1.0), g, state_path)
+        if detect:
+            args = [*argv, str(state_path)]
+        else:
+            doc = yaml.safe_load(SMALL_RUN)
+            doc["initial"] = {"kind": "from_file", "path": str(state_path)}
+            cfg = write_cfg(tmp_path, yaml.safe_dump(doc))
+            args = [*argv, cfg, "--output-dir", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(args) == cli.EXIT_BLOW_UP
+        assert [str(w.message) for w in caught] == []
+        out, err = capfd.readouterr()
+        assert len(out.splitlines()) == 1 and "numeric blow-up" in out
+        assert err == ""
 
 
 def _finite(lo, hi):

@@ -142,19 +142,6 @@ def test_characteristic_residual_validates_inputs():
         riemann.characteristic_residual(s, other, Flat(-1.0), g)
 
 
-def test_riemann_csv_uses_infinity_tokens(tmp_path):
-    grid, state, bathy, ic = parabola_state()
-    f = riemann.compute(state, bathy, grid)
-    path = tmp_path / "riemann.csv"
-    riemann.save_riemann_csv(f, grid, path)
-    text = path.read_text()
-    header = text.splitlines()[0]
-    assert header.startswith("x,")
-    assert "-inf" in text
-    body = text.splitlines()[1 + ic]
-    assert "-inf" in body
-
-
 def test_invariant_identities_on_computed_fields():
     rng = np.random.default_rng(5)
     g = Grid(0.0, 0.05, 256)
