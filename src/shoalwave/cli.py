@@ -693,9 +693,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Values near the float maximum can overflow inside numpy before a
-        # check reports them; the one-line message is the whole report.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # Values near the float maximum can overflow, and a grid spacing
+        # near the float minimum divide by zero, inside numpy or SciPy
+        # before a check reports them; the one-line message is the whole
+        # report.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except NearDryError as exc:
         print("near-dry abort: {}".format(exc))

@@ -524,7 +524,7 @@ def deep_sea_diagnostics(
     the amplitude indicator is identically zero.
     """
     w = state.gamma_surface - bathy.eval(grid.x)
-    require_wet(w, state.t, "dry column at node {node}")
+    require_wet(w, state.t, DRY_COLUMN)
     speed = np.sqrt(w)
     indicator = np.abs(state.gamma_surface - mean_depth) / speed
     return DeepSeaDiagnostics(

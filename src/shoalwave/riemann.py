@@ -132,9 +132,8 @@ def inland(
     if state.gamma_surface.shape != (grid.n,):
         raise ValueError("state does not match grid")
     gamma, p, p_x = np.empty((3, grid.n))
-    # gamma's row takes w and then its root; |p| is needed only until p_x
-    # is written, so p_x's row holds it.
-    rows = _InlandRows(gamma, gamma, p, p_x, p_x)
+    # |p| is needed only until p_x is written, so p_x's row holds it.
+    rows = _InlandRows(gamma, p, p_x, p_x)
     return _refresh_inland(state, b, grid, rows, 0, grid.n, eps_px)[0]
 
 
@@ -142,12 +141,12 @@ class _InlandRows:
     """The whole-grid rows that _refresh_inland writes, and the shifted
     views of p and p_x that a refresh over every node reads, bound once.
 
-    w may share gamma's row, whose root is then taken in place, and abs_p
-    may share p_x's row (see _refresh_inland).
+    gamma's row takes the depth w and then its root in place; abs_p may
+    share p_x's row (see _refresh_inland).
     """
 
-    def __init__(self, gamma, w, p, abs_p, p_x):
-        self.gamma, self.w, self.p, self.abs_p, self.p_x = gamma, w, p, abs_p, p_x
+    def __init__(self, gamma, p, abs_p, p_x):
+        self.gamma, self.p, self.abs_p, self.p_x = gamma, p, abs_p, p_x
         self.stencil = (p[2:], p[:-2], p_x[1:-1])
 
 
@@ -155,7 +154,7 @@ def _refresh_inland(state: FlowState, b, grid: Grid, rows, lo: int, hi: int, eps
     """inland's fields in rows, recomputed where the state may have changed.
 
     rows (an _InlandRows) last held the fields of a state equal to this one
-    outside the nodes [lo, hi); [0, n) fills them from scratch. w, gamma, p
+    outside the nodes [lo, hi); [0, n) fills them from scratch. gamma, p
     and |p| are recomputed on [lo, hi), and p_x wherever its stencil reads
     them (see fields._ddx_from), each with inland's operands. The wet check
     covers [lo, hi), where alone a column can have become dry, and reports
@@ -165,11 +164,11 @@ def _refresh_inland(state: FlowState, b, grid: Grid, rows, lo: int, hi: int, eps
     """
     whole = hi - lo == grid.n
     cells = (state.gamma_surface, state.velocity, b)
-    cells += (rows.w, rows.gamma, rows.p, rows.abs_p)
+    cells += (rows.gamma, rows.p, rows.abs_p)
     if not whole:
         cells = [row[lo:hi] for row in cells]
-    surface, velocity, bed, w, g, pw, aw = cells
-    np.subtract(surface, bed, out=w)
+    surface, velocity, bed, g, pw, aw = cells
+    w = np.subtract(surface, bed, out=g)
     require_wet(w, state.t, DRY_COLUMN, first_node=lo)
     np.sqrt(w, out=g)
     np.add(velocity, np.multiply(2.0, g, out=pw), out=pw)

@@ -33,15 +33,15 @@ gradient threshold, and the scan for sign changes still read whole rows.
 The bed is static: prepare() evaluates it, its ghost cells and the
 first-order interface bed offsets once, and run() reuses them for every
 step and detector pass. The prepared domain also holds the run's
-workspace, whose rows prepare() takes and binds once (see _Rows): the
+workspace, whose rows prepare() takes and binds once (see Domain): the
 step's w and m are the cells of their ghost-extended rows, so a
 whole-grid step writes only the two ghost cells at each end of each row,
-and every shifted view that the whole-grid kernel and search read is
-built once. A window's views are sliced on each step, because its bounds
-move. The kernel of either order and the run's detector search write
-every temporary into the workspace, so a step allocates only the state it
-returns. write_outputs() formats the static x and b columns once and
-writes each snapshot in one formatting pass.
+and the whole grid's frame of views is built once. A window's views are
+sliced on each step, because its bounds move. The kernel of either order
+and the run's detector search write every temporary into the workspace,
+so a step allocates only the state it returns. write_outputs() formats
+the static x and b columns once and writes each snapshot in one
+formatting pass.
 
 The time step is cfl * dx / max(|u| + sqrt(w)); runs abort with
 NearDryError when any column drops below h_min and NumericBlowUpError on
@@ -51,12 +51,10 @@ finite, which a non-finite w or u makes it. After the update it checks the
 new w and m for non-finite values only when one sum over both is not
 finite, then the new w against h_min. The run's detector search checks
 each state it reads for a dry column. So each check raises what checking
-every array in turn would, with the same node, t and depth. A step of the
-very state object that the run's search has just read takes w and sqrt(w)
-from the search's rows, which hold the bits the step would compute; any
-other state, a copy included, has them computed afresh. After a rush event
-the integration keeps going by default and the run is flagged
-post-singular.
+every array in turn would, with the same node, t and depth. A step
+computes w and sqrt(w) from the state it is given, whatever the search
+read before. After a rush event the integration keeps going by default
+and the run is flagged post-singular.
 """
 
 from __future__ import annotations
@@ -165,9 +163,10 @@ class RunResult:
     post_singular: bool
 
 
-@dataclass(frozen=True, eq=False)
 class Domain:
-    """The static bed of one run, evaluated once for its grid and boundary.
+    """The static bed of one run, evaluated once for its grid and boundary,
+    and the run's workspace rows, taken and bound once. Build one with
+    prepare().
 
     x and b are the node coordinates and bed elevations. b_e is b with two
     ghost cells per side, laid out for the boundary kind; with an inflow,
@@ -176,19 +175,44 @@ class Domain:
     br - max(bl, br) of the hydrostatic reconstruction (Audusse et al.,
     SIAM J. Sci. Comput. 25, 2004), which depend on the bed alone. These
     arrays are read-only. work is the scratch space that every step and
-    detector pass overwrites, so a domain serves one run at a time; rows
-    binds its whole-grid rows and their shifted views once (see _Rows).
-    Build one with prepare().
+    detector pass overwrites, so a domain serves one run at a time.
+
+    ghosts holds the step's thickness and momentum with two ghost cells
+    per side; their cells are the rows w and m that a step writes from its
+    state, so a whole-grid step fills only the ghost cells. speed keeps the
+    wave speed of every cell from step to step, and center_u holds the
+    first-order velocities. whole is the whole grid's frame (see _Frame).
     """
 
-    x: np.ndarray
-    b: np.ndarray
-    b_e: np.ndarray
-    bed_left: np.ndarray
-    bed_right: np.ndarray
-    ghost_x: tuple
-    work: Workspace
-    rows: _Rows
+    def __init__(self, bathy, grid: Grid, config: SolverConfig):
+        n = self.n = grid.n
+        self.boundary = config.boundary
+        self.x = x = grid.x
+        self.b = b = np.array(bathy.eval(x), dtype=float)
+        self.ghost_x = (
+            grid.x0 + grid.dx * np.array([-2.0, -1.0]),
+            grid.x_last + grid.dx * np.array([1.0, 2.0]),
+        )
+        self.b_e = b_e = np.empty(n + 4)
+        b_e[2:-2] = b
+        for ghosts, cells in _ghost_copies(b_e, self.boundary):
+            np.copyto(ghosts, cells)
+        if config.inflow is not None:
+            b_e[:2] = bathy.eval(self.ghost_x[0])
+            b_e[-2:] = bathy.eval(self.ghost_x[1])
+        # Interface j sits between cells j and j+1 of b_e[1:-1].
+        bl = b_e[1:-2]
+        br = b_e[2:-1]
+        b_int = np.maximum(bl, br)
+        self.bed_left = bl - b_int
+        self.bed_right = br - b_int
+        for arr in (x, b, b_e, self.bed_left, self.bed_right, *self.ghost_x):
+            arr.setflags(write=False)
+        self.work = work = Workspace()
+        self.ghosts = work.take("ghosts", (2, n + 4))
+        self.speed = work.take("speed", n)
+        self.center_u = work.take("rhs u", n + 2)
+        self.whole = _Frame(self, self.ghosts, 0, n)
 
 
 def _ghost_copies(e, boundary: str):
@@ -208,56 +232,7 @@ def _ghost_copies(e, boundary: str):
 def prepare(bathy, grid: Grid, config: SolverConfig) -> Domain:
     """Evaluate the bed and everything derived from it once for a run, and
     bind the run's workspace rows."""
-    x = grid.x
-    b = np.array(bathy.eval(x), dtype=float)
-    ghost_x = (
-        grid.x0 + grid.dx * np.array([-2.0, -1.0]),
-        grid.x_last + grid.dx * np.array([1.0, 2.0]),
-    )
-    b_e = np.empty(grid.n + 4)
-    b_e[2:-2] = b
-    for ghosts, cells in _ghost_copies(b_e, config.boundary):
-        np.copyto(ghosts, cells)
-    if config.inflow is not None:
-        b_e[:2] = bathy.eval(ghost_x[0])
-        b_e[-2:] = bathy.eval(ghost_x[1])
-    # Interface j sits between cells j and j+1 of b_e[1:-1].
-    bl = b_e[1:-2]
-    br = b_e[2:-1]
-    b_int = np.maximum(bl, br)
-    bed_left = bl - b_int
-    bed_right = br - b_int
-    for arr in (x, b, b_e, bed_left, bed_right, *ghost_x):
-        arr.setflags(write=False)
-    work = Workspace()
-    rows = _Rows(grid.n, config.boundary, work, bed_left, bed_right)
-    return Domain(x, b, b_e, bed_left, bed_right, ghost_x, work, rows)
-
-
-class _Rows:
-    """The workspace rows of one run, taken and bound once by prepare().
-
-    ghosts holds the step's thickness and momentum with two ghost cells
-    per side; their cells are the rows w and m that a step writes from its
-    state, so a whole-grid step fills only the ghost cells. speed keeps the
-    wave speed of every cell from step to step. search holds the rows of
-    the run's detector search (gamma, w, p, |p| and p_x), and searched the
-    state they were last computed from, or None while they are being
-    rewritten: a step of that very state takes w and sqrt(w) from them
-    (see step). whole is the whole grid's frame.
-    """
-
-    def __init__(self, n: int, boundary: str, work: Workspace, bed_left, bed_right):
-        self.n = n
-        self.boundary = boundary
-        self.work = work
-        self.bed_left, self.bed_right = bed_left, bed_right
-        self.ghosts = work.take("ghosts", (2, n + 4))
-        self.speed = work.take("speed", n)
-        self.center_u = work.take("rhs u", n + 2)
-        self.search = riemann._InlandRows(*work.take("search", (5, n)))
-        self.searched = None
-        self.whole = _Frame(self, self.ghosts, 0, n)
+    return Domain(bathy, grid, config)
 
 
 class _Frame:
@@ -272,14 +247,13 @@ class _Frame:
     reads the two real cells beside each end as its ghosts, so its step
     writes w and m over all of w_e and m_e; a whole-grid step writes the
     cells. The other views are of the interface rows (size + 1 long), the
-    fluxes of _hll, the rates (size long, holding the new w and m at the
-    end of a step), the wave speeds over the cells and, for a step's
-    hand-off, the search's w and sqrt(w). prepare() binds the whole grid's
-    frame once; a window's is sliced on each step, because its bounds move.
+    rates (size long, holding the new w and m at the end of a step) and the
+    wave speeds over the cells. prepare() binds the whole grid's frame
+    once; a window's is sliced on each step, because its bounds move.
     """
 
-    def __init__(self, rows: _Rows, block, lo: int, hi: int):
-        n, size, work = rows.n, hi - lo, rows.work
+    def __init__(self, domain: Domain, block, lo: int, hi: int):
+        n, size, work = domain.n, hi - lo, domain.work
         whole = size == n
         self.lo = lo
         self.cells = slice(lo, hi)
@@ -289,8 +263,8 @@ class _Frame:
         if whole:
             self.reach = self.cells
             self.w_reach, self.m_reach = self.w, self.m
-            self.ghost_copies = _ghost_copies(block, rows.boundary)
-            reflective = rows.boundary == "reflective"
+            self.ghost_copies = _ghost_copies(block, domain.boundary)
+            reflective = domain.boundary == "reflective"
             self.ghost_flips = (self.m_e[:2], self.m_e[-2:]) if reflective else ()
         else:
             self.reach = slice(lo - 2, hi + 2)
@@ -299,23 +273,16 @@ class _Frame:
         center_w = self.w_e[1:-1]
         self.center_w, self.center_m = center_w, self.m_e[1:-1]
         self.w_left, self.w_right = center_w[:-1], center_w[1:]
-        u = rows.center_u if whole else rows.center_u[: size + 2]
+        u = domain.center_u if whole else domain.center_u[: size + 2]
         self.center_u, self.ul, self.ur = u, u[:-1], u[1:]
-        self.bed_left = rows.bed_left[lo : hi + 1]
-        self.bed_right = rows.bed_right[lo : hi + 1]
+        self.bed_left = domain.bed_left[lo : hi + 1]
+        self.bed_right = domain.bed_right[lo : hi + 1]
         interfaces = work.take("rhs", (4, n + 1))[:, : size + 1]
         self.wls, self.wrs, self.g_right, self.tmp = interfaces
         self.g_right_next = self.g_right[1:]
-        # A whole-grid _hll call returns these flux rows (see Workspace.rows).
-        self.f0 = self.f1 = None
-        if whole:
-            self.f0, self.f1 = work.rows("hll", (11, n + 1))[4:6]
-            self.flux_shifts = (self.f0[1:], self.f0[:-1], self.f1[:-1])
         self.rates = work.take("rates", (2, n))[:, :size]
         self.rw, self.rm = self.rates
-        self.speed = rows.speed[self.cells]
-        self.searched_w = rows.search.w[self.reach]
-        self.searched_root = rows.search.gamma[self.cells]
+        self.speed = domain.speed[self.cells]
 
 
 def _fill_ghosts(frame: _Frame, domain: Domain, config: SolverConfig, t: float):
@@ -488,18 +455,14 @@ def _rhs(frame: _Frame, domain: Domain, grid: Grid, config: SolverConfig, t: flo
         scale = config.flux_perturbation * grid.dx * 0.5
         np.multiply(scale, np.add(wls, wrs, out=tmp), out=tmp)
         np.add(g_right, tmp, out=g_right)
-    if f0 is frame.f0 and f1 is frame.f1:
-        f0_next, f0_prev, g_left_prev = frame.flux_shifts
-    else:
-        f0_next, f0_prev, g_left_prev = f0[1:], f0[:-1], g_left[:-1]
 
     inv_dx = 1.0 / grid.dx
     rw, rm = frame.rw, frame.rm
     # rw = -(f0[1:] - f0[:-1]) * inv_dx
-    np.negative(np.subtract(f0_next, f0_prev, out=rw), out=rw)
+    np.negative(np.subtract(f0[1:], f0[:-1], out=rw), out=rw)
     np.multiply(rw, inv_dx, out=rw)
     # rm = -(g_right[1:] - g_left[:-1] + cell_jump - bed_term) * inv_dx
-    np.subtract(frame.g_right_next, g_left_prev, out=rm)
+    np.subtract(frame.g_right_next, g_left[:-1], out=rm)
     if config.second_order:
         wm = w_minus[1:-1]
         wp = w_plus[1:-1]
@@ -654,37 +617,27 @@ def step(
     which a non-finite w or u makes it) w and u for non-finite values;
     after the update (only when one sum over the new w and m is not
     finite) each of them for non-finite values, then the new w for h_min.
-    A state that the run's detector search has just read (the same
-    object) hands over its w and sqrt(w) from the search's rows, which hold
-    the bits computed here otherwise.
     """
     if domain is None:
         domain = prepare(bathy, grid, config)
     n = grid.n
-    rows = domain.rows
     lo, hi = (0, n) if _window is None else (_window.lo, _window.hi)
     whole = hi - lo == n
-    frame = rows.whole if whole else _Frame(rows, rows.ghosts, lo, hi)
+    frame = domain.whole if whole else _Frame(domain, domain.ghosts, lo, hi)
     t, h_min = state.t, config.h_min
     surface, velocity, b = state.gamma_surface, state.velocity, domain.b
     if not whole:
         reach = frame.reach
         surface, velocity, b = surface[reach], velocity[reach], b[reach]
     w, m = frame.w, frame.m
-    if state is rows.searched:
-        np.copyto(frame.w_reach, frame.searched_w)
-        root = frame.searched_root
-    else:
-        np.subtract(surface, b, out=frame.w_reach)
-        root = None
+    np.subtract(surface, b, out=frame.w_reach)
     require_wet(w, t, BELOW_H_MIN, h_min, first_node=lo)
-    if root is None:
-        root = np.sqrt(w, out=m)
+    root = np.sqrt(w, out=m)
     u = velocity if whole else velocity[2:-2]
 
     # fastest = max(|u| + sqrt(w)) over the whole row
     np.add(np.abs(u, out=frame.speed), root, out=frame.speed)
-    fastest = float(rows.speed.max())
+    fastest = float(domain.speed.max())
     if not math.isfinite(fastest):
         _require_finite(w, t, "thickness", lo)
         _require_finite(u, t, "velocity", lo)
@@ -696,7 +649,7 @@ def step(
     if config.second_order:
         rw1, rm1 = _rhs(frame, domain, grid, config, t)
         # w1 = w + dt * rw1; m1 = m + dt * rm1, the cells of a second block
-        stage = _Frame(rows, domain.work.take("stage", (2, n + 4)), 0, n)
+        stage = _Frame(domain, domain.work.take("stage", (2, n + 4)), 0, n)
         w1, m1 = stage.w, stage.m
         np.add(w, np.multiply(dt, rw1, out=rw1), out=w1)
         np.add(m, np.multiply(dt, rm1, out=rm1), out=m1)
@@ -737,10 +690,11 @@ def step(
 class _Search:
     """The detector search of a run: riemann.inland, then find_crossings.
 
-    Its rows (gamma, w, p, |p|, p_x and the pair marks p_x[i] * p_x[i+1]
-    < 0) live in the domain's workspace and carry over from step to step. A
-    step changes the state only on its window [lo, hi), so each search
-    recomputes w, gamma, p and |p| there, p_x wherever its stencil reads a
+    Its rows (gamma, p, |p|, p_x and the pair marks p_x[i] * p_x[i+1] < 0)
+    are its own, taken from the domain's workspace, and carry over from
+    step to step; the depth w is written into gamma's row before its root.
+    A step changes the state only on its window [lo, hi), so each search
+    recomputes gamma, p and |p| there, p_x wherever its stencil reads a
     new p (one node beyond the window, and an end node whose one-sided
     stencil reaches in; see fields._ddx_from), and the pairs that read a
     new p_x, each with the operands of the whole-grid functions. The
@@ -749,26 +703,24 @@ class _Search:
     cell anywhere can set it, and the scan of the pair marks for sign
     changes, whose nodes are then tested against that threshold. So each
     step finds the crossings, bit for bit, that inland and find_crossings
-    would. domain.rows.searched names the state whose w and gamma the rows
-    hold, for the next step's hand-off (see step).
+    would.
     """
 
     def __init__(self, bathy, grid: Grid, domain: Domain, eps_px: float | None):
         self.bathy, self.grid, self.domain, self.eps_px = bathy, grid, domain, eps_px
-        work, p_x = domain.work, domain.rows.search.p_x
-        self.px_pairs = (p_x[:-1], p_x[1:])
+        work = domain.work
+        self.rows = riemann._InlandRows(*work.take("search", (4, grid.n)))
+        self.px_pairs = (self.rows.p_x[:-1], self.rows.p_x[1:])
         self.pairs = work.take("search pairs", grid.n - 1, bool)
         self.products = work.take("search products", grid.n - 1)
 
     def __call__(self, state: FlowState, lo: int, hi: int):
         """(fields, crossings) of state, which differs from the state of the
         last call only on the cells [lo, hi)."""
-        grid, domain, rows = self.grid, self.domain, self.domain.rows
-        rows.searched = None
+        grid, domain = self.grid, self.domain
         fields, (first, last) = riemann._refresh_inland(
-            state, domain.b, grid, rows.search, lo, hi, self.eps_px
+            state, domain.b, grid, self.rows, lo, hi, self.eps_px
         )
-        rows.searched = state
         _mark_pairs(*self.px_pairs, self.pairs, self.products, first, last)
         points = _crossings(
             fields.p_x, self.pairs, fields.eps_px, self.bathy, domain.x, grid.dx
@@ -804,6 +756,9 @@ class _EventTracker:
         return out
 
 
+# Values near the float maximum can overflow inside numpy before a check
+# reports them; the check's error is the whole report.
+@np.errstate(over="ignore", invalid="ignore")
 def run(
     initial: FlowState,
     bathy,
@@ -827,7 +782,8 @@ def run(
     either way. The bed is evaluated once, by prepare(); the initial state
     is checked against it as check_wet would. A NearDryError or
     NumericBlowUpError from a step, or from the search of the state it
-    produced, carries that step's number as its step attribute.
+    produced, carries that step's number as its step attribute; numpy's
+    overflow and invalid-value warnings are silenced for the run.
     """
     det = detector_config if detector_config is not None else DetectorConfig()
     domain = prepare(bathy, grid, config)

@@ -17,7 +17,7 @@ from shoalwave import analytic, cli, solver
 from shoalwave.detector import DetectorConfig
 from shoalwave.solver import SolverConfig
 from shoalwave.fields import FlowState, Grid, load_state, save_state
-from shoalwave.bathymetry import Flat, Sampled
+from shoalwave.bathymetry import Flat, Linear, Sampled
 
 from conftest import build_crossing
 
@@ -657,6 +657,18 @@ class TestDetect:
         assert lines[0].startswith("bad bathymetry spec: ")
         assert str(path) in lines[0]
         assert _names_the_bad_line(lines[0], how, 2), lines[0]
+
+    def test_tiny_spacing_bed_is_one_line_and_no_warning(self, tmp_path, capfd):
+        # The b column on nodes 1e-310 apart divides by zero inside SciPy's
+        # interpolator before the sampled bed rejects its slopes.
+        g = Grid(0.0, 1e-310, 40)
+        path = tmp_path / "state.csv"
+        state = FlowState(0.0, np.zeros(40), np.zeros(40))
+        save_state(state, Linear(-1.0, 1e308), g, path)
+        assert cli.main(["detect", str(path)]) == cli.EXIT_CONFIG
+        out, err = capfd.readouterr()
+        assert len(out.splitlines()) == 1 and out.startswith("bad bathymetry spec: ")
+        assert err == ""
 
     def test_missing_file_exits_config(self, tmp_path, capsys):
         assert cli.main(["detect", str(tmp_path / "nope.csv")]) == 1

@@ -11,6 +11,8 @@ from shoalwave import detector, riemann, solver
 from shoalwave.bathymetry import Flat, Linear
 from shoalwave.errors import NearDryError
 from shoalwave.fields import (
+    DRY_COLUMN,
+    THIN_COLUMN,
     FlowState,
     Grid,
     check_wet,
@@ -92,25 +94,42 @@ def _dry_at_node_5(t):
     return g, bed, FlowState(t, surface, np.zeros(16))
 
 
+# DRY_COLUMN as it reads for the state of _dry_at_node_5(2.5).
+DRY_AT_5 = DRY_COLUMN.format(node=5, t=2.5)
+
+
 @pytest.mark.parametrize(
-    "check",
+    "check, message",
     [
-        lambda s, b, g: check_wet(s, b, g, h_min=1e-6),
-        lambda s, b, g: solver.step(s, b, g, solver.SolverConfig(t_end=10.0)),
-        lambda s, b, g: riemann.inland(s, b, g),
-        lambda s, b, g: detector.tangent_match_residual(s, b, g),
-        lambda s, b, g: detector.deep_sea_diagnostics(s, b, g, mean_depth=0.0),
-        lambda s, b, g: riemann.characteristic_residual(
-            s, FlowState(3.0, np.zeros(16), np.zeros(16)), b, g
+        (
+            lambda s, b, g: check_wet(s, b, g, h_min=1e-6),
+            THIN_COLUMN.format(depth=-0.25, h_min=1e-6, node=5, t=2.5),
+        ),
+        (
+            lambda s, b, g: solver.step(s, b, g, solver.SolverConfig(t_end=10.0)),
+            solver.BELOW_H_MIN.format(depth=-0.25, node=5, t=2.5),
+        ),
+        (lambda s, b, g: riemann.inland(s, b, g), DRY_AT_5),
+        (lambda s, b, g: detector.tangent_match_residual(s, b, g), DRY_AT_5),
+        (
+            lambda s, b, g: detector.deep_sea_diagnostics(s, b, g, mean_depth=0.0),
+            DRY_AT_5,
+        ),
+        (
+            lambda s, b, g: riemann.characteristic_residual(
+                s, FlowState(3.0, np.zeros(16), np.zeros(16)), b, g
+            ),
+            DRY_AT_5,
         ),
     ],
     ids=["check_wet", "step", "inland", "tangent_match", "deep_sea", "residual"],
 )
-def test_dry_column_errors_carry_node_t_and_depth(check):
+def test_dry_column_errors_carry_node_t_and_depth(check, message):
     g, bed, state = _dry_at_node_5(2.5)
     with pytest.raises(NearDryError) as info:
         check(state, bed, g)
     assert (info.value.node, info.value.t, info.value.depth) == (5, 2.5, -0.25)
+    assert str(info.value) == message
 
 
 def test_dry_midpoint_error_carries_node_t_and_depth():
