@@ -199,9 +199,18 @@ class Sampled(Bathymetry):
         # which only sampled beds need.
         from scipy.interpolate import PchipInterpolator
 
+        # Node spacings near the float minimum can divide by zero inside
+        # the interpolant even where every sample slope is finite.
+        try:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                self._interp = PchipInterpolator(x, b, extrapolate=False)
+        except ValueError:
+            raise ValueError(
+                "samples give the monotone interpolant non-finite slopes; "
+                "smallest node spacing {:g}".format(float(np.min(np.diff(x))))
+            ) from None
         self._x = x
         self._b = b
-        self._interp = PchipInterpolator(x, b, extrapolate=False)
         for arr in (self._x, self._b):
             arr.setflags(write=False)
         self._lo, self._hi = float(x[0]), float(x[-1])

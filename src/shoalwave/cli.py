@@ -13,8 +13,9 @@ keys, types and defaults from the fields of Grid, SolverConfig and
 DetectorConfig (see _section); bed specs, from a file or `detect --bathy`,
 go through bathymetry.from_spec.
 
-Exit codes: 0 success, 1 bad config or malformed input, 2 near-dry abort,
-3 numeric blow-up, 4 detect found at least one shallow-regime rush event.
+Exit codes: 0 success, 1 bad config, malformed input or a malformed command
+line, 2 near-dry abort, 3 numeric blow-up, 4 detect found at least one
+shallow-regime rush event.
 Output defaults to $SHOALWAVE_OUT (or ./out) with one directory per run.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -602,12 +604,21 @@ def cmd_speed(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit like malformed input."""
+
+    def error(self, message):
+        print("usage error: {}: {}".format(self.prog, message))
+        raise SystemExit(EXIT_CONFIG)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shoalwave",
         description="1D long-wave runs and singular-point analysis",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Each subcommand runs the cmd_* function of its name (see main).
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_run = sub.add_parser("run", help="integrate scenario config files")
     p_run.add_argument("config", nargs="+", help="scenario config path(s)")
@@ -623,7 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--cfl", type=float, default=None)
     p_run.add_argument("--second-order", action="store_true")
     p_run.add_argument("--stop-at-first-event", action="store_true")
-    p_run.set_defaults(func=cmd_run)
 
     p_ver = sub.add_parser(
         "verify-analytic", help="convergence against the sloping-bottom closed form"
@@ -646,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="test hook: corrupt the momentum flux (negative control)",
     )
-    p_ver.set_defaults(func=cmd_verify_analytic)
 
     p_det = sub.add_parser("detect", help="analyze a state snapshot CSV")
     p_det.add_argument("state", help="snapshot CSV with header x,gamma_surface,u,b")
@@ -661,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--alert-eps-gamma", type=float, default=det.alert_eps_gamma)
     p_det.add_argument("--gamma-ref", type=float, default=None)
     p_det.add_argument("--mean-depth", type=float, default=None)
-    p_det.set_defaults(func=cmd_detect)
 
     p_deg = sub.add_parser(
         "classify-degenerate", help="resolve a degenerate bed point"
@@ -671,7 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_deg.add_argument("B1", type=float, help="leading bed-slope coefficient")
     p_deg.add_argument("C1", type=float, help="leading gradient coefficient")
     p_deg.add_argument("--gamma-local", type=float, default=1.0)
-    p_deg.set_defaults(func=cmd_classify_degenerate)
 
     p_nd = sub.add_parser("nondim", help="shallowness report")
     p_nd.add_argument("wavelength", type=float)
@@ -679,26 +686,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_nd.add_argument("gravity", type=float)
     p_nd.add_argument("amplitude", type=float)
     p_nd.add_argument("--ratio-max", type=float, default=0.1)
-    p_nd.set_defaults(func=cmd_nondim)
 
     p_sp = sub.add_parser("speed", help="gravity-wave speed for a depth")
     p_sp.add_argument("depth", type=float)
     p_sp.add_argument("gravity", type=float, nargs="?", default=9.8)
-    p_sp.set_defaults(func=cmd_speed)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; callable any number of times in one process.
+
+    The parser is built once, and each call looks its command's cmd_*
+    function up by name, so one replaced after an earlier call still runs.
+    """
+    args = _parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         # Values near the float maximum can overflow, and a grid spacing
         # near the float minimum divide by zero, inside numpy or SciPy
         # before a check reports them; the one-line message is the whole
         # report.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            return command(args)
     except NearDryError as exc:
         print("near-dry abort: {}".format(exc))
         return EXIT_NEAR_DRY

@@ -182,6 +182,7 @@ class DegenerateSpec:
             raise ValueError("gamma_local must be positive")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def find_crossings(
     fields: RiemannFields | InlandFields,
     bathy,
@@ -194,8 +195,8 @@ def find_crossings(
 
     Each is interpolated linearly (placement error at most dx/2); one where
     the bed slope sits below the threshold is left out. An infinite p_x
-    beside a sign change raises NumericBlowUpError. x, when given, must be
-    grid.x.
+    beside a sign change raises NumericBlowUpError, without a NumPy
+    warning. x, when given, must be grid.x.
     """
     eps = fields.eps_px if eps_px is None else float(eps_px)
     px = fields.p_x
@@ -276,6 +277,7 @@ def _find_plateaus(
     return points
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def find_critical_points(
     fields: RiemannFields | InlandFields, bathy, grid: Grid, eps_px: float | None = None
 ) -> list[CriticalPoint]:

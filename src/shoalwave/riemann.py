@@ -121,12 +121,14 @@ def _correction(b_slope: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inland(
     state: FlowState, bathy, grid: Grid, eps_px: float | None = None
 ) -> InlandFields:
     """Wet check, then gamma, p, p_x and the gradient threshold for one state.
 
-    The returned arrays are new.
+    The returned arrays are new. A p_x that overflows is inf, and NumPy
+    does not warn about it.
     """
     b = bathy.eval(grid.x)
     if state.gamma_surface.shape != (grid.n,):

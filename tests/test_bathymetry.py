@@ -247,6 +247,16 @@ class TestSampled:
         with pytest.raises(ValueError):
             Sampled(x, np.zeros(5))
 
+    def test_tiny_spacing_names_the_non_finite_slopes(self, recwarn):
+        # Every sample slope is 1e308, but SciPy's interpolant divides by
+        # zero and overflows on nodes 1e-310 apart.
+        x = 1e-310 * np.arange(40)
+        with pytest.raises(ValueError) as exc:
+            Sampled(x, -1.0 + 1e308 * x)
+        message = str(exc.value)
+        assert "non-finite slopes" in message and "node spacing 1e-310" in message
+        assert len(recwarn) == 0
+
     def test_out_of_domain_raises(self):
         b = Sampled(np.linspace(0, 1, 6), -np.ones(6))
         with pytest.raises(DomainError):

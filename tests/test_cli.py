@@ -1,5 +1,6 @@
 """End-to-end command tests driven through cli.main with in-process argv."""
 
+import argparse
 import importlib.resources
 import json
 import re
@@ -668,6 +669,7 @@ class TestDetect:
         assert cli.main(["detect", str(path)]) == cli.EXIT_CONFIG
         out, err = capfd.readouterr()
         assert len(out.splitlines()) == 1 and out.startswith("bad bathymetry spec: ")
+        assert "non-finite slopes; smallest node spacing 1e-310" in out
         assert err == ""
 
     def test_missing_file_exits_config(self, tmp_path, capsys):
@@ -885,3 +887,70 @@ class TestSmallTools:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("invalid parameters: ")
+
+
+class TestMain:
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ["speed", "abc"],
+                "usage error: shoalwave speed: argument depth: "
+                "invalid float value: 'abc'",
+            ),
+            (
+                ["detect"],
+                "usage error: shoalwave detect: "
+                "the following arguments are required: state",
+            ),
+            ([], "usage error: shoalwave: the following arguments are required: command"),
+        ],
+        ids=["bad number", "missing state", "no command"],
+    )
+    def test_malformed_command_line_exits_config(self, capfd, argv, line):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_CONFIG
+        out, err = capfd.readouterr()
+        assert out.splitlines() == [line]
+        assert err == ""
+
+    def test_two_calls_build_at_most_one_parser(self, monkeypatch, capsys):
+        builds = []
+        build = cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for _ in range(2):
+            assert cli.main(["speed", "4000"]) == cli.EXIT_OK
+        assert len(builds) <= 1
+        assert capsys.readouterr().out == "197.99 m/s = 712.8 km/h\n" * 2
+
+    def test_a_command_replaced_after_the_first_call_runs(self, monkeypatch, capsys):
+        assert cli.main(["speed", "4000"]) == cli.EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "cmd_speed", lambda args: seen.append(args) or 7)
+        assert cli.main(["speed", "4000"]) == 7
+        assert [args.depth for args in seen] == [4000.0]
+
+    def test_every_subcommand_has_a_command_function(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert len(sub.choices) == 6
+        for name in sub.choices:
+            assert callable(getattr(cli, "cmd_" + name.replace("-", "_"), None))
+
+    def test_no_option_value_leaks_into_the_next_call(self, capsys):
+        state = str(DATA / "shoaling_alert_state.csv")
+        runs = [["detect", state, "--gamma-ref", "0.5"], ["detect", state]]
+        first = []
+        for argv in runs:
+            cli._parser.cache_clear()
+            first.append((cli.main(argv), capsys.readouterr().out))
+        # One parser serves every call below, in both orders.
+        for argv, want in [*zip(runs, first), *zip(runs[::-1], first[::-1])]:
+            assert (cli.main(argv), capsys.readouterr().out) == want
+        assert first[0] != first[1]

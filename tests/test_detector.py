@@ -330,6 +330,20 @@ def test_infinite_gradient_beside_a_sign_change_is_a_blow_up(node):
     assert exc.value.node == node
 
 
+def test_overflowing_gradient_is_a_blow_up_without_numpy_warnings():
+    # p_x at node 0 overflows; the suite turns any RuntimeWarning into an
+    # error, so inland and the search must raise or return without one.
+    grid = Grid(0.0, 1.0, 12)
+    u = np.zeros(12)
+    u[:2] = 4.4e307, 4.7e307
+    state = FlowState(0.0, np.zeros(12), u)
+    f = riemann.inland(state, Flat(-1.0), grid)
+    assert f.p_x[0] == np.inf
+    with pytest.raises(NumericBlowUpError, match="non-finite p_x at node 0$") as exc:
+        detector.find_critical_points(f, Flat(-1.0), grid)
+    assert exc.value.node == 0
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="eps_px = 1e-8 * max|p| / dx grows as dx shrinks, while |p_x| at "
