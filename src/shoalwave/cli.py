@@ -223,10 +223,14 @@ class ScenarioConfig:
             if kind == "linear_bottom_analytic":
                 sol = self.analytic_solution(grid)
                 return analytic.make_initial_state(sol, grid, self.solver["h_min"])
-            _, state, _ = fields.load_state(params["path"])
-            if state.gamma_surface.size != grid.n:
+            data = fields._snapshot_rows(params["path"])
+            # Within the order of load_state's tolerance for uniform spacing.
+            nodes_match = data.shape[0] == grid.n and np.all(
+                np.abs(data[:, 0] - grid.x) <= 1e-9 * grid.dx
+            )
+            if not nodes_match:
                 raise ConfigError("initial state file does not match the grid")
-            return state
+            return fields.FlowState(0.0, data[:, 1], data[:, 2])
         except (TypeError, ValueError, OSError, DomainError) as exc:
             raise ConfigError("initial: {}".format(exc))
 
@@ -501,6 +505,10 @@ def cmd_detect(args) -> int:
         if args.gamma_ref is not None and not 0.0 < args.gamma_ref < math.inf:
             raise ValueError(
                 "gamma_ref must be positive and finite, got {}".format(args.gamma_ref)
+            )
+        if args.mean_depth is not None and not math.isfinite(args.mean_depth):
+            raise ValueError(
+                "mean_depth must be finite, got {}".format(args.mean_depth)
             )
     except ValueError as exc:
         print("invalid parameters: {}".format(exc))

@@ -164,7 +164,8 @@ class DegenerateSpec:
     The bed slope vanishes like B1 * (x - x*)**p_exp and the correction's
     denominator ingredients like C1 * (x - x*)**q_exp; gamma_local is the
     depth root at the point. B1 must be nonzero (a flat-at-all-orders bed
-    point has no singular correction to classify).
+    point has no singular correction to classify); B1, C1 and gamma_local
+    must be finite.
     """
 
     p_exp: int
@@ -176,6 +177,8 @@ class DegenerateSpec:
     def __post_init__(self):
         if self.p_exp < 1 or self.q_exp < 1:
             raise ValueError("orders must be >= 1 (both factors vanish at x*)")
+        if not all(map(math.isfinite, (self.B1, self.C1, self.gamma_local))):
+            raise ValueError("B1, C1 and gamma_local must be finite")
         if self.B1 == 0.0:
             raise ValueError("B1 must be nonzero at a degenerate bed point")
         if not self.gamma_local > 0.0:
@@ -523,8 +526,11 @@ def deep_sea_diagnostics(
     """Signal speed sqrt(depth) and |surface - mean| / sqrt(depth) per node.
 
     mean_depth is the rest surface level; for a state at rest at that level
-    the amplitude indicator is identically zero.
+    the amplitude indicator is identically zero. A non-finite mean_depth
+    raises ValueError.
     """
+    if not math.isfinite(mean_depth):
+        raise ValueError("mean_depth must be finite, got {}".format(mean_depth))
     w = state.gamma_surface - bathy.eval(grid.x)
     require_wet(w, state.t, DRY_COLUMN)
     speed = np.sqrt(w)

@@ -13,7 +13,6 @@ from .errors import NearDryError
 __all__ = [
     "Grid",
     "FlowState",
-    "Workspace",
     "ddx",
     "d2dx2",
     "depth",
@@ -71,46 +70,6 @@ class FlowState:
 
     def copy(self) -> "FlowState":
         return FlowState(self.t, self.gamma_surface.copy(), self.velocity.copy())
-
-
-class Workspace:
-    """Scratch arrays handed out by name, allocated once and reused.
-
-    take(name, shape, dtype) returns the same array on every call with the
-    same arguments, so a loop that writes its temporaries into a workspace
-    through ufunc out= arguments allocates them once. Blocks are keyed by
-    name, shape and dtype, so a caller whose length varies from call to call
-    takes its blocks at the largest length once and slices them. Each
-    function takes blocks under its own names; what it returns from them is
-    overwritten by its next call. A workspace serves one caller at a time.
-    """
-
-    def __init__(self):
-        self._arrays = {}
-        self._rows = {}
-
-    def take(self, name: str, shape, dtype=float) -> np.ndarray:
-        key = (name, shape, dtype)
-        arr = self._arrays.get(key)
-        if arr is None:
-            arr = self._arrays[key] = np.empty(shape, dtype)
-        return arr
-
-    def rows(self, name: str, shape, size: int | None = None, dtype=float):
-        """The rows of take(name, shape, dtype), each cut to its first size
-        entries (default: all of them).
-
-        The whole rows are unpacked once and kept, so a caller at the full
-        length gets the same row objects on every call and pays for no new
-        views; a shorter size slices the block on each call.
-        """
-        if size is not None and size != shape[-1]:
-            return self.take(name, shape, dtype)[:, :size]
-        key = (name, shape, dtype)
-        rows = self._rows.get(key)
-        if rows is None:
-            rows = self._rows[key] = tuple(self.take(name, shape, dtype))
-        return rows
 
 
 def _checked(field, grid: Grid) -> np.ndarray:
@@ -318,6 +277,16 @@ def load_state(path, t: float = 0.0):
     every operation in this package assumes a uniform grid. Any fault
     raises ValueError naming the path.
     """
+    data = _snapshot_rows(path)
+    x = data[:, 0]
+    grid = Grid(float(x[0]), float(x[1] - x[0]), int(x.size))
+    state = FlowState(t, data[:, 1], data[:, 2])
+    return grid, state, data[:, 3]
+
+
+def _snapshot_rows(path) -> np.ndarray:
+    """The rows x, gamma_surface, u, b of a snapshot CSV, checked as
+    load_state describes."""
     with open(path, encoding="utf-8", errors="backslashreplace") as fh:
         header = next(csv.reader([fh.readline()]), [])
         if [c.strip() for c in header] != ["x", "gamma_surface", "u", "b"]:
@@ -329,6 +298,4 @@ def load_state(path, t: float = 0.0):
     dx = x[1] - x[0]
     if dx <= 0 or not np.allclose(np.diff(x), dx, rtol=1e-9, atol=1e-12 * abs(dx)):
         raise ValueError("state file {} is not on a uniform grid".format(path))
-    grid = Grid(float(x[0]), float(dx), int(x.size))
-    state = FlowState(t, data[:, 1], data[:, 2])
-    return grid, state, data[:, 3]
+    return data

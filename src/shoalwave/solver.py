@@ -32,16 +32,17 @@ gradient threshold, and the scan for sign changes still read whole rows.
 
 The bed is static: prepare() evaluates it, its ghost cells and the
 first-order interface bed offsets once, and run() reuses them for every
-step and detector pass. The prepared domain also holds the run's
-workspace, whose rows prepare() takes and binds once (see Domain): the
-step's w and m are the cells of their ghost-extended rows, so a
-whole-grid step writes only the two ghost cells at each end of each row,
-and the whole grid's frame of views is built once. A window's views are
-sliced on each step, because its bounds move. The kernel of either order
-and the run's detector search write every temporary into the workspace,
-so a step allocates only the state it returns. write_outputs() formats
-the static x and b columns once and writes each snapshot in one
-formatting pass.
+step and detector pass. The prepared domain also allocates the step's
+scratch rows once, and binds the whole grid's frame of views over them
+(see Domain): the step's w and m are the cells of their ghost-extended
+rows, so a whole-grid step writes only the two ghost cells at each end
+of each row. A window's views are sliced on each step, because its
+bounds move. The active window and the detector search allocate their
+own rows, once per run. So the kernel of either order and the search
+write every temporary into rows allocated before the first step, and a
+step allocates only the state it returns. write_outputs() formats the
+static x and b columns once and writes each snapshot in one formatting
+pass.
 
 The time step is cfl * dx / max(|u| + sqrt(w)); runs abort with
 NearDryError when any column drops below h_min and NumericBlowUpError on
@@ -81,7 +82,6 @@ from .fields import (
     THIN_COLUMN,
     FlowState,
     Grid,
-    Workspace,
     _checked,
     _state_writer,
     require_wet,
@@ -165,8 +165,7 @@ class RunResult:
 
 class Domain:
     """The static bed of one run, evaluated once for its grid and boundary,
-    and the run's workspace rows, taken and bound once. Build one with
-    prepare().
+    and the step's scratch rows, allocated once. Build one with prepare().
 
     x and b are the node coordinates and bed elevations. b_e is b with two
     ghost cells per side, laid out for the boundary kind; with an inflow,
@@ -174,14 +173,18 @@ class Domain:
     bed_right are the first-order interface offsets bl - max(bl, br) and
     br - max(bl, br) of the hydrostatic reconstruction (Audusse et al.,
     SIAM J. Sci. Comput. 25, 2004), which depend on the bed alone. These
-    arrays are read-only. work is the scratch space that every step and
-    detector pass overwrites, so a domain serves one run at a time.
+    arrays are read-only.
 
-    ghosts holds the step's thickness and momentum with two ghost cells
-    per side; their cells are the rows w and m that a step writes from its
-    state, so a whole-grid step fills only the ghost cells. speed keeps the
-    wave speed of every cell from step to step, and center_u holds the
-    first-order velocities. whole is the whole grid's frame (see _Frame).
+    The other arrays are scratch that every step overwrites, so a domain
+    serves one run at a time. ghosts holds the step's thickness and
+    momentum with two ghost cells per side; their cells are the rows w and
+    m that a step writes from its state, so a whole-grid step fills only
+    the ghost cells. speed keeps the wave speed of every cell from step to
+    step, and center_u holds the first-order velocities. interfaces, rates,
+    hll and hll_masks are the rows that _Frame cuts to its size. whole is
+    the whole grid's frame. A second-order domain also holds the
+    reconstruction block, its flags and stage, the frame of the first
+    stage's result; a first-order domain has none of them.
     """
 
     def __init__(self, bathy, grid: Grid, config: SolverConfig):
@@ -208,11 +211,18 @@ class Domain:
         self.bed_right = br - b_int
         for arr in (x, b, b_e, self.bed_left, self.bed_right, *self.ghost_x):
             arr.setflags(write=False)
-        self.work = work = Workspace()
-        self.ghosts = work.take("ghosts", (2, n + 4))
-        self.speed = work.take("speed", n)
-        self.center_u = work.take("rhs u", n + 2)
+        self.ghosts = np.empty((2, n + 4))
+        self.speed = np.empty(n)
+        self.center_u = np.empty(n + 2)
+        self.interfaces = np.empty((4, n + 1))
+        self.rates = np.empty((2, n))
+        self.hll = np.empty((11, n + 1))
+        self.hll_masks = np.empty((3, n + 1), bool)
         self.whole = _Frame(self, self.ghosts, 0, n)
+        if config.second_order:
+            self.reconstruction = np.empty((12, n + 4))
+            self.reconstruction_flags = np.empty((2, n + 2), bool)
+            self.stage = _Frame(self, np.empty((2, n + 4)), 0, n)
 
 
 def _ghost_copies(e, boundary: str):
@@ -231,7 +241,7 @@ def _ghost_copies(e, boundary: str):
 
 def prepare(bathy, grid: Grid, config: SolverConfig) -> Domain:
     """Evaluate the bed and everything derived from it once for a run, and
-    bind the run's workspace rows."""
+    allocate the step's scratch rows."""
     return Domain(bathy, grid, config)
 
 
@@ -246,15 +256,17 @@ class _Frame:
     whose sign a reflective wall flips. A window of 2 <= lo and hi <= n - 2
     reads the two real cells beside each end as its ghosts, so its step
     writes w and m over all of w_e and m_e; a whole-grid step writes the
-    cells. The other views are of the interface rows (size + 1 long), the
-    rates (size long, holding the new w and m at the end of a step) and the
-    wave speeds over the cells. prepare() binds the whole grid's frame
-    once; a window's is sliced on each step, because its bounds move.
+    cells. The other views are of the domain's interface rows and _hll's
+    float and bool rows (size + 1 long), the rates (size long, holding the
+    new w and m at the end of a step) and the wave speeds over the cells.
+    prepare() binds the whole grid's frame, and a second-order domain's
+    stage frame, once; a window's is sliced on each step, because its
+    bounds move.
     """
 
     def __init__(self, domain: Domain, block, lo: int, hi: int):
-        n, size, work = domain.n, hi - lo, domain.work
-        whole = size == n
+        size = hi - lo
+        whole = size == domain.n
         self.lo = lo
         self.cells = slice(lo, hi)
         ext = block if whole else block[:, lo : hi + 4]
@@ -277,10 +289,11 @@ class _Frame:
         self.center_u, self.ul, self.ur = u, u[:-1], u[1:]
         self.bed_left = domain.bed_left[lo : hi + 1]
         self.bed_right = domain.bed_right[lo : hi + 1]
-        interfaces = work.take("rhs", (4, n + 1))[:, : size + 1]
-        self.wls, self.wrs, self.g_right, self.tmp = interfaces
+        self.wls, self.wrs, self.g_right, self.tmp = domain.interfaces[:, : size + 1]
         self.g_right_next = self.g_right[1:]
-        self.rates = work.take("rates", (2, n))[:, :size]
+        self.hll = tuple(domain.hll[:, : size + 1])
+        self.hll_masks = tuple(domain.hll_masks[:, : size + 1])
+        self.rates = domain.rates[:, :size]
         self.rw, self.rm = self.rates
         self.speed = domain.speed[self.cells]
 
@@ -301,25 +314,20 @@ def _fill_ghosts(frame: _Frame, domain: Domain, config: SolverConfig, t: float):
             frame.m_e[sl] = np.asarray(w_g) * np.asarray(u_g)
 
 
-def _hll(wl, ul, wr, ur, work: Workspace, capacity: int | None = None):
+def _hll(wl, ul, wr, ur, rows, masks):
     """Two-wave approximate flux between reconstructed interface states.
 
     An interface whose two states are identical takes the left flux, so
     that a balanced state produces bitwise-zero updates.
 
-    Every temporary lives in work; the two returned flux arrays do too,
-    and a call of the full capacity returns the same two row objects each
-    time (see Workspace.rows). Its blocks are taken capacity interfaces
-    long (default: as many as given), so calls of any size up to capacity
-    share them. Each line
-    computes what its comment says, with the same operands in the same
-    order, so the results are bitwise those of the plain expressions.
+    rows are eleven float rows and masks three bool rows, each as long as
+    wl; every temporary lives in them, and the two returned flux arrays
+    are two of the rows. Each line computes what its comment says, with
+    the same operands in the same order, so the results are bitwise those
+    of the plain expressions.
     """
-    size = wl.size
-    capacity = size if capacity is None else capacity
-    rows = work.rows("hll", (11, capacity), size)
     ml, mr, fl1, tmp, mid0, mid1, fr1, sl, sr, slsr, safe = rows
-    same, left, right = work.rows("hll masks", (3, capacity), size, bool)
+    same, left, right = masks
 
     np.multiply(wl, ul, out=ml)
     np.multiply(wr, ur, out=mr)
@@ -400,21 +408,20 @@ def _rhs(frame: _Frame, domain: Domain, grid: Grid, config: SolverConfig, t: flo
 
     The frame's cells hold w and m (see _Frame); a window must keep two
     cells to each side. Returns the frame's rate rows (rw, rm). Every
-    temporary lives in the domain's workspace, in blocks taken at the
-    whole grid's length, so windows of any size share them. Each line
+    temporary lives in the frame's views and, at second order, in the
+    domain's reconstruction block, all allocated at the whole grid's
+    length, so windows of any size share them. Each line
     computes what its comment says, with the same operands in the same
     order as the plain expression.
     """
     n = grid.n
-    work = domain.work
     _fill_ghosts(frame, domain, config, t)
     wls, wrs, g_right, tmp = frame.wls, frame.wrs, frame.g_right, frame.tmp
 
     # Interface j sits between cell edge arrays at j (left) and j+1 (right).
     if config.second_order:
         w_e, m_e = frame.w_e, frame.m_e
-        rec = work.take("reconstruction", (12, n + 4))
-        flags = work.take("reconstruction flags", (2, n + 2), bool)
+        rec, flags = domain.reconstruction, domain.reconstruction_flags
         eta_e, u_e, scratch = rec[0], rec[1], rec[2:6]
         w_minus, w_plus, b_minus, b_plus, u_minus, u_plus = rec[6:, : n + 2]
         np.add(w_e, domain.b_e, out=eta_e)
@@ -441,7 +448,7 @@ def _rhs(frame: _Frame, domain: Domain, grid: Grid, config: SolverConfig, t: flo
         np.maximum(np.add(frame.w_left, frame.bed_left, out=wls), 0.0, out=wls)
         np.maximum(np.add(frame.w_right, frame.bed_right, out=wrs), 0.0, out=wrs)
         ul, ur = frame.ul, frame.ur
-    f0, f1 = _hll(wls, ul, wrs, ur, work, capacity=n + 1)
+    f0, f1 = _hll(wls, ul, wrs, ur, frame.hll, frame.hll_masks)
 
     # Group each hydrostatic correction with its own interface flux; at a
     # balanced state every grouped term is identically zero.
@@ -531,17 +538,16 @@ class _ActiveWindow:
     would come within two cells of an end (its ghosts must be real cells,
     which also keeps a periodic seam fixed), and from the start for an
     inflow, whose ghosts follow t, and for the second-order path, whose
-    stages reach two cells.
+    stages reach two cells. masks holds two bool rows n long, whose first
+    hi - lo entries mark the window's still cells between note_rates and
+    advance.
     """
 
-    def __init__(self, grid: Grid, config: SolverConfig, work: Workspace):
+    def __init__(self, grid: Grid, config: SolverConfig):
         self.n = grid.n
         self.lo, self.hi = 0, grid.n
         self.open = config.inflow is None and not config.second_order
-        self._work = work
-
-    def _masks(self, size):
-        return self._work.rows("active window", (2, self.n), size, bool)
+        self.masks = np.empty((2, grid.n), bool)
 
     def _close(self):
         self.open = False
@@ -558,7 +564,7 @@ class _ActiveWindow:
         ):
             self._close()
             return
-        still, same = self._masks(rw.size)
+        still, same = self.masks[:, : rw.size]
         np.equal(rw, 0.0, out=still)
         still &= np.equal(rm, 0.0, out=same)
 
@@ -567,7 +573,7 @@ class _ActiveWindow:
         if not self.open:
             return
         cells = slice(self.lo, self.hi)
-        still, same = self._masks(self.hi - self.lo)
+        still, same = self.masks[:, : self.hi - self.lo]
         pairs = ((old.gamma_surface, gamma_surface), (old.velocity, velocity))
         for before, after in pairs:
             still &= np.equal(
@@ -602,13 +608,13 @@ def step(
     NumericBlowUpError on non-finite values. domain, when given, must be
     prepare(bathy, grid, config); run() builds it once for all its steps.
     The returned state's arrays are new; the temporaries live in the
-    domain's workspace.
+    domain's scratch rows.
 
     A direct call steps every cell. run() also passes its active window
     (see _ActiveWindow): the step then computes only the cells [lo, hi),
     checks only them for wet and finite values, reporting the same nodes,
     and copies every other cell, which stepping would give back bit for
-    bit. dt stays exact: the workspace keeps the whole row of wave speeds,
+    bit. dt stays exact: the domain keeps the whole row of wave speeds,
     whose cells outside the window have not changed since they were
     written. The window then moves on from this step's rates and state.
 
@@ -649,7 +655,7 @@ def step(
     if config.second_order:
         rw1, rm1 = _rhs(frame, domain, grid, config, t)
         # w1 = w + dt * rw1; m1 = m + dt * rm1, the cells of a second block
-        stage = _Frame(domain, domain.work.take("stage", (2, n + 4)), 0, n)
+        stage = domain.stage
         w1, m1 = stage.w, stage.m
         np.add(w, np.multiply(dt, rw1, out=rw1), out=w1)
         np.add(m, np.multiply(dt, rm1, out=rm1), out=m1)
@@ -691,28 +697,26 @@ class _Search:
     """The detector search of a run: riemann.inland, then find_crossings.
 
     Its rows (gamma, p, |p|, p_x and the pair marks p_x[i] * p_x[i+1] < 0)
-    are its own, taken from the domain's workspace, and carry over from
-    step to step; the depth w is written into gamma's row before its root.
-    A step changes the state only on its window [lo, hi), so each search
-    recomputes gamma, p and |p| there, p_x wherever its stencil reads a
-    new p (one node beyond the window, and an end node whose one-sided
-    stencil reaches in; see fields._ddx_from), and the pairs that read a
-    new p_x, each with the operands of the whole-grid functions. The
-    first search, over [0, n), fills every row. Two things still read the
-    whole row on every step: max|p| for the default threshold, since one
-    cell anywhere can set it, and the scan of the pair marks for sign
-    changes, whose nodes are then tested against that threshold. So each
-    step finds the crossings, bit for bit, that inland and find_crossings
-    would.
+    are its own, allocated once, and carry over from step to step; the
+    depth w is written into gamma's row before its root. A step changes
+    the state only on its window [lo, hi), so each search recomputes
+    gamma, p and |p| there, p_x wherever its stencil reads a new p (one
+    node beyond the window, and an end node whose one-sided stencil
+    reaches in; see fields._ddx_from), and the pairs that read a new p_x,
+    each with the operands of the whole-grid functions. The first search,
+    over [0, n), fills every row. Two things still read the whole row on
+    every step: max|p| for the default threshold, since one cell anywhere
+    can set it, and the scan of the pair marks for sign changes, whose
+    nodes are then tested against that threshold. So each step finds the
+    crossings, bit for bit, that inland and find_crossings would.
     """
 
     def __init__(self, bathy, grid: Grid, domain: Domain, eps_px: float | None):
         self.bathy, self.grid, self.domain, self.eps_px = bathy, grid, domain, eps_px
-        work = domain.work
-        self.rows = riemann._InlandRows(*work.take("search", (4, grid.n)))
+        self.rows = riemann._InlandRows(*np.empty((4, grid.n)))
         self.px_pairs = (self.rows.p_x[:-1], self.rows.p_x[1:])
-        self.pairs = work.take("search pairs", grid.n - 1, bool)
-        self.products = work.take("search products", grid.n - 1)
+        self.pairs = np.empty(grid.n - 1, bool)
+        self.products = np.empty(grid.n - 1)
 
     def __call__(self, state: FlowState, lo: int, hi: int):
         """(fields, crossings) of state, which differs from the state of the
@@ -789,7 +793,7 @@ def run(
     domain = prepare(bathy, grid, config)
     depth = _checked(initial.gamma_surface, grid) - domain.b
     require_wet(depth, initial.t, THIN_COLUMN, config.h_min)
-    window = _ActiveWindow(grid, config, domain.work)
+    window = _ActiveWindow(grid, config)
     search = _Search(bathy, grid, domain, det.eps_px)
     gamma_ref = float(np.sqrt(np.max(depth)))
 
@@ -823,7 +827,7 @@ def run(
                 domain=domain,
                 _window=window,
             )
-            # The search's arrays live in the workspace until the next step.
+            # The search's arrays are its own rows until the next step.
             inland, points = search(state, lo, hi)
         except (NearDryError, NumericBlowUpError) as exc:
             # A failed step, or a dry column in the state it produced.
@@ -854,8 +858,16 @@ def run(
         if next_snap is not None and state.t >= next_snap - tiny:
             snapshots.append(state.copy())
             snapshot_steps.append(steps)
-            while next_snap <= state.t + tiny:
-                next_snap += config.snapshot_interval
+            next_snap += config.snapshot_interval
+            if next_snap <= state.t + tiny:
+                # The step passed several boundaries: jump to the first one
+                # ahead, which adding an interval below the spacing of floats
+                # near t, one at a time, would never reach.
+                interval, ahead = config.snapshot_interval, state.t + tiny
+                skipped = math.floor((ahead - next_snap) / interval) + 1
+                next_snap = max(
+                    next_snap + skipped * interval, math.nextafter(ahead, math.inf)
+                )
 
     if snapshot_steps[-1] != steps:
         snapshots.append(state.copy())

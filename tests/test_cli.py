@@ -438,6 +438,34 @@ class TestRunFailures:
         assert cli.main(["run", cfg]) == 3
         assert "numeric blow-up" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "grid, code",
+        [
+            ({"x0": 100.0, "dx": 0.001, "n": 400}, 0),
+            ({"x0": 100.0, "dx": 0.001, "n": 401}, 1),
+            ({"x0": 100.5, "dx": 0.001, "n": 400}, 1),
+            ({"x0": 100.0, "dx": 0.002, "n": 400}, 1),
+        ],
+        ids=["same", "n", "x0", "dx"],
+    )
+    def test_initial_file_must_sit_on_the_grid(self, tmp_path, capsys, grid, code):
+        # Far enough from x = 0 that the nodes rebuilt from the file's first
+        # spacing drift by more than 1e-9 * dx over the grid; the file's own
+        # nodes match exactly.
+        g = Grid(100.0, 0.001, 400)
+        state_path = tmp_path / "seed.csv"
+        save_state(FlowState(0.0, np.zeros(g.n), np.zeros(g.n)), Flat(-1.0), g, state_path)
+        doc = yaml.safe_load(SMALL_RUN)
+        doc["grid"] = grid
+        doc["initial"] = {"kind": "from_file", "path": str(state_path)}
+        doc["solver"] = {"t_end": 0.002}
+        cfg = write_cfg(tmp_path, yaml.safe_dump(doc))
+        assert cli.main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == code
+        lines = capsys.readouterr().out.splitlines()
+        if code:
+            message = "initial state file does not match the grid"
+            assert lines == ["config error [{}]: {}".format(cfg, message)]
+
     @pytest.mark.parametrize("argv", [["detect"], ["run"], ["run", "--jobs", "3"]])
     def test_overflow_prints_one_line_and_no_warning(self, tmp_path, capfd, argv):
         # Velocities near the float maximum overflow inside numpy before
@@ -840,6 +868,20 @@ class TestSmallTools:
         assert cli.main(["classify-degenerate", "1", "1", "0", "1"]) == 1
         assert "invalid degenerate spec" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "numbers",
+        [
+            ["1", "1", "nan", "1"],
+            ["1", "1", "inf", "inf"],
+            ["1", "1", "1", "nan"],
+            ["1", "1", "1", "1", "--gamma-local", "inf"],
+        ],
+    )
+    def test_classify_degenerate_rejects_non_finite_numbers(self, capsys, numbers):
+        assert cli.main(["classify-degenerate", *numbers]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["invalid degenerate spec: B1, C1 and gamma_local must be finite"]
+
     def test_nondim_reports_shallow_ocean(self, capsys):
         code = cli.main(["nondim", "800000", "3900", "9.8", "7"])
         assert code == 0
@@ -880,6 +922,9 @@ class TestSmallTools:
             ["nondim", "nan", "1", "1", "1"],
             ["nondim", "1", "inf", "1", "1"],
             ["nondim", "1", "1", "1", "1", "--ratio-max", "nan"],
+            ["detect", str(DATA / "shoaling_alert_state.csv"), "--mean-depth", "nan"],
+            ["detect", str(DATA / "shoaling_alert_state.csv"), "--mean-depth", "inf"],
+            ["detect", str(DATA / "shoaling_alert_state.csv"), "--mean-depth=-inf"],
         ],
     )
     def test_non_finite_number_is_one_line(self, capsys, argv):

@@ -51,6 +51,13 @@ class TestDegenerateTruthTable:
         with pytest.raises(ValueError):
             DegenerateSpec(p_exp=1, q_exp=1, B1=0.0, C1=1.0)
 
+    @pytest.mark.parametrize("name", ["B1", "C1", "gamma_local"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_numbers(self, name, value):
+        numbers = {"B1": 1.0, "C1": 1.0, "gamma_local": 1.0, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            DegenerateSpec(p_exp=1, q_exp=1, **numbers)
+
     @pytest.mark.parametrize("p_exp,q_exp", [(0, 1), (1, 0), (-1, 2)])
     def test_rejects_nonvanishing_orders(self, p_exp, q_exp):
         with pytest.raises(ValueError):

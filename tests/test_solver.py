@@ -176,6 +176,19 @@ def test_snapshot_schedule():
     assert result.steps == result.snapshot_steps[-1]
 
 
+@pytest.mark.parametrize("interval", [1e-20, 4e-3])
+def test_an_interval_shorter_than_a_step_snapshots_every_step(interval):
+    # 1e-20 is below the spacing of floats near t, so adding it to the
+    # next snapshot time one interval at a time would never pass t.
+    g = Grid(-1.0, 0.05, 40)
+    b = Flat(-1.0)
+    state = solver.initial_gaussian_pulse(g, b, center=0.0, width=0.2, amplitude=0.01)
+    config = solver.SolverConfig(t_end=0.05, snapshot_interval=interval)
+    result = solver.run(state, b, g, config)
+    assert result.steps == 3
+    assert result.snapshot_steps == list(range(result.steps + 1))
+
+
 def test_run_without_detector_reports_no_events():
     g = Grid(-10.0, 0.1, 200)
     b = Flat(-1.0)
@@ -551,13 +564,15 @@ def _interface_states(draw, size):
     )
 )
 def test_hll_matches_reference_over_any_still_window(calls):
-    # One workspace for calls whose windows differ, so a flux row left
-    # over from an earlier call would show outside the window.
-    work = fields.Workspace()
+    # Views of one block pair, cut to each call's size, for calls whose
+    # windows differ, so a flux row left over from a longer earlier call
+    # would show outside the window.
+    rows, masks = np.empty((11, 40)), np.empty((3, 40), bool)
     with np.errstate(all="ignore"):
         for wl, ul, wr, ur in calls:
             want = _ref_hll(wl, ul, wr, ur)
-            got = solver._hll(wl, ul, wr, ur, work)
+            size = wl.size
+            got = solver._hll(wl, ul, wr, ur, rows[:, :size], masks[:, :size])
             assert _same_bits(got[0], want[0])
             assert _same_bits(got[1], want[1])
 
@@ -575,10 +590,46 @@ def test_nan_state_blows_up_unless_a_column_is_dry(inland_setup):
     assert info.value.node == 50
 
 
+# The run objects that hold arrays, directly or through their frames and rows.
+_HOLDERS = (
+    solver.Domain,
+    solver._Frame,
+    solver._ActiveWindow,
+    solver._Search,
+    riemann._InlandRows,
+)
+
+
+def _arrays_held(*objs):
+    """Every array the objects hold, keyed by its path of attribute names
+    and tuple indices, through their frames, search rows and tuples."""
+    held, seen = {}, set()
+
+    def walk(path, value):
+        if isinstance(value, np.ndarray):
+            held[path] = value
+        elif isinstance(value, (tuple, list)):
+            for k, item in enumerate(value):
+                walk(path + (k,), item)
+        elif isinstance(value, _HOLDERS) and id(value) not in seen:
+            seen.add(id(value))
+            for name, item in vars(value).items():
+                walk(path + (name,), item)
+
+    for k, obj in enumerate(objs):
+        walk((k,), obj)
+    return held
+
+
+def _assert_same_arrays(before, after):
+    """The holders hold the same array objects as before."""
+    assert after.keys() == before.keys()
+    assert all(after[path] is arr for path, arr in before.items())
+
+
 def _domain_arrays(domain):
-    """Every array a prepared domain holds, its workspace included."""
-    fixed = [domain.x, domain.b, domain.b_e, domain.bed_left, domain.bed_right]
-    return fixed + list(domain.ghost_x) + list(domain.work._arrays.values())
+    """Every array a prepared domain holds, its frames' blocks included."""
+    return list(_arrays_held(domain).values())
 
 
 @pytest.mark.parametrize("second_order", [False, True])
@@ -611,7 +662,7 @@ def test_first_order_step_allocates_only_the_state_it_returns():
     config = solver.SolverConfig(t_end=1.0, boundary="periodic")
     hump = 0.01 * np.exp(-(((grid.x - 60.0) / 3.0) ** 2))
     domain = solver.prepare(bathy, grid, config)
-    # The first step fills the workspace; the later ones reuse it.
+    # The first step fills the domain's rows; the later ones reuse them.
     state = solver.step(FlowState(0.0, hump, hump.copy()), bathy, grid, config, domain=domain)
     tracemalloc.start()
     try:
@@ -624,8 +675,8 @@ def test_first_order_step_allocates_only_the_state_it_returns():
 
 def test_whole_grid_step_takes_no_new_block_and_allocates_only_its_result():
     # A still sea with a pulse in its middle, stepped over the whole grid
-    # after the step that filled the workspace: the step takes no new
-    # workspace block and allocates only the state it returns.
+    # after a first step: the step keeps every array of the domain and
+    # allocates only the state it returns.
     n = 12000
     grid = Grid(0.0, 0.01, n)
     bathy = Flat(-1.0)
@@ -633,7 +684,7 @@ def test_whole_grid_step_takes_no_new_block_and_allocates_only_its_result():
     hump = 0.01 * np.exp(-(((grid.x - 60.0) / 1.0) ** 2))
     domain = solver.prepare(bathy, grid, config)
     state = solver.step(FlowState(0.0, hump, hump.copy()), bathy, grid, config, domain=domain)
-    keys = set(domain.work._arrays)
+    arrays = _arrays_held(domain)
     for still in (state.gamma_surface, state.velocity):
         assert not np.any(still[:1000]) and not np.any(still[-1000:])
         assert np.any(still)
@@ -644,7 +695,34 @@ def test_whole_grid_step_takes_no_new_block_and_allocates_only_its_result():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * n * np.dtype(float).itemsize, peak / (n * 8)
-    assert set(domain.work._arrays) == keys
+    _assert_same_arrays(arrays, _arrays_held(domain))
+
+
+def test_first_order_run_owns_only_first_order_scratch():
+    # ocean_transit's size: a flat bed, n=12000, periodic. After two run
+    # steps the scratch blocks (the writable arrays) of the domain, the
+    # window and the search total 2,568,194 bytes, the rows a first-order
+    # step and search write; second-order blocks would exceed it.
+    n = 12000
+    grid = Grid(0.0, 0.01, n)
+    bathy = Flat(-1.0)
+    config = solver.SolverConfig(t_end=1.0, boundary="periodic")
+    hump = 0.01 * np.exp(-(((grid.x - 60.0) / 3.0) ** 2))
+    domain = solver.prepare(bathy, grid, config)
+    window = solver._ActiveWindow(grid, config)
+    search = solver._Search(bathy, grid, domain, None)
+    state = FlowState(0.0, hump, hump.copy())
+    for _ in range(2):
+        lo, hi = window.lo, window.hi
+        state = solver.step(state, bathy, grid, config, domain=domain, _window=window)
+        search(state, lo, hi)
+    blocks = {}
+    for arr in _arrays_held(domain, window, search).values():
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        if arr.flags.writeable:
+            blocks[id(arr)] = arr
+    assert sum(arr.nbytes for arr in blocks.values()) <= 2_568_194
 
 
 class _CountingBed:
@@ -1016,7 +1094,7 @@ def test_a_cell_with_a_nonzero_rate_stays_in_the_window(moving):
     # Rates of -0.0 count as zero.
     grid = Grid(0.0, 0.1, 40)
     config = solver.SolverConfig(t_end=1.0)
-    window = solver._ActiveWindow(grid, config, fields.Workspace())
+    window = solver._ActiveWindow(grid, config)
     state = solver.initial_lake_at_rest(grid)
     rates = {"rw": np.full(grid.n, -0.0), "rm": np.zeros(grid.n)}
     rates[moving][20] = 1e-300
@@ -1074,14 +1152,15 @@ def test_window_failure_matches_the_whole_grid_step(change):
 
 
 def test_windowed_steps_keep_the_workspace_and_peak_flat():
-    # A few hundred windowed steps take no new workspace block and each
-    # allocates only the state it returns, whatever the window's size.
+    # A few hundred windowed steps keep every array of the domain and the
+    # window, and each allocates only the state it returns, whatever the
+    # window's size.
     grid, bathy, state, config = _pulse_in_a_still_sea(n=2000, steps=300)
     n = grid.n
     domain = solver.prepare(bathy, grid, config)
-    window = solver._ActiveWindow(grid, config, domain.work)
+    window = solver._ActiveWindow(grid, config)
     state = solver.step(state, bathy, grid, config, domain=domain, _window=window)
-    blocks = set(domain.work._arrays)
+    arrays = _arrays_held(domain, window)
     sizes, peaks = set(), []
     tracemalloc.start()
     try:
@@ -1095,7 +1174,7 @@ def test_windowed_steps_keep_the_workspace_and_peak_flat():
     finally:
         tracemalloc.stop()
     assert len(sizes) > 10 and max(sizes) < n // 2
-    assert set(domain.work._arrays) == blocks
+    _assert_same_arrays(arrays, _arrays_held(domain, window))
     assert max(peaks) <= 3 * n * np.dtype(float).itemsize, max(peaks) / (n * 8)
 
 
@@ -1380,11 +1459,11 @@ def test_windowed_search_allocates_no_row_per_step(eps_px):
     grid, bathy, state, config = _pulse_in_a_still_sea(n=12000, steps=100)
     n = grid.n
     domain = solver.prepare(bathy, grid, config)
-    window = solver._ActiveWindow(grid, config, domain.work)
+    window = solver._ActiveWindow(grid, config)
     search = solver._Search(bathy, grid, domain, eps_px)
     state = solver.step(state, bathy, grid, config, domain=domain, _window=window)
     search(state, 0, n)
-    blocks = set(domain.work._arrays)
+    arrays = _arrays_held(domain, window, search)
     peaks = []
     tracemalloc.start()
     try:
@@ -1400,7 +1479,7 @@ def test_windowed_search_allocates_no_row_per_step(eps_px):
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
     finally:
         tracemalloc.stop()
-    assert set(domain.work._arrays) == blocks
+    _assert_same_arrays(arrays, _arrays_held(domain, window, search))
     assert max(peaks) < n, max(peaks)
 
 
@@ -1590,8 +1669,9 @@ def test_run_loop_steps_allocate_only_the_states_they_return():
         tracemalloc.stop()
         solver.step = step
     assert result.steps == len(starts) >= 40
-    # The first passes fill the workspace blocks taken on first use.
-    assert max(peaks[2:]) <= 3 * n * np.dtype(float).itemsize, max(peaks[2:]) / (n * 8)
+    # The run allocates its scratch rows before its first step, so the
+    # first passes allocate no more than the later ones.
+    assert max(peaks) <= 3 * n * np.dtype(float).itemsize, max(peaks) / (n * 8)
 
 
 def test_a_step_ignores_what_a_search_read():
@@ -1666,7 +1746,8 @@ def test_shelf_rush_events_follow_the_papers_sign_rule(monkeypatch):
     def recorded_classify(point, inland, state, *args, **kwargs):
         event = classify(point, inland, state, *args, **kwargs)
         if event.classification in solver.RUSH_CLASSES:
-            # The run's inland rows are workspace that the next step rewrites.
+            # The run's inland rows are the search's own, which the next
+            # step rewrites.
             rushes.append((event.classification, point, inland.p_x.copy(), state))
         return event
 
