@@ -56,6 +56,8 @@ class Flat(Bathymetry):
         return _shaped(x, np.full(np.shape(x), self.b0))
 
     def slope(self, x):
+        if isinstance(x, float):  # the detector asks for one point at a time
+            return 0.0
         return _shaped(x, np.zeros(np.shape(x)))
 
     def curvature(self, x):
@@ -74,6 +76,8 @@ class Linear(Bathymetry):
         return _shaped(x, self.b0 + self.b1 * xa)
 
     def slope(self, x):
+        if isinstance(x, float):  # the detector asks for one point at a time
+            return float(self.b1)
         return _shaped(x, np.full(np.shape(x), self.b1))
 
     def curvature(self, x):

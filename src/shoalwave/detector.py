@@ -19,11 +19,12 @@ The surface-minus-bed slope used here is formed as 2 * gamma * ddx(gamma),
 i.e. through the same stencil as p_x, which keeps the tangent-match
 residual identity r = gamma * p_x exact to rounding.
 
-Per point, classify computes those quantities from at most six nodes
-around x_star with the stencils of ddx and d2dx2, the one-sided ones at
-the grid ends included, and interpolates them as np.interp would over
-the whole-grid arrays, bit for bit. The bed slope at the point comes from
-the point itself, which the search evaluated for its filter.
+Per point, classify computes those quantities from the six nodes around
+x_star (the eight end nodes near a grid end) with the stencils of ddx and
+d2dx2, the one-sided ones at the grid ends included, and interpolates
+them as np.interp would over the whole-grid arrays, bit for bit. The bed
+slope at the point comes from the point itself, which the search evaluated
+for its filter.
 """
 
 from __future__ import annotations
@@ -235,19 +236,20 @@ def _crossings(px, pairs, eps: float, bathy, x, dx: float) -> list[CriticalPoint
     and raises NumericBlowUpError naming its node.
     """
     points = []
+    # Python floats throughout: the same bits as NumPy scalars, for less.
     for i in pairs.nonzero()[0].tolist():
-        left, right = px[i], px[i + 1]
+        left, right = px[i : i + 2].tolist()
         if abs(left) <= eps or abs(right) <= eps:
             continue
         if math.isinf(left) or math.isinf(right):
             node = i if math.isinf(left) else i + 1
             message = "non-finite p_x at node {}".format(node)
             raise NumericBlowUpError(message, node=node)
-        x_star = x[i] + dx * left / (left - right)
+        x_star = x.item(i) + dx * left / (left - right)
         b_x = float(bathy.slope(x_star))
         if abs(b_x) <= eps:
             continue
-        points.append(CriticalPoint(float(x_star), i, False, b_x))
+        points.append(CriticalPoint(x_star, i, False, b_x))
     points.sort(key=lambda pt: pt.x_star)
     return points
 
@@ -312,28 +314,6 @@ def _between(x_star: float, x0: float, x1: float, f0: float, f1: float) -> float
     return value
 
 
-def _d1(f: list, k: int, inv2: float) -> float:
-    """ddx's stencil at index k of the node window f, operand for operand.
-
-    The window's first and last entries take the one-sided end stencils,
-    so the caller asks for them only where they are the grid's own ends.
-    """
-    if k == 0:
-        return (-3.0 * f[0] + 4.0 * f[1] - f[2]) * inv2
-    if k == len(f) - 1:
-        return (3.0 * f[k] - 4.0 * f[k - 1] + f[k - 2]) * inv2
-    return (f[k + 1] - f[k - 1]) * inv2
-
-
-def _d2(f: list, k: int, inv: float) -> float:
-    """d2dx2's stencil at index k of the node window f; ends as in _d1."""
-    if k == 0:
-        return (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) * inv
-    if k == len(f) - 1:
-        return (2.0 * f[k] - 5.0 * f[k - 1] + 4.0 * f[k - 2] - f[k - 3]) * inv
-    return (f[k + 1] - 2.0 * f[k] + f[k - 1]) * inv
-
-
 def _local_diagnostics(
     x_star: float, gamma: np.ndarray, velocity: np.ndarray, grid: Grid, x: np.ndarray
 ) -> tuple:
@@ -341,11 +321,14 @@ def _local_diagnostics(
 
     The bracket x[i] <= x_star < x[i+1] is the one np.interp finds; an
     x_star on the last node takes that node's values. The values at nodes
-    i and i+1 come from gamma and velocity at nodes i-2 .. i+3, clipped to
-    the grid, through the stencils of ddx and d2dx2 operand for operand,
-    the one-sided ones at the grid ends included, and are interpolated as
+    i and i+1 come from gamma and velocity at nodes i-2 .. i+3 through the
+    stencils of ddx and d2dx2 operand for operand, and are interpolated as
     np.interp interpolates. So each equals np.interp over the whole-grid
     arrays bit for bit. x_star must lie in [x[0], x[-1]].
+
+    Every value is computed on Python floats. Away from the ends every
+    stencil read is central; a bracket within two nodes of an end takes
+    the stencils over the eight end nodes, one-sided at the grid's end.
     """
     n = grid.n
     # The spacing points to the bracket up to rounding; x decides.
@@ -359,22 +342,40 @@ def _local_diagnostics(
     while x_star >= x1 and i < n - 2:
         i += 1
         x0, x1 = x[i : i + 2].tolist()
-    lo = i - 2 if i > 2 else 0
-    hi = i + 4 if i + 4 < n else n
-    g = gamma[lo:hi].tolist()
-    u = velocity[lo:hi].tolist()
     inv2 = 1.0 / (2.0 * grid.dx)
     inv = 1.0 / grid.dx**2
-    # excess = 2.0 * gamma * ddx(gamma) at window indices a .. b-1: every
-    # node whose stencil the window holds, so that e ends where the grid
-    # ends and nowhere else.
-    a = 0 if lo == 0 else 1
-    b = len(g) if hi == n else len(g) - 1
-    e = [2.0 * g[k] * _d1(g, k, inv2) for k in range(a, b)]
-    left, right = [
-        (_d1(u, k, inv2), _d2(u, k, inv), e[k - a], _d1(e, k - a, inv2), g[k])
-        for k in (i - lo, i + 1 - lo)
-    ]
+    if 2 <= i <= n - 4:  # every stencil read here is central
+        g0, g1, g2, g3, g4, g5 = gamma[i - 2 : i + 4].tolist()
+        u1, u2, u3, u4 = velocity[i - 1 : i + 3].tolist()
+        # excess = 2.0 * gamma * ddx(gamma) at nodes i-1 .. i+2
+        e1 = 2.0 * g1 * ((g2 - g0) * inv2)
+        e2 = 2.0 * g2 * ((g3 - g1) * inv2)
+        e3 = 2.0 * g3 * ((g4 - g2) * inv2)
+        e4 = 2.0 * g4 * ((g5 - g3) * inv2)
+        left = ((u3 - u1) * inv2, (u3 - 2.0 * u2 + u1) * inv, e2, (e3 - e1) * inv2, g2)
+        right = ((u4 - u2) * inv2, (u4 - 2.0 * u3 + u2) * inv, e3, (e4 - e2) * inv2, g3)
+    else:
+        # Within two nodes of an end: the stencils of ddx and d2dx2 over the
+        # eight end nodes, one-sided at both ends of the eight. Only the
+        # grid's end is read one-sided; every other node read here gets the
+        # central stencil that the grid gives it.
+        lo = 0 if i < 2 else n - 8
+        g = gamma[lo : lo + 8].tolist()
+        u = velocity[lo : lo + 8].tolist()
+
+        def ddx8(f):
+            head = (-3.0 * f[0] + 4.0 * f[1] - f[2]) * inv2
+            tail = (3.0 * f[7] - 4.0 * f[6] + f[5]) * inv2
+            return [head, *[(f[k + 1] - f[k - 1]) * inv2 for k in range(1, 7)], tail]
+
+        u_xx = [
+            (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) * inv,
+            *[(u[k + 1] - 2.0 * u[k] + u[k - 1]) * inv for k in range(1, 7)],
+            (2.0 * u[7] - 5.0 * u[6] + 4.0 * u[5] - u[4]) * inv,
+        ]
+        excess = [2.0 * gk * dk for gk, dk in zip(g, ddx8(g))]
+        rows = (ddx8(u), u_xx, excess, ddx8(excess), g)
+        left, right = (tuple(row[k] for row in rows) for k in (i - lo, i + 1 - lo))
     if x_star >= x1:  # on the last node
         return right
     if x_star == x0:

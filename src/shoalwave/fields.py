@@ -110,10 +110,13 @@ def _ddx_from(f, dx: float, out, lo: int, hi: int, inner=None):
         inner = (f[a + 1 : b + 1], f[a - 1 : b - 1], out[a:b])
     ahead, behind, central = inner
     np.multiply(np.subtract(ahead, behind, out=central), inv2, out=central)
+    # The end stencils on Python floats, which cost less than NumPy scalars.
     if first == 0:
-        out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) * inv2
+        f0, f1, f2 = f[:3].tolist()
+        out[0] = (-3.0 * f0 + 4.0 * f1 - f2) * inv2
     if last == n:
-        out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) * inv2
+        f2, f1, f0 = f[-3:].tolist()
+        out[-1] = (3.0 * f0 - 4.0 * f1 + f2) * inv2
     return first, last
 
 
@@ -296,6 +299,13 @@ def _snapshot_rows(path) -> np.ndarray:
         raise ValueError("state file {} needs >= 8 rows of 4 columns".format(path))
     x = data[:, 0]
     dx = x[1] - x[0]
-    if dx <= 0 or not np.allclose(np.diff(x), dx, rtol=1e-9, atol=1e-12 * abs(dx)):
+    uniform = dx > 0 and np.all(np.isfinite(x))
+    if uniform:
+        # Each node x0 + i * dx is rounded to within about an ulp of
+        # max|x|, so on a grid far from x = 0 a spacing, and dx itself,
+        # can be several ulp of max|x| off, far more than rtol allows.
+        slack = 1e-12 * dx + 8.0 * np.spacing(np.max(np.abs(x)))
+        uniform = np.allclose(np.diff(x), dx, rtol=1e-9, atol=slack)
+    if not uniform:
         raise ValueError("state file {} is not on a uniform grid".format(path))
     return data

@@ -46,6 +46,11 @@ __all__ = [
 # Relative floor for |p_x| below which the bed-slope correction is singular.
 EPS_PX_SCALE = 1e-8
 
+# 2.0 as a read-only 0-d array: the same bits as the Python float, without
+# the conversion a ufunc makes on every call.
+_TWO = np.array(2.0)
+_TWO.setflags(write=False)
+
 
 @dataclass
 class RiemannFields:
@@ -173,7 +178,7 @@ def _refresh_inland(state: FlowState, b, grid: Grid, rows, lo: int, hi: int, eps
     w = np.subtract(surface, bed, out=g)
     require_wet(w, state.t, DRY_COLUMN, first_node=lo)
     np.sqrt(w, out=g)
-    np.add(velocity, np.multiply(2.0, g, out=pw), out=pw)
+    np.add(velocity, np.multiply(_TWO, g, out=pw), out=pw)
     if eps_px is None:
         np.abs(pw, out=aw)
         eps = _eps_of(rows.abs_p, grid.dx)

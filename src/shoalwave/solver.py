@@ -107,6 +107,13 @@ RUSH_CLASSES = (Classification.INLAND_RUSH, Classification.OFFSHORE_RUSH)
 # require_wet message for a column thinner than h_min.
 BELOW_H_MIN = "column {depth:.3e} below h_min at node {node} (t={t})"
 
+# The kernel's constant operands as read-only 0-d float64 arrays: a ufunc
+# converts a Python float operand on every call, and these give the same
+# bits without that cost.
+_HALF, _ZERO, _ONE = (np.array(value) for value in (0.5, 0.0, 1.0))
+for _constant in (_HALF, _ZERO, _ONE):
+    _constant.setflags(write=False)
+
 
 @dataclass
 class SolverConfig:
@@ -172,7 +179,8 @@ class Domain:
     its ghosts hold the bed at the ghost positions ghost_x. bed_left and
     bed_right are the first-order interface offsets bl - max(bl, br) and
     br - max(bl, br) of the hydrostatic reconstruction (Audusse et al.,
-    SIAM J. Sci. Comput. 25, 2004), which depend on the bed alone. These
+    SIAM J. Sci. Comput. 25, 2004), which depend on the bed alone.
+    rate_scale is -1/dx, the factor of every rate, as a 0-d array. These
     arrays are read-only.
 
     The other arrays are scratch that every step overwrites, so a domain
@@ -209,7 +217,9 @@ class Domain:
         b_int = np.maximum(bl, br)
         self.bed_left = bl - b_int
         self.bed_right = br - b_int
-        for arr in (x, b, b_e, self.bed_left, self.bed_right, *self.ghost_x):
+        self.rate_scale = np.array(-(1.0 / grid.dx))
+        static = (x, b, b_e, self.bed_left, self.bed_right, self.rate_scale)
+        for arr in (*static, *self.ghost_x):
             arr.setflags(write=False)
         self.ghosts = np.empty((2, n + 4))
         self.speed = np.empty(n)
@@ -304,7 +314,7 @@ def _fill_ghosts(frame: _Frame, domain: Domain, config: SolverConfig, t: float):
     if frame.ghost_copies is None:
         return
     for ghosts, cells in frame.ghost_copies:
-        np.copyto(ghosts, cells)
+        ghosts[...] = cells  # a slice copy, for less than np.copyto
     for ghosts in frame.ghost_flips:
         np.negative(ghosts, out=ghosts)
     if config.inflow is not None:
@@ -333,7 +343,7 @@ def _hll(wl, ul, wr, ur, rows, masks):
     np.multiply(wr, ur, out=mr)
     np.logical_and(np.equal(wl, wr, out=same), np.equal(ml, mr, out=left), out=same)
     # fl1 = ml * ul + 0.5 * wl * wl
-    half = np.multiply(0.5, wl, out=tmp)
+    half = np.multiply(_HALF, wl, out=tmp)
     np.add(np.multiply(ml, ul, out=fl1), np.multiply(half, wl, out=tmp), out=fl1)
 
     cl = np.sqrt(wl, out=sr)
@@ -343,13 +353,13 @@ def _hll(wl, ul, wr, ur, rows, masks):
     np.maximum(np.add(ul, cl, out=sr), np.add(ur, cr, out=tmp), out=sr)
 
     # fr1 = mr * ur + 0.5 * wr * wr
-    half = np.multiply(0.5, wr, out=tmp)
+    half = np.multiply(_HALF, wr, out=tmp)
     np.add(np.multiply(mr, ur, out=fr1), np.multiply(half, wr, out=tmp), out=fr1)
 
     # safe = where(span > 0, span, 1) with span = sr - sl
     np.subtract(sr, sl, out=safe)
-    np.logical_not(np.greater(safe, 0.0, out=left), out=left)
-    np.copyto(safe, 1.0, where=left)
+    np.logical_not(np.greater(safe, _ZERO, out=left), out=left)
+    np.copyto(safe, _ONE, where=left)
     np.multiply(sl, sr, out=slsr)
     # mid0 = (sr * ml - sl * mr + slsr * (wr - wl)) / safe
     np.multiply(sr, ml, out=mid0)
@@ -365,9 +375,9 @@ def _hll(wl, ul, wr, ur, rows, masks):
     # One left/right mask pass picks each flux. Left takes the left flux:
     # supersonic to the right, or identical interface states. Right takes
     # the right flux; the rest keep the intermediate one.
-    np.greater_equal(sl, 0.0, out=left)
+    np.greater_equal(sl, _ZERO, out=left)
     left |= same
-    np.less_equal(sr, 0.0, out=right)
+    np.less_equal(sr, _ZERO, out=right)
     for flux, from_left, from_right in ((mid0, ml, mr), (mid1, fl1, fr1)):
         np.copyto(flux, from_right, where=right)
         np.copyto(flux, from_left, where=left)
@@ -437,25 +447,25 @@ def _rhs(frame: _Frame, domain: Domain, grid: Grid, config: SolverConfig, t: flo
         b_int = np.maximum(bl, br, out=scratch[0, : n + 1])
         # wls = maximum(w_plus[:-1] + (bl - b_int), 0); wrs likewise
         np.add(w_plus[:-1], np.subtract(bl, b_int, out=wls), out=wls)
-        np.maximum(wls, 0.0, out=wls)
+        np.maximum(wls, _ZERO, out=wls)
         np.add(w_minus[1:], np.subtract(br, b_int, out=wrs), out=wrs)
-        np.maximum(wrs, 0.0, out=wrs)
+        np.maximum(wrs, _ZERO, out=wrs)
         ul = u_plus[:-1]
         ur = u_minus[1:]
     else:
         # center_u = m / w over the cells and one ghost cell per side
         np.divide(frame.center_m, frame.center_w, out=frame.center_u)
-        np.maximum(np.add(frame.w_left, frame.bed_left, out=wls), 0.0, out=wls)
-        np.maximum(np.add(frame.w_right, frame.bed_right, out=wrs), 0.0, out=wrs)
+        np.maximum(np.add(frame.w_left, frame.bed_left, out=wls), _ZERO, out=wls)
+        np.maximum(np.add(frame.w_right, frame.bed_right, out=wrs), _ZERO, out=wrs)
         ul, ur = frame.ul, frame.ur
     f0, f1 = _hll(wls, ul, wrs, ur, frame.hll, frame.hll_masks)
 
     # Group each hydrostatic correction with its own interface flux; at a
     # balanced state every grouped term is identically zero.
     # g_right = f1 - 0.5 * wls**2; g_left = f1 - 0.5 * wrs**2, over f1
-    half_sq = np.multiply(0.5, np.square(wls, out=tmp), out=tmp)
+    half_sq = np.multiply(_HALF, np.square(wls, out=tmp), out=tmp)
     np.subtract(f1, half_sq, out=g_right)
-    half_sq = np.multiply(0.5, np.square(wrs, out=tmp), out=tmp)
+    half_sq = np.multiply(_HALF, np.square(wrs, out=tmp), out=tmp)
     g_left = np.subtract(f1, half_sq, out=f1)
     if config.flux_perturbation != 0.0:
         # g_right += flux_perturbation * dx * 0.5 * (wls + wrs)
@@ -463,11 +473,11 @@ def _rhs(frame: _Frame, domain: Domain, grid: Grid, config: SolverConfig, t: flo
         np.multiply(scale, np.add(wls, wrs, out=tmp), out=tmp)
         np.add(g_right, tmp, out=g_right)
 
-    inv_dx = 1.0 / grid.dx
+    # -(d) * inv_dx and d * -inv_dx are the same bits, signed zeros included.
+    rate_scale = domain.rate_scale
     rw, rm = frame.rw, frame.rm
     # rw = -(f0[1:] - f0[:-1]) * inv_dx
-    np.negative(np.subtract(f0[1:], f0[:-1], out=rw), out=rw)
-    np.multiply(rw, inv_dx, out=rw)
+    np.multiply(np.subtract(f0[1:], f0[:-1], out=rw), rate_scale, out=rw)
     # rm = -(g_right[1:] - g_left[:-1] + cell_jump - bed_term) * inv_dx
     np.subtract(frame.g_right_next, g_left[:-1], out=rm)
     if config.second_order:
@@ -475,8 +485,9 @@ def _rhs(frame: _Frame, domain: Domain, grid: Grid, config: SolverConfig, t: flo
         wp = w_plus[1:-1]
         jump, term = scratch[:2, :n]
         # cell_jump = 0.5 * wp**2 - 0.5 * wm**2
-        np.multiply(0.5, np.square(wp, out=jump), out=jump)
-        np.subtract(jump, np.multiply(0.5, np.square(wm, out=term), out=term), out=jump)
+        np.multiply(_HALF, np.square(wp, out=jump), out=jump)
+        half_sq = np.multiply(_HALF, np.square(wm, out=term), out=term)
+        np.subtract(jump, half_sq, out=jump)
         np.add(rm, jump, out=rm)
         # bed_term = -0.5 * (wm + wp) * (b_plus[1:-1] - b_minus[1:-1])
         np.multiply(-0.5, np.add(wm, wp, out=term), out=term)
@@ -486,9 +497,8 @@ def _rhs(frame: _Frame, domain: Domain, grid: Grid, config: SolverConfig, t: flo
         # With one value per cell the cell jump is +0.0 and the bed term
         # -0.0 exactly; adding +0.0 keeps their one effect on the sum,
         # which turns a -0.0 flux difference into +0.0.
-        np.add(rm, 0.0, out=rm)
-    np.negative(rm, out=rm)
-    np.multiply(rm, inv_dx, out=rm)
+        np.add(rm, _ZERO, out=rm)
+    np.multiply(rm, rate_scale, out=rm)
     return rw, rm
 
 
@@ -665,7 +675,7 @@ def step(
         for old, mid, new in ((w, w1, w_new), (m, m1, m_new)):
             np.add(old, mid, out=old)
             np.add(old, np.multiply(dt, new, out=new), out=new)
-            np.multiply(0.5, new, out=new)
+            np.multiply(_HALF, new, out=new)
     else:
         w_new, m_new = _rhs(frame, domain, grid, config, t)
         if _window is not None:
@@ -795,6 +805,7 @@ def run(
     require_wet(depth, initial.t, THIN_COLUMN, config.h_min)
     window = _ActiveWindow(grid, config)
     search = _Search(bathy, grid, domain, det.eps_px)
+    x = domain.x
     gamma_ref = float(np.sqrt(np.max(depth)))
 
     state = initial.copy()
@@ -835,26 +846,22 @@ def run(
             raise
         steps += 1
 
-        verdicts = [
-            _assess(pt, inland.gamma, state.velocity, grid, domain.x, gamma_ref)
-            for pt in points
-        ]
-        fresh = tracker.fresh(
-            [
-                (cls, regime, pt.x_star)
-                for pt, (cls, _, regime, _) in zip(points, verdicts)
-            ]
-        )
-        # Only the fresh few (39 of 7056 on the bundled shelf run) become
-        # records; classify rebuilds their verdicts with them.
-        events.extend(
-            classify(points[k], inland, state, grid, gamma_ref=gamma_ref, x=domain.x)
-            for k in fresh
-        )
-        if any(verdicts[k][0] in RUSH_CLASSES for k in fresh):
-            post_singular = True
-            if config.stop_at_first_event:
-                break
+        keys = []
+        for pt in points:
+            verdict = _assess(pt, inland.gamma, state.velocity, grid, x, gamma_ref)
+            keys.append((verdict[0], verdict[2], pt.x_star))
+        fresh = tracker.fresh(keys)
+        if fresh:
+            # Only the fresh few (39 of 7056 on the bundled shelf run) become
+            # records; classify rebuilds their verdicts with them.
+            events.extend(
+                classify(points[k], inland, state, grid, gamma_ref=gamma_ref, x=x)
+                for k in fresh
+            )
+            if any(keys[k][0] in RUSH_CLASSES for k in fresh):
+                post_singular = True
+                if config.stop_at_first_event:
+                    break
         if next_snap is not None and state.t >= next_snap - tiny:
             snapshots.append(state.copy())
             snapshot_steps.append(steps)

@@ -209,7 +209,12 @@ def test_criterion_08_synthetic_crossings():
 
 def test_criterion_09_shoaling_regression(bundled_runs):
     """Bundled shoaling run raises a Shallow InlandRush at the frozen
-    time and place (values recorded from the first verified run)."""
+    time and place (values recorded from the first verified run).
+
+    The event pinned here is a reflection event: it lies about 10 cells
+    (0.105) from the reflective wall at x = 3.99, where the reflected
+    front meets the shelf, and it follows the wall when dx is refined or
+    the wall is moved (ROADMAP, Direction 1)."""
     _, _, result = bundled_runs["shoaling_pulse"]
     hits = [
         ev

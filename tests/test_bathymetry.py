@@ -42,6 +42,28 @@ class TestFlat:
         assert b.eval(0.3) == -1.0
 
 
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(deadline=None)
+@given(
+    _ANY_FLOAT,
+    st.sampled_from([0.0, -0.0, 1e-300, -2.5, 0.2, 1e300]) | _ANY_FLOAT,
+    st.sampled_from([float, np.float64, np.asarray]),
+)
+@example(-0.0, -0.0, float)
+@example(float("nan"), float("nan"), float)
+def test_flat_and_linear_scalar_slope_matches_the_array_path(x, b1, kind):
+    # A float query takes the scalar path; it must give the float the
+    # array query gives, bit for bit, signed zeros and NaN included.
+    for bed in (Flat(-1.0), Linear(-1.0, b1)):
+        want = float(bed.slope(np.array([x]))[0])
+        got = bed.slope(kind(x))
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert np.signbit(got) == np.signbit(want)
+
+
 class TestLinear:
     def test_values(self):
         b = Linear(-1.0, 0.1)

@@ -15,6 +15,7 @@ from shoalwave.fields import (
     THIN_COLUMN,
     FlowState,
     Grid,
+    _ddx_from,
     check_wet,
     d2dx2,
     ddx,
@@ -61,6 +62,57 @@ def test_d2dx2_exact_on_cubic():
     g = Grid(-0.5, 0.05, 31)
     f = g.x**3
     assert np.allclose(d2dx2(f, g), 6.0 * g.x, rtol=0, atol=1e-9)
+
+
+def _plain_ddx(f, dx):
+    """ddx as whole-array NumPy expressions, ends included."""
+    inv2 = 1.0 / (2.0 * dx)
+    head = (-3.0 * f[:1] + 4.0 * f[1:2] - f[2:3]) * inv2
+    tail = (3.0 * f[-1:] - 4.0 * f[-2:-1] + f[-3:-2]) * inv2
+    return np.concatenate([head, (f[2:] - f[:-2]) * inv2, tail])
+
+
+_STENCIL_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1.5, -1.5, 1e300, -1e300, 1.7976931348623157e308, 5e-324]
+)
+
+
+@st.composite
+def _changed_fields(draw):
+    """(old, new, lo, hi): two fields that differ only on [lo, hi)."""
+    n = draw(st.integers(8, 24))
+    old, new = (
+        np.array(draw(st.lists(_STENCIL_VALUES, min_size=n, max_size=n)))
+        for _ in range(2)
+    )
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    new[:lo], new[hi:] = old[:lo], old[hi:]
+    return old, new, lo, hi
+
+
+_ZEROS = np.array([0.0, -0.0] * 4)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_changed_fields(), st.floats(1e-3, 10.0))
+@example((-_ZEROS, _ZEROS, 0, 8), 0.5)
+@example((_ZEROS, np.array([1e300, -1.7976931348623157e308] * 4), 0, 8), 1e-3)
+def test_ddx_and_a_window_of_it_match_the_plain_stencils(case, dx):
+    # ddx at every node, and _ddx_from after the field changed on a window
+    # [lo, hi), equal the whole-array stencil expressions bit for bit:
+    # signed zeros, huge values and overflow to inf or NaN included.
+    old, new, lo, hi = case
+    n = new.size
+    grid = Grid(0.0, dx, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _plain_ddx(new, dx)
+        got = ddx(new, grid)
+        out = ddx(old, grid)
+        first, last = _ddx_from(new, dx, out, lo, hi)
+    assert _same_values(got, want), (got, want)
+    assert _same_values(out, want), (out, want)
+    assert first <= max(lo - 1, 0) and last >= min(hi + 1, n)
 
 
 def test_ddx_converges_on_sine():
@@ -332,6 +384,28 @@ def test_save_then_load_gives_back_every_bit(rows, x0, dx):
     assert _same_bits(b_col, bed)
     x = grid.x
     assert (back_grid.x0, back_grid.dx, back_grid.n) == (x[0], x[1] - x[0], grid.n)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.floats(-1e5, 1e5), st.floats(1e-4, 1.0), st.integers(8, 400))
+@example(1e4, 1e-3, 400)
+@example(2e4, 1e-3, 400)
+@example(1e5, 1e-3, 400)
+@example(-1e5, 1e-4, 400)
+def test_a_snapshot_saved_off_the_origin_loads_back(x0, dx, n):
+    # Nodes far from x = 0 carry rounding errors of about an ulp of their
+    # magnitude; the snapshot must still read back, on the grid x[0],
+    # x[1] - x[0] that load_state has always built.
+    grid = Grid(x0, dx, n)
+    x = grid.x
+    state = FlowState(0.0, 0.01 * np.sin(np.arange(n)), np.cos(np.arange(n)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.csv"
+        save_state(state, Linear(-1.0, 0.0), grid, path)
+        back_grid, back, _ = load_state(path)
+    assert back_grid == Grid(float(x[0]), float(x[1] - x[0]), n)
+    assert _same_bits(back.gamma_surface, state.gamma_surface)
+    assert _same_bits(back.velocity, state.velocity)
 
 
 def _csv_reader_load_state(path, t=0.0):
