@@ -18,12 +18,14 @@ convergence studies; the first-order path is the default.
 
 Most of a quiet sea is such still water, and run() skips it with an
 active window: after its first, whole-grid step, each first-order step
-computes only the cells next to one that moved in the step before, and
-copies the others, which stepping would give back bit for bit (see
-_ActiveWindow). Fixed cells are checked cell by cell, not assumed, so this
-needs no well-balance argument; the window closes for the rest of the run
-when it nears an end, and is never used with an inflow or at second
-order. A whole-grid step solves every interface.
+computes only the cells next to one that moved in the step before,
+widened to whole blocks of cells so that its frame of views changes only
+every few dozen steps, and copies the others, which stepping would give
+back bit for bit (see _ActiveWindow and Domain.frame). Fixed cells are
+checked cell by cell, not assumed, so this needs no well-balance
+argument; the window closes for the rest of the run when it nears an
+end, and is never used with an inflow or at second order. A whole-grid
+step solves every interface.
 
 The detector search after each step follows the same window: it keeps
 its rows from step to step and recomputes them only where the step
@@ -36,13 +38,14 @@ step and detector pass. The prepared domain also allocates the step's
 scratch rows once, and binds the whole grid's frame of views over them
 (see Domain): the step's w and m are the cells of their ghost-extended
 rows, so a whole-grid step writes only the two ghost cells at each end
-of each row. A window's views are sliced on each step, because its
-bounds move. The active window and the detector search allocate their
-own rows, once per run. So the kernel of either order and the search
-write every temporary into rows allocated before the first step, and a
-step allocates only the state it returns. write_outputs() formats the
-static x and b columns once and writes each snapshot in one formatting
-pass.
+of each row. The domain keeps the last window step's frame too, and
+binds a new one only when the widened window's bounds change. The active
+window marks its still cells in the frame's flux mask rows, and the
+detector search allocates its own rows, once per run. So the kernel of
+either order and the search write every temporary into rows allocated
+before the first step, and a step allocates only the state it returns.
+write_outputs() formats the static x and b columns once and writes each
+snapshot in one formatting pass.
 
 The time step is cfl * dx / max(|u| + sqrt(w)); runs abort with
 NearDryError when any column drops below h_min and NumericBlowUpError on
@@ -190,7 +193,8 @@ class Domain:
     the ghost cells. speed keeps the wave speed of every cell from step to
     step, and center_u holds the first-order velocities. interfaces, rates,
     hll and hll_masks are the rows that _Frame cuts to its size. whole is
-    the whole grid's frame. A second-order domain also holds the
+    the whole grid's frame, and window_frame the last window step's (see
+    frame), or None before the first. A second-order domain also holds the
     reconstruction block, its flags and stage, the frame of the first
     stage's result; a first-order domain has none of them.
     """
@@ -229,10 +233,27 @@ class Domain:
         self.hll = np.empty((11, n + 1))
         self.hll_masks = np.empty((3, n + 1), bool)
         self.whole = _Frame(self, self.ghosts, 0, n)
+        self.window_frame = None
         if config.second_order:
             self.reconstruction = np.empty((12, n + 4))
             self.reconstruction_flags = np.empty((2, n + 2), bool)
             self.stage = _Frame(self, np.empty((2, n + 4)), 0, n)
+
+    def frame(self, lo: int, hi: int) -> _Frame:
+        """The frame that a step of the window [lo, hi) steps: the window
+        widened outward to multiples of _BLOCK cells, clipped to [2, n - 2].
+
+        The domain keeps the last one as window_frame and binds a new one
+        only when those bounds change. Every cell that the widening adds is
+        fixed and has fixed neighbours, so it steps to the same bits (see
+        _ActiveWindow).
+        """
+        lo = max(lo - lo % _BLOCK, 2)
+        hi = min(hi + -hi % _BLOCK, self.n - 2)
+        frame = self.window_frame
+        if frame is None or frame.lo != lo or frame.hi != hi:
+            frame = self.window_frame = _Frame(self, self.ghosts, lo, hi)
+        return frame
 
 
 def _ghost_copies(e, boundary: str):
@@ -268,16 +289,18 @@ class _Frame:
     writes w and m over all of w_e and m_e; a whole-grid step writes the
     cells. The other views are of the domain's interface rows and _hll's
     float and bool rows (size + 1 long), the rates (size long, holding the
-    new w and m at the end of a step) and the wave speeds over the cells.
-    prepare() binds the whole grid's frame, and a second-order domain's
-    stage frame, once; a window's is sliced on each step, because its
-    bounds move.
+    new w and m at the end of a step), the wave speeds over the cells, the
+    bed over the reach and over the cells, and still and same, the first
+    two of _hll's bool rows over the cells, where _ActiveWindow marks the
+    still cells once _hll is done with them. prepare() binds the whole
+    grid's frame, and a second-order domain's stage frame, once;
+    Domain.frame binds a window's and keeps it while its bounds hold.
     """
 
     def __init__(self, domain: Domain, block, lo: int, hi: int):
         size = hi - lo
         whole = size == domain.n
-        self.lo = lo
+        self.lo, self.hi = lo, hi
         self.cells = slice(lo, hi)
         ext = block if whole else block[:, lo : hi + 4]
         self.w_e, self.m_e = ext
@@ -285,12 +308,14 @@ class _Frame:
         if whole:
             self.reach = self.cells
             self.w_reach, self.m_reach = self.w, self.m
+            self.b_reach = self.b_cells = domain.b
             self.ghost_copies = _ghost_copies(block, domain.boundary)
             reflective = domain.boundary == "reflective"
             self.ghost_flips = (self.m_e[:2], self.m_e[-2:]) if reflective else ()
         else:
             self.reach = slice(lo - 2, hi + 2)
             self.w_reach, self.m_reach = self.w_e, self.m_e
+            self.b_reach, self.b_cells = domain.b[self.reach], domain.b[self.cells]
             self.ghost_copies = self.ghost_flips = None
         center_w = self.w_e[1:-1]
         self.center_w, self.center_m = center_w, self.m_e[1:-1]
@@ -303,6 +328,7 @@ class _Frame:
         self.g_right_next = self.g_right[1:]
         self.hll = tuple(domain.hll[:, : size + 1])
         self.hll_masks = tuple(domain.hll_masks[:, : size + 1])
+        self.still, self.same = domain.hll_masks[:2, :size]
         self.rates = domain.rates[:, :size]
         self.rw, self.rm = self.rates
         self.speed = domain.speed[self.cells]
@@ -527,6 +553,11 @@ def _require_finite_rows(block, t, whats, first_node=0):
 # The end cells that every window leaves out, so that its ghosts are cells.
 _ENDS = (0, 1, -2, -1)
 
+# A window step steps its window widened to multiples of this many cells
+# (see Domain.frame), so that its frame changes only every few dozen steps
+# of a front that drifts about half a cell per step.
+_BLOCK = 32
+
 
 class _ActiveWindow:
     """The cells [lo, hi) that the next first-order step of a run computes.
@@ -548,42 +579,47 @@ class _ActiveWindow:
     would come within two cells of an end (its ghosts must be real cells,
     which also keeps a periodic seam fixed), and from the start for an
     inflow, whose ghosts follow t, and for the second-order path, whose
-    stages reach two cells. masks holds two bool rows n long, whose first
-    hi - lo entries mark the window's still cells between note_rates and
-    advance.
+    stages reach two cells.
+
+    A step computes the window's frame, which may be wider (see
+    Domain.frame). Every cell between the window and the frame is a fixed
+    cell with fixed neighbours, so it steps to the same bits and its rates
+    are +-0; so note_rates and advance, which read the frame's cells, find
+    the same first and last moved cell as over the window alone.
+    note_rates marks the still cells in the frame's still row, which
+    advance then reads.
     """
 
     def __init__(self, grid: Grid, config: SolverConfig):
         self.n = grid.n
         self.lo, self.hi = 0, grid.n
         self.open = config.inflow is None and not config.second_order
-        self.masks = np.empty((2, grid.n), bool)
 
     def _close(self):
         self.open = False
         self.lo, self.hi = 0, self.n
 
-    def note_rates(self, rw, rm):
-        """Mark the cells of the window whose rates are both +-0."""
+    def note_rates(self, frame: _Frame):
+        """Mark the frame's cells whose rates are both +-0."""
         if not self.open:
             return
+        rw, rm = frame.rates
         # A whole-grid step whose end cells move cannot leave a window; a
         # run that moves an end from its first step pays nothing more.
-        if self.hi - self.lo == self.n and not all(
+        if frame.hi - frame.lo == self.n and not all(
             rw[i] == 0.0 and rm[i] == 0.0 for i in _ENDS
         ):
             self._close()
             return
-        still, same = self.masks[:, : rw.size]
-        np.equal(rw, 0.0, out=still)
-        still &= np.equal(rm, 0.0, out=same)
+        still = np.equal(rw, _ZERO, out=frame.still)
+        still &= np.equal(rm, _ZERO, out=frame.same)
 
-    def advance(self, old: FlowState, gamma_surface, velocity):
-        """Choose the next window from this step's rates and new state."""
+    def advance(self, frame: _Frame, old: FlowState, gamma_surface, velocity):
+        """Choose the next window from the rates and the new state of the
+        frame's cells."""
         if not self.open:
             return
-        cells = slice(self.lo, self.hi)
-        still, same = self.masks[:, : self.hi - self.lo]
+        cells, still, same = frame.cells, frame.still, frame.same
         pairs = ((old.gamma_surface, gamma_surface), (old.velocity, velocity))
         for before, after in pairs:
             still &= np.equal(
@@ -594,7 +630,7 @@ class _ActiveWindow:
             lo, hi = 2, 3
         else:
             last = still.size - 1 - int(still[::-1].argmin())
-            lo, hi = self.lo + first - 1, self.lo + last + 2
+            lo, hi = frame.lo + first - 1, frame.lo + last + 2
         if lo < 2 or hi > self.n - 2:
             self._close()
         else:
@@ -621,12 +657,14 @@ def step(
     domain's scratch rows.
 
     A direct call steps every cell. run() also passes its active window
-    (see _ActiveWindow): the step then computes only the cells [lo, hi),
-    checks only them for wet and finite values, reporting the same nodes,
-    and copies every other cell, which stepping would give back bit for
-    bit. dt stays exact: the domain keeps the whole row of wave speeds,
-    whose cells outside the window have not changed since they were
-    written. The window then moves on from this step's rates and state.
+    (see _ActiveWindow): the step then computes only the cells of the
+    window's frame, the window [lo, hi) widened to whole blocks (see
+    Domain.frame), checks only them for wet and finite values, reporting
+    the same nodes, and copies every other cell, which stepping would give
+    back bit for bit. dt stays exact: the domain keeps the whole row of
+    wave speeds, whose cells outside the frame have not changed since they
+    were written. The window then moves on from the rates and new state of
+    the frame's cells.
 
     The checks raise what checking each array in turn would: the starting
     w for h_min, then (only when the fastest wave speed is not finite,
@@ -636,17 +674,15 @@ def step(
     """
     if domain is None:
         domain = prepare(bathy, grid, config)
-    n = grid.n
-    lo, hi = (0, n) if _window is None else (_window.lo, _window.hi)
-    whole = hi - lo == n
-    frame = domain.whole if whole else _Frame(domain, domain.ghosts, lo, hi)
-    t, h_min = state.t, config.h_min
-    surface, velocity, b = state.gamma_surface, state.velocity, domain.b
+    whole = _window is None or _window.hi - _window.lo == grid.n
+    frame = domain.whole if whole else domain.frame(_window.lo, _window.hi)
+    lo, t, h_min = frame.lo, state.t, config.h_min
+    surface, velocity = state.gamma_surface, state.velocity
     if not whole:
         reach = frame.reach
-        surface, velocity, b = surface[reach], velocity[reach], b[reach]
+        surface, velocity = surface[reach], velocity[reach]
     w, m = frame.w, frame.m
-    np.subtract(surface, b, out=frame.w_reach)
+    np.subtract(surface, frame.b_reach, out=frame.w_reach)
     require_wet(w, t, BELOW_H_MIN, h_min, first_node=lo)
     root = np.sqrt(w, out=m)
     u = velocity if whole else velocity[2:-2]
@@ -679,7 +715,7 @@ def step(
     else:
         w_new, m_new = _rhs(frame, domain, grid, config, t)
         if _window is not None:
-            _window.note_rates(w_new, m_new)
+            _window.note_rates(frame)
         # w_new = w + dt * rw; m_new = m + dt * rm, over rw and rm
         np.add(w, np.multiply(dt, w_new, out=w_new), out=w_new)
         np.add(m, np.multiply(dt, m_new, out=m_new), out=m_new)
@@ -688,18 +724,18 @@ def step(
     # w_new and m_new are the rows of frame.rates (see _rhs).
     _require_finite_rows(frame.rates, t_new, ("thickness", "momentum"), lo)
     require_wet(w_new, t_new, BELOW_H_MIN, h_min, first_node=lo)
-    # gamma_surface = w_new + b; velocity = m_new / w_new, over the window
-    # of a copy of the old state
+    # gamma_surface = w_new + b; velocity = m_new / w_new, over the frame's
+    # cells of a copy of the old state
     if whole:
-        gamma_surface, velocity = np.add(w_new, b), np.divide(m_new, w_new)
+        gamma_surface, velocity = np.add(w_new, frame.b_cells), np.divide(m_new, w_new)
     else:
         cells = frame.cells
         gamma_surface = state.gamma_surface.copy()
         velocity = state.velocity.copy()
-        np.add(w_new, domain.b[cells], out=gamma_surface[cells])
+        np.add(w_new, frame.b_cells, out=gamma_surface[cells])
         np.divide(m_new, w_new, out=velocity[cells])
     if _window is not None:
-        _window.advance(state, gamma_surface, velocity)
+        _window.advance(frame, state, gamma_surface, velocity)
     return FlowState(t_new, gamma_surface, velocity)
 
 

@@ -233,6 +233,57 @@ def test_criterion_09_shoaling_regression(bundled_runs):
     assert first.x_star == pytest.approx(3.8846574069884863, abs=5e-3)
 
 
+def _first_inland_rush(result):
+    return next(
+        (
+            ev
+            for ev in result.events
+            if ev.classification is detector.Classification.INLAND_RUSH
+        ),
+        None,
+    )
+
+
+def _bundled_shelf_run(dx, n):
+    """The bundled shoaling run on a grid of n nodes dx apart from x0 = -8."""
+    root = importlib.resources.files("shoalwave") / "scenarios"
+    doc = yaml.safe_load((root / "shoaling_pulse.cfg").read_text())
+    doc["grid"].update(dx=dx, n=n)
+    cfg = cli.ScenarioConfig.from_doc(doc)
+    grid = cfg.build_grid()
+    bathy = cfg.build_bathymetry()
+    initial = cfg.build_initial(grid, bathy)
+    result = solver.run(
+        initial, bathy, grid, cfg.build_solver_config(), cfg.build_detector_config()
+    )
+    return grid, result
+
+
+def test_the_bundled_inland_rush_is_made_by_the_wall(bundled_runs):
+    """The paper's crest rush, as the bundled run shows it, follows the
+    reflective wall (ROADMAP, Direction 1).
+
+    Its first InlandRush lies within 15 cells of the wall at x = 3.99 at
+    dx = 0.01 (10.5 cells) and at dx = 0.005 over the same span (11.9
+    cells), and none is logged by t = 15 with the wall moved out to 7.99.
+    """
+    grid, _, result = bundled_runs["shoaling_pulse"]
+    for grid, result in ((grid, result), _bundled_shelf_run(0.005, 2399)):
+        first = _first_inland_rush(result)
+        print(
+            "first InlandRush at t={:.3f} x={:.3f} for dx={}".format(
+                first.t, first.x_star, grid.dx
+            )
+        )
+        wall = grid.x_last
+        assert wall == pytest.approx(3.99)
+        assert 0.0 < wall - first.x_star < 15 * grid.dx
+    grid, result = _bundled_shelf_run(0.01, 1600)
+    assert grid.x_last == pytest.approx(7.99)
+    assert result.snapshots[-1].t == pytest.approx(15.0)
+    assert _first_inland_rush(result) is None
+
+
 def test_shoaling_outputs_match_frozen_digests(bundled_runs, tmp_path):
     """The bundled shoaling run writes the exact bytes the benchmark froze."""
     grid, bathy, result = bundled_runs["shoaling_pulse"]

@@ -622,9 +622,15 @@ def _arrays_held(*objs):
 
 
 def _assert_same_arrays(before, after):
-    """The holders hold the same array objects as before."""
-    assert after.keys() == before.keys()
+    """The holders hold the same array objects as before, and every array
+    of the domain's reused window frame is a view of a block held before."""
+    assert before.keys() <= after.keys()
     assert all(after[path] is arr for path, arr in before.items())
+    for path in after.keys() - before.keys():
+        assert path[1] == "window_frame", path
+    for path, arr in after.items():
+        if path[1] == "window_frame":
+            assert any(np.shares_memory(arr, old) for old in before.values()), path
 
 
 def _domain_arrays(domain):
@@ -701,8 +707,10 @@ def test_whole_grid_step_takes_no_new_block_and_allocates_only_its_result():
 def test_first_order_run_owns_only_first_order_scratch():
     # ocean_transit's size: a flat bed, n=12000, periodic. After two run
     # steps the scratch blocks (the writable arrays) of the domain, the
-    # window and the search total 2,568,194 bytes, the rows a first-order
-    # step and search write; second-order blocks would exceed it.
+    # window and the search total 2,544,194 bytes, the rows a first-order
+    # step and search write; second-order blocks would exceed it. The bound
+    # is 2 * n bytes above that: the window marks its still cells in the
+    # domain's flux mask rows, where it once held two bool rows of its own.
     n = 12000
     grid = Grid(0.0, 0.01, n)
     bathy = Flat(-1.0)
@@ -1087,6 +1095,46 @@ def test_still_lake_steps_one_cell_after_the_first_step(boundary):
     assert len(windows) > 10 and set(windows[1:]) == {(2, 3)}
 
 
+@pytest.mark.parametrize("boundary", solver.BOUNDARY_KINDS)
+@pytest.mark.parametrize(
+    "n, steps, fail",
+    [(400, 200, False), (2000, 300, False), (2000, 300, True)],
+    ids=["n400", "n2000", "n2000-drained"],
+)
+def test_window_frames_are_reused_at_scale(monkeypatch, boundary, n, steps, fail):
+    # A pulse in the middle of a still sea of hundreds to thousands of
+    # cells, with a speck below rounding 60 cells to each side that the
+    # first step flushes: the window spans the specks, shrinks onto the
+    # pulse and follows its two fronts outward, so each end of its frame
+    # crosses block edges inward and outward. Every state, and a failure
+    # planted late in the run, match whole-grid steps, and a frame is
+    # bound only when its bounds change.
+    builds = []
+    frame_class = solver._Frame
+
+    def counted(domain, block, lo, hi):
+        if lo > 0:  # a window's frame; the whole grid's starts at 0
+            builds.append((lo, hi))
+        return frame_class(domain, block, lo, hi)
+
+    monkeypatch.setattr(solver, "_Frame", counted)
+    grid, bathy, state, config = _pulse_in_a_still_sea(n, 0.5, boundary, steps)
+    for i in (n // 2 - 60, n // 2 + 60):
+        state.gamma_surface[i] = 1e-20
+    plant = _plant(steps - 20, _drain, bathy.eval(grid.x)) if fail else None
+    windows = _run_matches_whole_grid_steps(grid, bathy, state, config, plant)
+    if fail:  # the planted step raised, as the whole-grid step did
+        assert len(windows) == steps - 20
+    windowed = windows[1:]
+    assert len(windowed) >= steps - 21
+    assert all(hi - lo < n for lo, hi in windowed)
+    assert all(2 < lo < hi < n - 2 for lo, hi in builds)
+    assert 4 <= len(builds) <= len(windowed) // 4
+    for ends in zip(*builds):
+        moves = np.diff(ends)
+        assert np.any(moves < 0) and np.any(moves > 0), ends
+
+
 @pytest.mark.parametrize("moving", ["rw", "rm"])
 def test_a_cell_with_a_nonzero_rate_stays_in_the_window(moving):
     # dt * 1e-300 underflows to 0, so the cell's state comes back unchanged,
@@ -1095,11 +1143,14 @@ def test_a_cell_with_a_nonzero_rate_stays_in_the_window(moving):
     grid = Grid(0.0, 0.1, 40)
     config = solver.SolverConfig(t_end=1.0)
     window = solver._ActiveWindow(grid, config)
+    frame = solver.prepare(Flat(-1.0), grid, config).whole
     state = solver.initial_lake_at_rest(grid)
-    rates = {"rw": np.full(grid.n, -0.0), "rm": np.zeros(grid.n)}
+    rates = {"rw": frame.rw, "rm": frame.rm}
+    rates["rw"][...] = -0.0
+    rates["rm"][...] = 0.0
     rates[moving][20] = 1e-300
-    window.note_rates(rates["rw"], rates["rm"])
-    window.advance(state, state.gamma_surface.copy(), state.velocity.copy())
+    window.note_rates(frame)
+    window.advance(frame, state, state.gamma_surface.copy(), state.velocity.copy())
     assert window.open and (window.lo, window.hi) == (19, 22)
 
 
@@ -1174,6 +1225,7 @@ def test_windowed_steps_keep_the_workspace_and_peak_flat():
     finally:
         tracemalloc.stop()
     assert len(sizes) > 10 and max(sizes) < n // 2
+    assert domain.window_frame is not None
     _assert_same_arrays(arrays, _arrays_held(domain, window))
     assert max(peaks) <= 3 * n * np.dtype(float).itemsize, max(peaks) / (n * 8)
 
@@ -1479,6 +1531,7 @@ def test_windowed_search_allocates_no_row_per_step(eps_px):
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
     finally:
         tracemalloc.stop()
+    assert domain.window_frame is not None
     _assert_same_arrays(arrays, _arrays_held(domain, window, search))
     assert max(peaks) < n, max(peaks)
 
@@ -1495,12 +1548,12 @@ _PLANT = st.tuples(
 )
 
 
-def _checked_reference_step(state, bathy, grid, config, lo, hi, dt_max, plant_rates):
-    """A first-order step of the cells [lo, hi) of state by the reference
+def _checked_reference_step(state, bathy, grid, config, cells, dt_max, plant_rates):
+    """A first-order step of the cells (a slice) of state by the reference
     kernel, checked one array at a time; plant_rates(rw, rm, 0) may change
     the whole-grid rates first."""
     b = bathy.eval(grid.x)
-    t, cells = state.t, slice(lo, hi)
+    t, lo = state.t, cells.start
     w = state.gamma_surface - b
     u = state.velocity
     fields.require_wet(w[cells], t, solver.BELOW_H_MIN, config.h_min, first_node=lo)
@@ -1564,18 +1617,20 @@ def test_fused_checks_raise_what_checking_each_array_in_turn_raises(case):
 
     def plant_rates(rw, rm, offset):
         if target == "rates":
-            _, lo, hi, _ = calls[at_step - 1]
+            _, lo, hi, _, _ = calls[at_step - 1]
             plant((rw, rm), lo, hi, offset)
 
     step, rhs = solver.step, solver._rhs
 
-    def planted_step(state, *args, _window, **kwargs):
+    def planted_step(state, *args, _window, domain, **kwargs):
         lo, hi = _window.lo, _window.hi
         if len(calls) + 1 == at_step and target == "state":
             state = state.copy()
             plant((state.gamma_surface, state.velocity), lo, hi, 0)
-        calls.append((state, lo, hi, kwargs["dt_max"]))
-        outputs.append(step(state, *args, _window=_window, **kwargs))
+        # The step computes and checks the cells of the window's frame.
+        frame = domain.whole if hi - lo == grid.n else domain.frame(lo, hi)
+        calls.append((state, lo, hi, frame.cells, kwargs["dt_max"]))
+        outputs.append(step(state, *args, _window=_window, domain=domain, **kwargs))
         return outputs[-1]
 
     def planted_rhs(frame, *args):
@@ -1594,11 +1649,11 @@ def test_fused_checks_raise_what_checking_each_array_in_turn_raises(case):
     finally:
         solver.step, solver._rhs = step, rhs
     assume(len(calls) >= at_step)
-    state, lo, hi, dt_max = calls[at_step - 1]
+    state, _, _, cells, dt_max = calls[at_step - 1]
     try:
         with np.errstate(all="ignore"):
             want = _checked_reference_step(
-                state, bathy, grid, config, lo, hi, dt_max, plant_rates
+                state, bathy, grid, config, cells, dt_max, plant_rates
             )
     except (NearDryError, NumericBlowUpError) as exc:
         assert failure is not None and failure.step == at_step
