@@ -267,8 +267,8 @@ def test_the_bundled_inland_rush_is_made_by_the_wall(bundled_runs):
     dx = 0.01 (10.5 cells) and at dx = 0.005 over the same span (11.9
     cells), and none is logged by t = 15 with the wall moved out to 7.99.
     """
-    grid, _, result = bundled_runs["shoaling_pulse"]
-    for grid, result in ((grid, result), _bundled_shelf_run(0.005, 2399)):
+    bundled_grid, _, bundled = bundled_runs["shoaling_pulse"]
+    for grid, result in ((bundled_grid, bundled), _bundled_shelf_run(0.005, 2399)):
         first = _first_inland_rush(result)
         print(
             "first InlandRush at t={:.3f} x={:.3f} for dx={}".format(

@@ -1145,10 +1145,9 @@ def test_a_cell_with_a_nonzero_rate_stays_in_the_window(moving):
     window = solver._ActiveWindow(grid, config)
     frame = solver.prepare(Flat(-1.0), grid, config).whole
     state = solver.initial_lake_at_rest(grid)
-    rates = {"rw": frame.rw, "rm": frame.rm}
-    rates["rw"][...] = -0.0
-    rates["rm"][...] = 0.0
-    rates[moving][20] = 1e-300
+    frame.rw[...] = -0.0
+    frame.rm[...] = 0.0
+    getattr(frame, moving)[20] = 1e-300
     window.note_rates(frame)
     window.advance(frame, state, state.gamma_surface.copy(), state.velocity.copy())
     assert window.open and (window.lo, window.hi) == (19, 22)
