@@ -167,6 +167,43 @@ def _node_derivatives(x, b, order, nodes=None):
     return out
 
 
+def _pchip_coefficients(h, b):
+    """Cubic coefficients of the monotone piecewise cubic Hermite
+    interpolant through samples b on nodes with spacings h, or None when a
+    node slope is not finite.
+
+    The rows hold, per interval, the coefficients of s**3, s**2, s and 1,
+    with s the offset from the interval's left node. The node slopes are
+    Fritsch & Carlson's (SIAM J. Numer. Anal. 17, 1980): the weighted
+    harmonic mean of the two secant slopes, or 0 where those differ in sign
+    or one is 0. The end slopes are Moler's shape-preserving one-sided
+    estimates (Numerical Computing with MATLAB, 3.6). Each value comes from
+    the operands and operations of SciPy's PchipInterpolator, in its order,
+    so the rows hold its bits; the last row is 0.0 + b, the evaluation's
+    first sum, which turns -0.0 into 0.0. The rows are read-only.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = np.diff(b) / h
+        sign = np.sign(m)
+        flat = (sign[1:] != sign[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        d = np.empty(b.size)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        # Both ends at once: the end interval (h0, m0) and its neighbour.
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        wrong_sign = np.sign(end) != np.sign(m0)
+        overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(wrong_sign, 0.0, np.where(overshoot, 3.0 * m0, end))
+        if not np.all(np.isfinite(d)):
+            return None
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        coeffs = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], 0.0 + b[:-1]))
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 # Nodes per block of a sampled bed's derivative rows. Measured on the final
 # ocean_transit snapshot (12000 nodes), building the bed and searching it
 # cost the same within noise from 16 to 128 nodes a block, 15% more at 256
@@ -177,8 +214,11 @@ _BLOCK = 64
 class Sampled(Bathymetry):
     """Profile interpolated from (x_i, b_i) samples.
 
-    Values come from monotone cubic interpolation, so they never overshoot
-    the data between nodes. Slope and curvature are finite-differenced on
+    Values come from monotone piecewise cubic Hermite interpolation (PCHIP,
+    Fritsch & Carlson, with Moler's end slopes; see _pchip_coefficients),
+    so they never overshoot the data between nodes. They equal SciPy's
+    PchipInterpolator bit for bit; SciPy is the tests' oracle, not a
+    dependency. Slope and curvature are finite-differenced on
     the sample nodes and interpolated linearly in between. The derivative
     nodes are built on demand, in blocks of _BLOCK nodes: a scalar slope()
     builds only the blocks that hold its interpolation bracket, an array
@@ -195,24 +235,19 @@ class Sampled(Bathymetry):
             raise ValueError("x and b must be 1D arrays of equal length")
         if x.size < 5:
             raise ValueError("need at least 5 samples, got {}".format(x.size))
-        if not np.all(np.diff(x) > 0.0):
+        h = np.diff(x)
+        if not np.all(h > 0.0):
             raise ValueError("sample positions must be strictly increasing")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(b))):
             raise ValueError("samples must be finite")
-        # Imported here so that `import shoalwave` does not pay for scipy,
-        # which only sampled beds need.
-        from scipy.interpolate import PchipInterpolator
-
-        # Node spacings near the float minimum can divide by zero inside
-        # the interpolant even where every sample slope is finite.
-        try:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                self._interp = PchipInterpolator(x, b, extrapolate=False)
-        except ValueError:
+        # Node spacings near the float minimum can give non-finite node
+        # slopes even where every sample slope is finite.
+        self._coeffs = _pchip_coefficients(h, b)
+        if self._coeffs is None:
             raise ValueError(
                 "samples give the monotone interpolant non-finite slopes; "
-                "smallest node spacing {:g}".format(float(np.min(np.diff(x))))
-            ) from None
+                "smallest node spacing {:g}".format(float(np.min(h)))
+            )
         self._x = x
         self._b = b
         for arr in (self._x, self._b):
@@ -262,8 +297,27 @@ class Sampled(Bathymetry):
             raise self._outside()
         return xa
 
+    @np.errstate(over="ignore", invalid="ignore")
     def eval(self, x):
-        return _shaped(x, self._interp(self._checked(x)))
+        q = np.asarray(x, dtype=float)
+        inside = (q >= self._lo) & (q <= self._hi)
+        everywhere = inside.all()
+        if not everywhere:
+            self._checked(q)
+        # The interval x_i <= q < x_i+1, the last node in the last one.
+        i = np.searchsorted(self._x[1:-1], q, side="right")
+        s = q - self._x[i]
+        a3, a2, a1, a0 = self._coeffs
+        # The terms in SciPy's order (PPoly's evaluate), not Horner's.
+        value = a0[i] + a1[i] * s
+        z = s * s
+        value += a2[i] * z
+        z *= s
+        value += a3[i] * z
+        if not everywhere:
+            # A NaN query gives SciPy's NaN, whatever the query's bits.
+            value = np.where(inside, value, np.nan)
+        return _shaped(x, value)
 
     def slope(self, x):
         if isinstance(x, float):

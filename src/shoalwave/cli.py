@@ -493,7 +493,10 @@ def _parse_bathy_spec(spec: str, grid: Grid, b_column):
         key, eq, value = item.partition("=")
         if not eq:
             raise ValueError("bad bathymetry parameter {!r}".format(item))
-        params[key.strip()] = value.strip()
+        key = key.strip()
+        if key in params:
+            raise ValueError("repeated parameter {!r}".format(key))
+        params[key] = value.strip()
     return from_spec(kind, params)
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from shoalwave.bathymetry import Linear
+from shoalwave import detector, solver
+from shoalwave.bathymetry import Linear, TanhSafe
 from shoalwave.fields import FlowState, Grid
 
 
@@ -61,3 +62,57 @@ def offshore_setup():
 def offshore_weak_setup():
     """Offshore-shaped crossing whose excess growth misses the gate."""
     return build_crossing(u_x=0.2, u_xx=0.5, s_x=0.015)
+
+
+def run_recording_rushes(initial, bathy, grid, sol_cfg, det_cfg):
+    """solver.run's result and its rush events as (class, point, p_x, state):
+    the critical point, the inland p_x row it was classified on and the
+    state of that step."""
+    rushes = []
+    classify = solver.classify
+
+    def recorded_classify(point, inland, state, *args, **kwargs):
+        event = classify(point, inland, state, *args, **kwargs)
+        if event.classification in solver.RUSH_CLASSES:
+            # The run's inland rows are the search's own, which the next
+            # step rewrites.
+            rushes.append((event.classification, point, inland.p_x.copy(), state))
+        return event
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "classify", recorded_classify)
+        result = solver.run(initial, bathy, grid, sol_cfg, det_cfg)
+    return result, rushes
+
+
+def head_on_collision(n):
+    """The bundled shelf and pulse on x in [-8, 8], n nodes, reflective ends,
+    met head-on by a left-going pulse (amplitude 0.002, width 0.3, centre
+    6.0). Each pulse carries the velocity of its simple wave,
+    +-2(sqrt(w_rest + hump) - sqrt(w_rest)), as the bundled pulse does.
+    Returns (grid, bed, initial state)."""
+    grid = Grid(-8.0, 16.0 / (n - 1), n)
+    bathy = TanhSafe(0.02, 1.99)
+    x = grid.x
+    w_rest = -bathy.eval(x)
+    root = np.sqrt(w_rest)
+    right = 0.004 * np.exp(-(((x + 4.0) / 1.0) ** 2))
+    left = 0.002 * np.exp(-(((x - 6.0) / 0.3) ** 2))
+    u = 2.0 * (np.sqrt(w_rest + right) - root) - 2.0 * (np.sqrt(w_rest + left) - root)
+    return grid, bathy, FlowState(0.0, right + left, u)
+
+
+@pytest.fixture(scope="session")
+def collision_runs():
+    """The head-on collision at n = 1601 and 3201 (dx = 0.01 and 0.005), run
+    to t = 12.8 at first order: a list of (grid, bed, result, rushes), the
+    rushes as run_recording_rushes records them."""
+    runs = []
+    for n in (1601, 3201):
+        grid, bathy, initial = head_on_collision(n)
+        sol_cfg = solver.SolverConfig(t_end=12.8, boundary="reflective")
+        result, rushes = run_recording_rushes(
+            initial, bathy, grid, sol_cfg, detector.DetectorConfig()
+        )
+        runs.append((grid, bathy, result, rushes))
+    return runs

@@ -284,6 +284,30 @@ def test_the_bundled_inland_rush_is_made_by_the_wall(bundled_runs):
     assert _first_inland_rush(result) is None
 
 
+def test_a_head_on_collision_makes_a_crest_rush_far_from_the_walls(collision_runs):
+    """The paper's crest rush without a wall (ROADMAP, Direction 1).
+
+    On x in [-8, 8], the bundled right-going pulse meets a left-going one
+    over the shelf. Its first InlandRush lies 4.3 from the nearer wall at
+    both n = 1601 and 3201, and its onset converges: at first order
+    (12.657, 3.649) and (12.540, 3.681), within 0.15 in t and 0.05 in x.
+    """
+    firsts = []
+    for grid, _, result, _ in collision_runs:
+        first = _first_inland_rush(result)
+        assert first is not None, "no InlandRush by t={}".format(result.snapshots[-1].t)
+        print(
+            "first InlandRush at t={:.3f} x={:.3f} for dx={}".format(
+                first.t, first.x_star, grid.dx
+            )
+        )
+        assert min(first.x_star - grid.x0, grid.x_last - first.x_star) >= 1.0
+        firsts.append(first)
+    coarse, fine = firsts
+    assert abs(coarse.t - fine.t) <= 0.15
+    assert abs(coarse.x_star - fine.x_star) <= 0.05
+
+
 def test_shoaling_outputs_match_frozen_digests(bundled_runs, tmp_path):
     """The bundled shoaling run writes the exact bytes the benchmark froze."""
     grid, bathy, result = bundled_runs["shoaling_pulse"]

@@ -1,14 +1,17 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
-from shoalwave import bathymetry
+from shoalwave import bathymetry, cli
 from shoalwave.bathymetry import (
     Flat,
     Linear,
@@ -18,6 +21,7 @@ from shoalwave.bathymetry import (
     from_spec,
 )
 from shoalwave.errors import DomainError
+from shoalwave.fields import Grid
 
 
 def numeric_slope(bathy, x, h=1e-6):
@@ -152,6 +156,48 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _int64(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@st.composite
+def _pchip_cases(draw):
+    """Node sets and queries for the PCHIP oracle.
+
+    5 to 80 nodes with spacings from 1e-3 to 10 and offsets up to +-1e5.
+    Samples repeat, hold +-0, alternate in sign and range over magnitudes
+    from 1e-6 to 1e6. One case in ten is wild: spacings within four decades
+    of anywhere from 1e-320 to 1e-3, which may merge nodes or overflow the
+    slopes, and magnitudes up to 1e300. Queries are every node, their float
+    neighbours inside the range, points between nodes and NaN of either
+    sign.
+    """
+    n = draw(st.integers(5, 80))
+    wild = draw(st.integers(0, 9)) == 9
+    # Spacings from 10**low to 10**(low + 4).
+    low = draw(st.floats(-320.0, -3.0)) if wild else -3.0
+    spacing = st.floats(low, low + 4.0).map(lambda e: 10.0**e)
+    gaps = draw(st.lists(spacing, min_size=n - 1, max_size=n - 1))
+    offset = draw(st.just(0.0) | st.floats(-1e5, 1e5))
+    x = offset + np.concatenate(([0.0], np.cumsum(gaps)))
+    magnitude = st.floats(-6.0, 300.0 if wild else 6.0).map(lambda e: 10.0**e)
+    value = st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]), magnitude)
+    pool = draw(st.lists(value, min_size=1, max_size=4)) + [0.0, -0.0]
+    b = np.array(draw(st.lists(value | st.sampled_from(pool), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        b = np.abs(b) * (-1.0) ** np.arange(n)
+    q = np.concatenate(
+        (
+            x,
+            np.nextafter(x[1:], -np.inf),
+            np.nextafter(x[:-1], np.inf),
+            draw(st.lists(st.floats(float(x[0]), float(x[-1])), max_size=20)),
+            [math.nan, -math.nan],
+        )
+    )
+    return x, b, q
+
+
 @st.composite
 def _beds_and_queries(draw):
     """Strictly increasing, non-uniform nodes (0 among them or inside, now
@@ -270,8 +316,9 @@ class TestSampled:
             Sampled(x, np.zeros(5))
 
     def test_tiny_spacing_names_the_non_finite_slopes(self, recwarn):
-        # Every sample slope is 1e308, but SciPy's interpolant divides by
-        # zero and overflows on nodes 1e-310 apart.
+        # Every sample slope is 1e308, but on nodes 1e-310 apart the terms
+        # of the interpolant's harmonic-mean node slopes underflow to 0, so
+        # the node slopes divide by zero.
         x = 1e-310 * np.arange(40)
         with pytest.raises(ValueError) as exc:
             Sampled(x, -1.0 + 1e308 * x)
@@ -388,33 +435,85 @@ class TestSampled:
         assert np.array_equal(b.x_nodes, x)
         assert np.array_equal(b.b_nodes, y)
 
-    def test_package_import_leaves_scipy_to_sampled_beds(self):
-        # A fresh interpreter, since other tests load scipy into this one.
-        # scipy.interpolate costs most of a cold start, which the one-second
-        # `speed` criterion cannot afford; only Sampled should load it.
+    @settings(max_examples=150, deadline=None)
+    @given(_pchip_cases())
+    @example((1e-310 * np.arange(40), -1.0 + 1e308 * 1e-310 * np.arange(40), [0.0]))
+    def test_values_are_scipys_pchip_bit_for_bit(self, case):
+        x, b, q = case
+        try:
+            with np.errstate(all="ignore"):
+                want = PchipInterpolator(x, b, extrapolate=False)
+        except ValueError:
+            # Whatever SciPy rejects the bed rejects too (and the converse
+            # below); a warning fails the test.
+            with pytest.raises(ValueError):
+                Sampled(x, b)
+            return
+        bed = Sampled(x, b)
+        with np.errstate(all="ignore"):
+            expected = want(q)
+        got = bed.eval(q)
+        assert type(got) is np.ndarray and got.shape == q.shape
+        assert np.array_equal(_int64(got), _int64(expected))
+        # Scalar, 0-d, empty and 2-D queries keep their types and shapes.
+        for query in (float(q[1]), np.float64(q[2]), np.array(q[3])):
+            got = bed.eval(query)
+            assert type(got) is float
+            with np.errstate(all="ignore"):
+                assert _int64(got) == _int64(want(query))
+        assert bed.eval(q[:0]).shape == (0,)
+        square = q[: 2 * (q.size // 2)].reshape(2, -1)
+        got = bed.eval(square)
+        assert got.shape == square.shape
+        want_square = _int64(expected[: square.size]).reshape(square.shape)
+        assert np.array_equal(_int64(got), want_square)
+
+    def test_sampled_beds_and_detect_never_load_scipy(self, tmp_path):
+        # A fresh interpreter, since this module loads scipy into this one.
+        # A sampled bed, a detect (whose bed is the snapshot's sampled b
+        # column) and a run on a sampled bed load no scipy.
+        grid = Grid(-8.0, 0.01, 1200)
+        bed = tmp_path / "shelf.csv"
+        rows = zip(grid.x, TanhSafe(0.02, 1.99).eval(grid.x))
+        bed.write_text("x,b\n" + "".join("{:.17g},{:.17g}\n".format(*r) for r in rows))
+        cfg = tmp_path / "shelf.cfg"
+        cfg.write_text(
+            "name: sampled_shelf\n"
+            "grid: {x0: -8.0, dx: 0.01, n: 1200}\n"
+            "bathymetry: {kind: sampled, path: '%s'}\n"
+            "initial: {kind: gaussian_pulse, center: -4.0, width: 1.0,"
+            " amplitude: 0.004}\n"
+            "solver: {t_end: 0.5, boundary: reflective, snapshot_interval: 0.25}\n"
+            "detector: {}\n" % bed
+        )
+        state = Path(__file__).parent / "data" / "shoaling_alert_state.csv"
         script = (
             "import json, sys\n"
             "import numpy as np\n"
-            "import shoalwave\n"
-            "before = 'scipy' in sys.modules\n"
+            "from shoalwave import Sampled, cli\n"
             "x = np.linspace(0.0, 4.0, 9)\n"
-            "b = shoalwave.Sampled(x, np.sin(x) - 2.0)\n"
+            "b = Sampled(x, np.sin(x) - 2.0)\n"
             "q = np.linspace(0.0, 4.0, 23)\n"
-            "print(json.dumps([before, b.eval(q).tolist()]))\n"
+            "values = b.eval(q).tolist()\n"
+            "codes = [cli.main(['detect', sys.argv[1]]),"
+            " cli.main(['run', sys.argv[2]])]\n"
+            "print(json.dumps(['scipy' in sys.modules, codes, values]))\n"
         )
+        env = dict(os.environ, **{cli.OUTPUT_ENV: str(tmp_path / "out")})
         proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
+            [sys.executable, "-c", script, str(state), str(cfg)],
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        scipy_at_import, values = json.loads(proc.stdout)
-        assert scipy_at_import is False
-
-        from scipy.interpolate import PchipInterpolator
+        scipy_loaded, codes, values = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [cli.EXIT_ALERT, cli.EXIT_OK]
+        assert (tmp_path / "out" / "sampled_shelf" / "run.json").exists()
+        assert scipy_loaded is False
 
         x = np.linspace(0.0, 4.0, 9)
         q = np.linspace(0.0, 4.0, 23)
         expected = PchipInterpolator(x, np.sin(x) - 2.0, extrapolate=False)(q)
-        assert np.array_equal(values, expected)
+        assert np.array_equal(_int64(values), _int64(expected))
 
     def test_csv_requires_header(self, tmp_path):
         path = tmp_path / "bed.csv"

@@ -688,8 +688,8 @@ class TestDetect:
         assert _names_the_bad_line(lines[0], how, 2), lines[0]
 
     def test_tiny_spacing_bed_is_one_line_and_no_warning(self, tmp_path, capfd):
-        # The b column on nodes 1e-310 apart divides by zero inside SciPy's
-        # interpolator before the sampled bed rejects its slopes.
+        # The b column on nodes 1e-310 apart divides by zero in the monotone
+        # interpolant's node slopes before the sampled bed rejects them.
         g = Grid(0.0, 1e-310, 40)
         path = tmp_path / "state.csv"
         state = FlowState(0.0, np.zeros(40), np.zeros(40))
@@ -715,6 +715,7 @@ class TestDetect:
             ("tanh_safe:h=nan,K=1.99", "tanh_safe parameter 'h' must be a finite"),
             ("tanh_safe:h=0.02,K=1.99,extra=3", "unknown tanh_safe parameters"),
             ("tanh_safe:h=0.02", "tanh_safe needs parameters: ['K']"),
+            ("flat:b0=-1,b0=2", "repeated parameter 'b0'"),
         ],
     )
     def test_bad_bathy_parameter_is_one_line(self, capsys, spec, message):

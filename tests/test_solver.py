@@ -15,7 +15,7 @@ from shoalwave.bathymetry import Flat, Linear, Sampled, TanhSafe
 from shoalwave.errors import NearDryError, NumericBlowUpError
 from shoalwave.fields import FlowState, Grid, load_state
 
-from conftest import build_crossing
+from conftest import build_crossing, run_recording_rushes
 
 DATA = Path(__file__).parent / "data"
 
@@ -1786,39 +1786,33 @@ def test_a_state_replaced_after_its_search_is_stepped_from_its_own_values(setup)
     assert len(windows) >= 30
 
 
-def test_shelf_rush_events_follow_the_papers_sign_rule(monkeypatch):
-    """Every rush event of the bundled shelf run has the sign of b_x / p_x
-    that the paper gives its class on the two nodes around x_star: + then -
-    for an InlandRush (+inf just before the crest), - then + for an
-    OffshoreRush (-inf just after the trough)."""
+def test_shelf_rush_events_follow_the_papers_sign_rule(collision_runs):
+    """Every rush event of the bundled shelf run, and of both head-on
+    collision runs, has the sign of b_x / p_x that the paper gives its class
+    on the two nodes around x_star: + then - for an InlandRush (+inf just
+    before the crest), - then + for an OffshoreRush (-inf just after the
+    trough)."""
     root = importlib.resources.files("shoalwave") / "scenarios"
     cfg = cli.load_config(root / "shoaling_pulse.cfg")
     grid, bathy = cfg.build_grid(), cfg.build_bathymetry()
-    rushes = []
-    classify = solver.classify
-
-    def recorded_classify(point, inland, state, *args, **kwargs):
-        event = classify(point, inland, state, *args, **kwargs)
-        if event.classification in solver.RUSH_CLASSES:
-            # The run's inland rows are the search's own, which the next
-            # step rewrites.
-            rushes.append((event.classification, point, inland.p_x.copy(), state))
-        return event
-
-    monkeypatch.setattr(solver, "classify", recorded_classify)
-    initial = cfg.build_initial(grid, bathy)
-    solver.run(
-        initial, bathy, grid, cfg.build_solver_config(), cfg.build_detector_config()
+    _, rushes = run_recording_rushes(
+        cfg.build_initial(grid, bathy),
+        bathy,
+        grid,
+        cfg.build_solver_config(),
+        cfg.build_detector_config(),
     )
+    runs = [(grid, bathy, rushes)] + [(g, b, r) for g, b, _, r in collision_runs]
     inland_rush = detector.Classification.INLAND_RUSH
-    assert {cls for cls, *_ in rushes} == set(solver.RUSH_CLASSES)
-    b_x = bathy.slope(grid.x)
-    for cls, point, p_x, state in rushes:
-        np.testing.assert_array_equal(p_x, riemann.inland(state, bathy, grid).p_x)
-        i = point.node_index
-        assert grid.x[i] <= point.x_star <= grid.x[i + 1]
-        before, after = b_x[i : i + 2] / p_x[i : i + 2]
-        if cls is inland_rush:
-            assert before > 0.0 > after
-        else:
-            assert before < 0.0 < after
+    for grid, bathy, rushes in runs:
+        assert {cls for cls, *_ in rushes} == set(solver.RUSH_CLASSES)
+        b_x = bathy.slope(grid.x)
+        for cls, point, p_x, state in rushes:
+            np.testing.assert_array_equal(p_x, riemann.inland(state, bathy, grid).p_x)
+            i = point.node_index
+            assert grid.x[i] <= point.x_star <= grid.x[i + 1]
+            before, after = b_x[i : i + 2] / p_x[i : i + 2]
+            if cls is inland_rush:
+                assert before > 0.0 > after
+            else:
+                assert before < 0.0 < after
