@@ -1,4 +1,4 @@
-"""Seabed elevation profiles b(x) with slope and curvature.
+"""Seabed elevation profiles b(x) and their slopes.
 
 Profiles are immutable after construction. The analytic kinds are defined
 on the whole real line; sampled profiles live on the closed interval
@@ -41,10 +41,6 @@ class Bathymetry:
         """First derivative of the bed elevation at x."""
         raise NotImplementedError
 
-    def curvature(self, x):
-        """Second derivative of the bed elevation at x."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Flat(Bathymetry):
@@ -58,9 +54,6 @@ class Flat(Bathymetry):
     def slope(self, x):
         if isinstance(x, float):  # the detector asks for one point at a time
             return 0.0
-        return _shaped(x, np.zeros(np.shape(x)))
-
-    def curvature(self, x):
         return _shaped(x, np.zeros(np.shape(x)))
 
 
@@ -80,9 +73,6 @@ class Linear(Bathymetry):
             return float(self.b1)
         return _shaped(x, np.full(np.shape(x), self.b1))
 
-    def curvature(self, x):
-        return _shaped(x, np.zeros(np.shape(x)))
-
 
 @dataclass(frozen=True)
 class TanhSafe(Bathymetry):
@@ -90,8 +80,7 @@ class TanhSafe(Bathymetry):
 
     Far offshore (x -> -inf) the bed sits at -h - 2K, far inshore at -h,
     and the slope peaks at the single inflection point x = 0 where it
-    equals K. The curvature is positive on the offshore side and negative
-    on the inshore side. h and K must be positive.
+    equals K. h and K must be positive.
     """
 
     h: float
@@ -118,19 +107,14 @@ class TanhSafe(Bathymetry):
         sech2 = 1.0 / np.cosh(xa) ** 2
         return _shaped(x, self.K * sech2)
 
-    def curvature(self, x):
-        xa = np.clip(np.asarray(x, dtype=float), -_TANH_CLIP, _TANH_CLIP)
-        sech2 = 1.0 / np.cosh(xa) ** 2
-        return _shaped(x, -2.0 * self.K * sech2 * np.tanh(xa))
 
-
-def _fd_weights(offsets, order):
-    """Finite-difference weights for d^order/dx^order, one row per stencil.
+def _fd_weights(offsets):
+    """First-derivative finite-difference weights, one row per stencil.
 
     offsets is (m, k): the stencil points relative to the node each row
     serves. Row i solves the Vandermonde system with rows offsets[i]**r
-    (powers built as np.vander builds them) against r! e_order; all m
-    systems go to one stacked solve.
+    (powers built as np.vander builds them) against e_1; all m systems go
+    to one stacked solve.
     """
     m, k = offsets.shape
     v = np.empty((m, k, k))
@@ -138,31 +122,29 @@ def _fd_weights(offsets, order):
     v[:, :, 1:] = offsets[:, :, None]
     np.multiply.accumulate(v[:, :, 1:], axis=2, out=v[:, :, 1:])
     rhs = np.zeros((m, k, 1))
-    rhs[:, order, 0] = math.factorial(order)
+    rhs[:, 1, 0] = 1.0
     return np.linalg.solve(v.transpose(0, 2, 1), rhs)[:, :, 0]
 
 
-def _node_derivatives(x, b, order, nodes=None):
-    """Derivative of sampled data at the given nodes (default: every node),
+def _node_derivatives(x, b, nodes=None):
+    """Slope of sampled data at the given nodes (default: every node),
     second order in the spacing.
 
-    Central 3-point stencils in the interior; one-sided stencils at the two
-    ends (3 points for the slope, 4 for the curvature so the end values stay
-    second order). Each stencil size is one stacked solve and one stacked
-    (1, k) @ (k, 1) product, in which every node has its own matrix and its
+    Central 3-point stencils in the interior, one-sided 3-point stencils at
+    the two ends. Each of the two is one stacked solve and one stacked
+    (1, 3) @ (3, 1) product, in which every node has its own matrix and its
     own row, so a node gets the same bits in any subset.
     """
     n = x.size
     nodes = np.arange(n) if nodes is None else np.asarray(nodes)
-    edge = 3 if order == 1 else 4
     inside = (nodes > 0) & (nodes < n - 1)
     ends = nodes[~inside, None]
     out = np.empty(nodes.size)
     for which, idx in (
         (inside, nodes[inside, None] + np.arange(-1, 2)),
-        (~inside, np.where(ends == 0, np.arange(edge), np.arange(n - edge, n))),
+        (~inside, np.where(ends == 0, np.arange(3), np.arange(n - 3, n))),
     ):
-        weights = _fd_weights(x[idx] - x[nodes[which], None], order)
+        weights = _fd_weights(x[idx] - x[nodes[which], None])
         out[which] = (weights[:, None, :] @ b[idx][:, :, None])[:, 0, 0]
     return out
 
@@ -204,7 +186,7 @@ def _pchip_coefficients(h, b):
     return coeffs
 
 
-# Nodes per block of a sampled bed's derivative rows. Measured on the final
+# Nodes per block of a sampled bed's node slopes. Measured on the final
 # ocean_transit snapshot (12000 nodes), building the bed and searching it
 # cost the same within noise from 16 to 128 nodes a block, 15% more at 256
 # and twice as much at 1024.
@@ -218,14 +200,14 @@ class Sampled(Bathymetry):
     Fritsch & Carlson, with Moler's end slopes; see _pchip_coefficients),
     so they never overshoot the data between nodes. They equal SciPy's
     PchipInterpolator bit for bit; SciPy is the tests' oracle, not a
-    dependency. Slope and curvature are finite-differenced on
-    the sample nodes and interpolated linearly in between. The derivative
-    nodes are built on demand, in blocks of _BLOCK nodes: a scalar slope()
-    builds only the blocks that hold its interpolation bracket, an array
-    query or curvature() every block not yet built. Each block is built at
-    most once, and each node gets the bits that building every node at once
-    gives. x_nodes and b_nodes are read-only. Needs at least 5 strictly
-    increasing nodes; queries outside [x_0, x_last] raise DomainError.
+    dependency. The slope is finite-differenced on the sample nodes and
+    interpolated linearly in between. The node slopes are built on demand,
+    in blocks of _BLOCK nodes: a scalar slope() builds only the blocks that
+    hold its interpolation bracket, an array query every block not yet
+    built. Each block is built at most once, and each node gets the bits
+    that building every node at once gives. x_nodes and b_nodes are
+    read-only. Needs at least 5 strictly increasing nodes; queries outside
+    [x_0, x_last] raise DomainError.
     """
 
     def __init__(self, x, b):
@@ -257,26 +239,25 @@ class Sampled(Bathymetry):
         # final one: the nodes a scalar query's bracket is placed against.
         self._firsts = x[::_BLOCK].tolist()
         self._lasts = x[_BLOCK - 1 : -1 : _BLOCK].tolist()
-        # Per order (slope, curvature): the node row and which of its blocks
-        # hold their values.
-        self._rows = (np.full(x.size, np.nan), np.full(x.size, np.nan))
-        self._built = ([False] * len(self._firsts), [False] * len(self._firsts))
+        # The node slopes and which of their blocks hold their values.
+        self._slopes = np.full(x.size, np.nan)
+        self._built = [False] * len(self._firsts)
 
-    def _row(self, order, blocks=None):
-        """order's node row with the given blocks (every block by default)
+    def _node_slopes(self, blocks=None):
+        """The node slopes with the given blocks (every block by default)
         built."""
-        row, built = self._rows[order - 1], self._built[order - 1]
+        slopes, built = self._slopes, self._built
         if blocks is None:
             blocks = range(len(built))
         todo = [k for k in blocks if not built[k]]
         if todo:
             nodes = (np.array(todo)[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
-            nodes = nodes[nodes < row.size]
-            row[nodes] = _node_derivatives(self._x, self._b, order, nodes)
+            nodes = nodes[nodes < slopes.size]
+            slopes[nodes] = _node_derivatives(self._x, self._b, nodes)
             # Only after the values: a reader that sees the flag sees them.
             for k in todo:
                 built[k] = True
-        return row
+        return slopes
 
     @property
     def x_nodes(self):
@@ -333,16 +314,11 @@ class Sampled(Bathymetry):
             # in the last block and passes through.
             lo = bisect_right(self._firsts, x) - 1
             hi = bisect_right(self._lasts, x)
-            built = self._built[0]
-            if not (built[lo] and built[hi]):
-                self._row(1, range(lo, hi + 1))
-            return float(np.interp(x, self._x, self._rows[0]))
+            if not (self._built[lo] and self._built[hi]):
+                self._node_slopes(range(lo, hi + 1))
+            return float(np.interp(x, self._x, self._slopes))
         xa = self._checked(x)
-        return _shaped(x, np.interp(xa, self._x, self._row(1)))
-
-    def curvature(self, x):
-        xa = self._checked(x)
-        return _shaped(x, np.interp(xa, self._x, self._row(2)))
+        return _shaped(x, np.interp(xa, self._x, self._node_slopes()))
 
     @classmethod
     def from_csv(cls, path):

@@ -262,12 +262,39 @@ class ScenarioConfig:
         return _build(detector.DetectorConfig, **self.detector)
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that refuses a key repeated within one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []  # a list, so that SafeLoader reports an unhashable key
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    problem="repeated key {!r}".format(key),
+                    problem_mark=key_node.start_mark,
+                )
+            seen.append(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """exc on one line, with the line and column it points at."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None:
+        return " ".join(str(exc).split())
+    problem = ": ".join(filter(None, (exc.context, exc.problem)))
+    return "{} at line {}, column {}".format(problem, mark.line + 1, mark.column + 1)
+
+
 def load_config(path) -> ScenarioConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
-        raise ConfigError("cannot parse {}: {}".format(path, exc))
+        raise ConfigError("cannot parse {}: {}".format(path, _yaml_problem(exc)))
     except UnicodeDecodeError as exc:
         raise ConfigError("cannot decode {} as UTF-8: {}".format(path, exc))
     return ScenarioConfig.from_doc(doc)

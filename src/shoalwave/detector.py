@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, NumericBlowUpError
-from .fields import DRY_COLUMN, FlowState, Grid, ddx, require_wet
+from .fields import DRY_COLUMN, FlowState, Grid, d2dx2, ddx, require_wet
 from .riemann import InlandFields, RiemannFields
 
 __all__ = [
@@ -326,9 +326,9 @@ def _local_diagnostics(
     np.interp interpolates. So each equals np.interp over the whole-grid
     arrays bit for bit. x_star must lie in [x[0], x[-1]].
 
-    Every value is computed on Python floats. Away from the ends every
-    stencil read is central; a bracket within two nodes of an end takes
-    the stencils over the eight end nodes, one-sided at the grid's end.
+    Away from the ends every stencil read is central and computed on
+    Python floats; a bracket within two nodes of an end takes ddx and
+    d2dx2 over the eight end nodes, one-sided at the grid's end.
     """
     n = grid.n
     # The spacing points to the bracket up to rounding; x decides.
@@ -342,9 +342,9 @@ def _local_diagnostics(
     while x_star >= x1 and i < n - 2:
         i += 1
         x0, x1 = x[i : i + 2].tolist()
-    inv2 = 1.0 / (2.0 * grid.dx)
-    inv = 1.0 / grid.dx**2
     if 2 <= i <= n - 4:  # every stencil read here is central
+        inv2 = 1.0 / (2.0 * grid.dx)
+        inv = 1.0 / grid.dx**2
         g0, g1, g2, g3, g4, g5 = gamma[i - 2 : i + 4].tolist()
         u1, u2, u3, u4 = velocity[i - 1 : i + 3].tolist()
         # excess = 2.0 * gamma * ddx(gamma) at nodes i-1 .. i+2
@@ -355,26 +355,19 @@ def _local_diagnostics(
         left = ((u3 - u1) * inv2, (u3 - 2.0 * u2 + u1) * inv, e2, (e3 - e1) * inv2, g2)
         right = ((u4 - u2) * inv2, (u4 - 2.0 * u3 + u2) * inv, e3, (e4 - e2) * inv2, g3)
     else:
-        # Within two nodes of an end: the stencils of ddx and d2dx2 over the
-        # eight end nodes, one-sided at both ends of the eight. Only the
-        # grid's end is read one-sided; every other node read here gets the
-        # central stencil that the grid gives it.
+        # Within two nodes of an end: ddx and d2dx2 over the eight end
+        # nodes. Only the grid's end is read one-sided; every other node
+        # read here gets the central stencil that the grid gives it. Unlike
+        # float arithmetic, NumPy warns on overflow, and classify may run
+        # outside run's errstate.
         lo = 0 if i < 2 else n - 8
-        g = gamma[lo : lo + 8].tolist()
-        u = velocity[lo : lo + 8].tolist()
-
-        def ddx8(f):
-            head = (-3.0 * f[0] + 4.0 * f[1] - f[2]) * inv2
-            tail = (3.0 * f[7] - 4.0 * f[6] + f[5]) * inv2
-            return [head, *[(f[k + 1] - f[k - 1]) * inv2 for k in range(1, 7)], tail]
-
-        u_xx = [
-            (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) * inv,
-            *[(u[k + 1] - 2.0 * u[k] + u[k - 1]) * inv for k in range(1, 7)],
-            (2.0 * u[7] - 5.0 * u[6] + 4.0 * u[5] - u[4]) * inv,
-        ]
-        excess = [2.0 * gk * dk for gk, dk in zip(g, ddx8(g))]
-        rows = (ddx8(u), u_xx, excess, ddx8(excess), g)
+        end = Grid(float(x[lo]), grid.dx, 8)
+        g = gamma[lo : lo + 8]
+        u = velocity[lo : lo + 8]
+        with np.errstate(over="ignore", invalid="ignore"):
+            excess = 2.0 * g * ddx(g, end)
+            rows = (ddx(u, end), d2dx2(u, end), excess, ddx(excess, end), g)
+        rows = [row.tolist() for row in rows]
         left, right = (tuple(row[k] for row in rows) for k in (i - lo, i + 1 - lo))
     if x_star >= x1:  # on the last node
         return right

@@ -28,17 +28,12 @@ def numeric_slope(bathy, x, h=1e-6):
     return (bathy.eval(x + h) - bathy.eval(x - h)) / (2 * h)
 
 
-def numeric_curvature(bathy, x, h=1e-4):
-    return (bathy.eval(x + h) - 2 * bathy.eval(x) + bathy.eval(x - h)) / h**2
-
-
 class TestFlat:
     def test_values(self):
         b = Flat(-2.5)
         x = np.linspace(-3, 3, 11)
         assert np.all(b.eval(x) == -2.5)
         assert np.all(b.slope(x) == 0.0)
-        assert np.all(b.curvature(x) == 0.0)
 
     def test_scalar_in_scalar_out(self):
         b = Flat(-1.0)
@@ -74,7 +69,6 @@ class TestLinear:
         assert b.eval(0.0) == -1.0
         assert b.eval(2.0) == pytest.approx(-0.8)
         assert b.slope(123.0) == 0.1
-        assert b.curvature(-4.0) == 0.0
 
     def test_zero_slope_degenerates_to_flat(self):
         b = Linear(-2.0, 0.0)
@@ -89,21 +83,15 @@ class TestTanhSafe:
         assert b.eval(50.0) == pytest.approx(-1.0, abs=1e-12)
         assert b.eval(-50.0) == pytest.approx(-2.0, abs=1e-12)
 
-    def test_slope_positive_and_curvature_changes_sign(self):
+    def test_slope_is_positive(self):
         b = TanhSafe(1.0, 0.5)
         x = np.linspace(-8.0, 8.0, 81)
         assert np.all(b.slope(x) > 0.0)
-        assert b.curvature(0.0) == pytest.approx(0.0, abs=1e-14)
-        assert np.all(b.curvature(x[x < 0]) > 0.0)
-        assert np.all(b.curvature(x[x > 0]) < 0.0)
 
     def test_derivatives_match_finite_differences(self):
         b = TanhSafe(0.3, 1.2)
         for x in (-2.0, -0.5, 0.0, 0.7, 3.0):
             assert b.slope(x) == pytest.approx(numeric_slope(b, x), rel=1e-7)
-            assert b.curvature(x) == pytest.approx(
-                numeric_curvature(b, x), rel=1e-5, abs=1e-8
-            )
 
     def test_slope_matches_finite_differences_at_random_points(self):
         rng = np.random.default_rng(11)
@@ -119,7 +107,6 @@ class TestTanhSafe:
         big = np.array([-1e9, -500.0, 500.0, 1e9])
         assert np.all(np.isfinite(b.eval(big)))
         assert np.all(np.isfinite(b.slope(big)))
-        assert np.all(np.isfinite(b.curvature(big)))
         assert abs(b.slope(1e9)) < 1e-200
 
     @settings(max_examples=500)
@@ -201,9 +188,8 @@ def _pchip_cases(draw):
 @st.composite
 def _beds_and_queries(draw):
     """Strictly increasing, non-uniform nodes (0 among them or inside, now
-    and then), values, a subset of node indices, and slope and curvature
-    queries as (method, order, scalar or array), the first ones scalar
-    slopes.
+    and then), values, a subset of node indices, and slope queries, scalar
+    or array, the first ones scalar.
 
     Queries draw on the ends, the nodes (those at block edges most often),
     their float neighbours, +-0, NaN, points between nodes and points
@@ -237,12 +223,8 @@ def _beds_and_queries(draw):
         st.floats(float(x[0]), float(x[-1])),
         st.floats(allow_nan=False),
     )
-    scalar_slope = point.map(lambda v: ("slope", 1, v))
-    query = scalar_slope | st.tuples(
-        st.sampled_from([("slope", 1), ("curvature", 2)]),
-        point | st.lists(point, min_size=1, max_size=6).map(np.array),
-    ).map(lambda pair: (*pair[0], pair[1]))
-    scalars = draw(st.lists(scalar_slope, min_size=1, max_size=6))
+    query = point | st.lists(point, min_size=1, max_size=6).map(np.array)
+    scalars = draw(st.lists(point, min_size=1, max_size=6))
     return x, b, subset, scalars + draw(st.lists(query, max_size=8))
 
 
@@ -254,14 +236,13 @@ class TestSampled:
         assert np.allclose(b.eval(x), y, rtol=0, atol=1e-14)
 
     def test_quadratic_profile_derivatives_are_exact(self):
-        # Three-point stencils (and the four-point end curvature) are exact
-        # on polynomials of degree two, so this pins the weight algebra.
+        # Three-point stencils are exact on polynomials of degree two, so
+        # this pins the weight algebra.
         x = np.linspace(-1.0, 3.0, 9)
         y = 0.5 * x**2 - x + 0.25
         b = Sampled(x, y)
         q = np.linspace(-1.0, 3.0, 33)
         assert np.allclose(b.slope(q), q - 1.0, rtol=0, atol=1e-10)
-        assert np.allclose(b.curvature(q), 1.0, rtol=0, atol=1e-10)
 
     def test_no_overshoot_between_monotone_nodes(self):
         rng = np.random.default_rng(7)
@@ -277,21 +258,18 @@ class TestSampled:
 
     def test_batched_node_derivatives_match_per_node_solves(self):
         # Reference: one Vandermonde solve and one dot product per node.
-        def per_node(x, b, order):
+        def per_node(x, b):
             n = x.size
-            edge = 3 if order == 1 else 4
             out = np.empty(n)
             for i in range(n):
                 if i == 0:
-                    sl = slice(0, edge)
+                    sl = slice(0, 3)
                 elif i == n - 1:
-                    sl = slice(n - edge, n)
+                    sl = slice(n - 3, n)
                 else:
                     sl = slice(i - 1, i + 2)
-                a = np.vander(x[sl] - x[i], x[sl].size, increasing=True).T
-                rhs = np.zeros(x[sl].size)
-                rhs[order] = math.factorial(order)
-                out[i] = np.linalg.solve(a, rhs) @ b[sl]
+                a = np.vander(x[sl] - x[i], 3, increasing=True).T
+                out[i] = np.linalg.solve(a, [0.0, 1.0, 0.0]) @ b[sl]
             return out
 
         rng = np.random.default_rng(11)
@@ -302,11 +280,10 @@ class TestSampled:
             else:
                 x = rng.uniform(-5.0, 0.0) + rng.uniform(1e-3, 0.5) * np.arange(n)
             b = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
-            for order in (1, 2):
-                got = _node_derivatives(x, b, order)
-                want = per_node(x, b, order)
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+            got = _node_derivatives(x, b)
+            want = per_node(x, b)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_rejects_bad_node_sets(self):
         with pytest.raises(ValueError):
@@ -367,9 +344,9 @@ class TestSampled:
     def test_derivative_nodes_are_built_on_first_use(self, monkeypatch):
         built = []
 
-        def counting(x, b, order, nodes=None):
-            built.append((order, list(nodes)))
-            return _node_derivatives(x, b, order, nodes)
+        def counting(x, b, nodes=None):
+            built.append(list(nodes))
+            return _node_derivatives(x, b, nodes)
 
         monkeypatch.setattr(bathymetry, "_node_derivatives", counting)
         block = bathymetry._BLOCK
@@ -380,50 +357,41 @@ class TestSampled:
         assert built == []
         # The bracket [block - 1, block] straddles the first two blocks.
         bed.slope(float(0.5 * (x[block - 1] + x[block])))
-        assert built == [(1, list(range(2 * block)))]
+        assert built == [list(range(2 * block))]
         bed.slope(float(x[3]))
         bed.slope(float(np.nextafter(x[2 * block - 1], -np.inf)))
         assert len(built) == 1
         # The last node's bracket is clamped to the last block.
         bed.slope(float(x[-1]))
-        assert built[1:] == [(1, list(range(4 * block, n)))]
+        assert built[1:] == [list(range(4 * block, n))]
+        # An array query builds every block not yet built, once.
         q = np.linspace(x[0], x[-1], 57)
-        first = bed.curvature(q)
-        assert built[2:] == [(2, list(range(n)))]
-        second = bed.curvature(q)
-        assert len(built) == 3
-        slopes = bed.slope(q)
-        assert built[3:] == [(1, list(range(2 * block, 4 * block)))]
-        bed.slope(q)
+        first = bed.slope(q)
+        assert built[2:] == [list(range(2 * block, 4 * block))]
+        second = bed.slope(q)
         bed.slope(float(x[2 * block]))
-        assert len(built) == 4
-        for order in (1, 2):
-            nodes = [i for o, ns in built if o == order for i in ns]
-            assert sorted(nodes) == list(range(n))
-        expected = np.interp(q, x, _node_derivatives(x, y, 2))
+        assert len(built) == 3
+        assert sorted(i for nodes in built for i in nodes) == list(range(n))
+        expected = np.interp(q, x, _node_derivatives(x, y))
         assert np.array_equal(first, expected)
         assert np.array_equal(second, expected)
-        assert np.array_equal(slopes, np.interp(q, x, _node_derivatives(x, y, 1)))
         assert not any(arr.flags.writeable for arr in (bed.x_nodes, bed.b_nodes))
 
     @settings(max_examples=200, deadline=None)
     @given(_beds_and_queries())
     def test_on_demand_nodes_match_the_eager_rows(self, case):
         x, b, subset, queries = case
-        rows = {order: _node_derivatives(x, b, order) for order in (1, 2)}
-        for order, row in rows.items():
-            got = _node_derivatives(x, b, order, subset)
-            assert _bits(got) == _bits(row[subset])
+        row = _node_derivatives(x, b)
+        assert _bits(_node_derivatives(x, b, subset)) == _bits(row[subset])
         bed = Sampled(x, b)
-        for name, order, q in queries:
-            query = getattr(bed, name)
+        for q in queries:
             if np.any(np.asarray(q) < x[0]) or np.any(np.asarray(q) > x[-1]):
                 with pytest.raises(DomainError):
-                    query(q)
+                    bed.slope(q)
                 continue
-            got = query(q)
+            got = bed.slope(q)
             assert type(got) is (float if isinstance(q, float) else np.ndarray)
-            assert _bits(got) == _bits(np.interp(q, x, rows[order]))
+            assert _bits(got) == _bits(np.interp(q, x, row))
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "bed.csv"

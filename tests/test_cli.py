@@ -408,6 +408,36 @@ class TestRunFailures:
         assert cli.main(["run", cfg]) == 1
         assert "config error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "text,problem",
+        [
+            (
+                "name: [unclosed\n",
+                "while parsing a flow sequence: expected ',' or ']', but got "
+                "'<stream end>' at line 2, column 1",
+            ),
+            (
+                SMALL_RUN.replace("b0: -1.0}", "b0: -1.0, b0: -2.0}"),
+                "repeated key 'b0' at line 3, column 36",
+            ),
+            (SMALL_RUN + "name: other\n", "repeated key 'name' at line 7, column 1"),
+        ],
+    )
+    def test_parse_error_is_one_line_with_its_place(
+        self, tmp_path, capsys, text, problem
+    ):
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 1
+        line = "config error [{0}]: cannot parse {0}: {1}".format(cfg, problem)
+        assert capsys.readouterr().out.splitlines() == [line]
+        assert not (tmp_path / "out").exists()
+
+    def test_a_merge_key_is_not_a_repeated_key(self, tmp_path):
+        # A key given beside a YAML merge key overrides the merged one.
+        merged = "solver: {<<: {t_end: 1.0}, t_end: 0.5,"
+        doc = SMALL_RUN.replace("solver: {t_end: 1.0,", merged)
+        assert cli.load_config(write_cfg(tmp_path, doc)).solver["t_end"] == 0.5
+
     def test_dry_pulse_exits_near_dry(self, tmp_path, capsys):
         doc = yaml.safe_load(SMALL_RUN)
         doc["bathymetry"]["b0"] = -0.5

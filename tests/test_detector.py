@@ -351,6 +351,19 @@ def test_overflowing_gradient_is_a_blow_up_without_numpy_warnings():
     assert exc.value.node == 0
 
 
+@pytest.mark.parametrize("node", [0, 1, 9, 10])
+def test_end_window_overflow_classifies_without_numpy_warnings(node):
+    # A library classify call runs outside run's errstate. Within two nodes
+    # of an end the stencils overflow to inf and NaN, as Python floats do,
+    # and the suite turns any RuntimeWarning into an error.
+    grid = Grid(0.0, 1.0, 12)
+    u = np.zeros(12)
+    u[:4] = u[-4:] = 1e308, -1e308, 1e308, -1e308
+    state = FlowState(0.0, np.zeros(12), u)
+    f = riemann.inland(state, Flat(-1.0), grid)
+    point = CriticalPoint(float(node) + 0.5, node, False, 0.0)
+    event = detector.classify(point, f, state, grid)
+    assert not np.isfinite(event.diagnostics.u_xx)
 @pytest.mark.xfail(
     strict=True,
     reason="eps_px = 1e-8 * max|p| / dx grows as dx shrinks, while |p_x| at "
