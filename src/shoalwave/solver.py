@@ -47,6 +47,14 @@ before the first step, and a step allocates only the state it returns.
 write_outputs() formats the static x and b columns once and writes each
 snapshot in one formatting pass.
 
+A first-order step's rates come from one compiled loop (_kernel.c), which
+does per interface what the numpy kernel does over whole rows, with the
+same operands in the same order: one ctypes call per step on the
+addresses its frame bound once. The first prepare() of a first-order run
+in a process builds or loads it (see _native). Where it cannot, and
+always at second order, the numpy kernel (_rhs, _hll) computes the
+rates, with the same bits; it is also the tests' reference for the loop.
+
 The time step is cfl * dx / max(|u| + sqrt(w)); runs abort with
 NearDryError when any column drops below h_min and NumericBlowUpError on
 non-finite values. Each step checks its starting w against h_min, and its
@@ -63,6 +71,7 @@ and the run is flagged post-singular.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from dataclasses import dataclass
@@ -184,7 +193,9 @@ class Domain:
     br - max(bl, br) of the hydrostatic reconstruction (Audusse et al.,
     SIAM J. Sci. Comput. 25, 2004), which depend on the bed alone.
     rate_scale is -1/dx, the factor of every rate, as a 0-d array. These
-    arrays are read-only.
+    arrays are read-only. compiled_rates is the compiled first-order rates
+    loop (see _native and _rhs), or None at second order or when it cannot
+    be built or loaded.
 
     The other arrays are scratch that every step overwrites, so a domain
     serves one run at a time. ghosts holds the step's thickness and
@@ -222,6 +233,11 @@ class Domain:
         self.bed_left = bl - b_int
         self.bed_right = br - b_int
         self.rate_scale = np.array(-(1.0 / grid.dx))
+        # Imported at the first prepare(), so that importing the package
+        # neither imports the compiler's tools nor builds the loop.
+        from . import _native
+
+        self.compiled_rates = None if config.second_order else _native.load()
         static = (x, b, b_e, self.bed_left, self.bed_right, self.rate_scale)
         for arr in (*static, *self.ghost_x):
             arr.setflags(write=False)
@@ -292,9 +308,12 @@ class _Frame:
     new w and m at the end of a step), the wave speeds over the cells, the
     bed over the reach and over the cells, and still and same, the first
     two of _hll's bool rows over the cells, where _ActiveWindow marks the
-    still cells once _hll is done with them. prepare() binds the whole
-    grid's frame, and a second-order domain's stage frame, once;
-    Domain.frame binds a window's and keeps it while its bounds hold.
+    still cells once _hll is done with them. With the compiled rates
+    loop, rate_args holds the addresses of the rows it reads and writes,
+    its size and rate_scale, bound once, since the rows never move.
+    prepare() binds the whole grid's frame, and a second-order domain's
+    stage frame, once; Domain.frame binds a window's and keeps it while its
+    bounds hold.
     """
 
     def __init__(self, domain: Domain, block, lo: int, hi: int):
@@ -332,6 +351,13 @@ class _Frame:
         self.rates = domain.rates[:, :size]
         self.rw, self.rm = self.rates
         self.speed = domain.speed[self.cells]
+        if domain.compiled_rates is not None:
+            rows = (center_w, self.center_m, self.bed_left, self.bed_right, *self.rates)
+            self.rate_args = (
+                *(ctypes.c_void_p(row.ctypes.data) for row in rows),
+                ctypes.c_long(size),
+                ctypes.c_double(float(domain.rate_scale)),
+            )
 
 
 def _fill_ghosts(frame: _Frame, domain: Domain, config: SolverConfig, t: float):
@@ -443,15 +469,24 @@ def _rhs(frame: _Frame, domain: Domain, grid: Grid, config: SolverConfig, t: flo
     """Flux divergence plus bed source, as d/dt arrays over the frame's cells.
 
     The frame's cells hold w and m (see _Frame); a window must keep two
-    cells to each side. Returns the frame's rate rows (rw, rm). Every
+    cells to each side. Returns the frame's rate rows (rw, rm). At first
+    order, the domain's compiled loop computes them when it has one, in one
+    call after the ghost cells are filled, with the bits of the numpy code
+    below (see _kernel.c); that code is the reference, and the path of
+    second order and of a machine that cannot build the loop. Every
     temporary lives in the frame's views and, at second order, in the
     domain's reconstruction block, all allocated at the whole grid's
     length, so windows of any size share them. Each line
     computes what its comment says, with the same operands in the same
     order as the plain expression.
     """
-    n = grid.n
     _fill_ghosts(frame, domain, config, t)
+    compiled = domain.compiled_rates
+    if compiled is not None:
+        perturbation = config.flux_perturbation
+        compiled(*frame.rate_args, perturbation != 0.0, perturbation * grid.dx * 0.5)
+        return frame.rw, frame.rm
+    n = grid.n
     wls, wrs, g_right, tmp = frame.wls, frame.wrs, frame.g_right, frame.tmp
 
     # Interface j sits between cell edge arrays at j (left) and j+1 (right).

@@ -1,9 +1,11 @@
 """Shared builders for synthetic states with analytically placed features."""
 
+import shutil
+
 import numpy as np
 import pytest
 
-from shoalwave import detector, solver
+from shoalwave import _native, detector, solver
 from shoalwave.bathymetry import Linear, TanhSafe
 from shoalwave.fields import FlowState, Grid
 
@@ -39,6 +41,26 @@ def build_crossing(
     surface = depth_sq + bathy.eval(grid.x)
     velocity = u_scale * (u0 + u_x * xi + 0.5 * u_xx * xi**2)
     return grid, FlowState(0.0, surface, velocity), bathy
+
+
+def compiled_rates():
+    """The compiled first-order rates loop. Skips the test on a machine with
+    no C compiler on PATH, and fails it when there is one but the loop did
+    not load."""
+    loaded = _native.load()
+    if loaded is None:
+        if shutil.which(_native.compiler()[0]) is None:
+            pytest.skip("no C compiler on PATH")
+        pytest.fail("a C compiler is on PATH, but the compiled rates did not load")
+    return loaded
+
+
+@pytest.fixture
+def numpy_rates(monkeypatch):
+    """Computes first-order rates with the numpy kernel in every domain
+    prepared during the test, by setting the loaded loop to None."""
+    _native.load()
+    monkeypatch.setattr(_native, "rates", None)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import importlib
+import importlib.resources
 import pkgutil
 
 import shoalwave
@@ -21,3 +22,9 @@ def test_every_name_in_all_resolves():
         if not hasattr(module, name)
     ]
     assert stale == []
+
+
+def test_the_compiled_kernel_source_ships_with_the_package():
+    # Without it an installed package computes every first-order step with
+    # the numpy kernel.
+    assert (importlib.resources.files("shoalwave") / "_kernel.c").is_file()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, example, given, settings
+from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from shoalwave import analytic, cli, detector, fields, riemann, solver
@@ -15,7 +15,7 @@ from shoalwave.bathymetry import Flat, Linear, Sampled, TanhSafe
 from shoalwave.errors import NearDryError, NumericBlowUpError
 from shoalwave.fields import FlowState, Grid, load_state
 
-from conftest import build_crossing, run_recording_rushes
+from conftest import build_crossing, compiled_rates, run_recording_rushes
 
 DATA = Path(__file__).parent / "data"
 
@@ -451,6 +451,14 @@ def _same_bits(a, b):
     )
 
 
+def _same_bits_any_nan(a, b):
+    """_same_bits, except that a NaN matches any NaN: of two NaN operands, an
+    add or a multiply in numpy returns one or the other depending on where
+    the pair falls in the array."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and _same_bits(a[~nan], b[~nan])
+
+
 def _draw_bed(draw, grid, kinds):
     kind = draw(st.sampled_from(kinds))
     if kind == "flat":
@@ -511,6 +519,21 @@ def _kernel_cases(draw):
 @settings(deadline=None, max_examples=200)
 @given(_kernel_cases(), st.integers(1, 4))
 def test_step_matches_reference_kernel(case, steps):
+    _step_matches_reference_kernel(case, steps)
+
+
+# numpy_rates sets the path once for the whole test, and every example
+# prepares its own domain, so no example leaves state behind.
+_NUMPY_PATH = dict(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(deadline=None, max_examples=200, **_NUMPY_PATH)
+@given(_kernel_cases(), st.integers(1, 4))
+def test_step_matches_reference_kernel_on_the_numpy_path(numpy_rates, case, steps):
+    _step_matches_reference_kernel(case, steps)
+
+
+def _step_matches_reference_kernel(case, steps):
     grid, bathy, state, config = case
     domain = solver.prepare(bathy, grid, config)
     with np.errstate(all="ignore"):
@@ -575,6 +598,95 @@ def test_hll_matches_reference_over_any_still_window(calls):
             got = solver._hll(wl, ul, wr, ur, rows[:, :size], masks[:, :size])
             assert _same_bits(got[0], want[0])
             assert _same_bits(got[1], want[1])
+
+
+class _SignedZeroBed:
+    """A bed at elevation 0 whose zeros take the sign of sin(1000 x), so that
+    neighbouring nodes mix +0.0 and -0.0."""
+
+    def eval(self, x):
+        return np.copysign(np.zeros_like(x), np.sin(1000.0 * x))
+
+
+@st.composite
+def _rate_frames(draw):
+    """A prepared first-order domain whose ghost block holds drawn cells, and
+    one of its frames: the whole grid, or a window [lo, hi) of 2 <= lo and
+    hi <= n - 2, whose ghosts are real cells.
+
+    Most cells are wet, with velocities up to three times the wave speed
+    either way, or still; the others are thin or +-0 columns, +-0 momenta,
+    +-inf and +-NaN values, or copies of the cell before, so that
+    neighbouring interface states are identical. A rough sampled bed clips
+    thin columns to zero depth at its interfaces, and a bed of +-0 makes
+    offsets of -0.0 that meet cells of -0.0. The inflow, when drawn, fills
+    the whole grid's ghosts.
+    """
+    n = draw(st.integers(8, 70))
+    grid = Grid(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.02, 0.3)), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bed = draw(st.sampled_from(["rough", "zero", "drawn"]))
+    if bed == "rough":
+        xs = np.linspace(grid.x0 - 3 * grid.dx, grid.x_last + 3 * grid.dx, n + 6)
+        bathy = Sampled(xs, rng.uniform(-2.0, -0.5, n + 6))
+    elif bed == "zero":
+        bathy = _SignedZeroBed()
+    else:
+        bathy = _draw_bed(draw, grid, ["flat", "tanh", "linear", "sampled"])
+    w = rng.uniform(0.0, 2.0, n)
+    m = w * rng.uniform(-3.0, 3.0, n) * np.sqrt(w)
+    if draw(st.booleans()):  # still water
+        m = np.copysign(np.zeros(n), rng.uniform(-1.0, 1.0, n))
+    zeros, thin = [0.0, -0.0], [0.0, -0.0, 1e-9, 1e-3]
+    non_finite = [np.inf, -np.inf, np.nan, -np.nan]
+    for i in np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.6]))):
+        kind = rng.integers(6)
+        if kind == 0:
+            w[i] = rng.choice(thin)
+        elif kind == 1:
+            m[i] = rng.choice(zeros)
+        elif kind == 2:
+            w[i], m[i] = rng.choice(thin), rng.choice(zeros)
+        elif kind == 3:
+            cell = (w, m)[rng.integers(2)]
+            cell[i] = rng.choice(non_finite)
+        elif i > 0:
+            w[i], m[i] = w[i - 1], m[i - 1]
+    inflow = None
+    if draw(st.booleans()):
+        w_in = draw(st.floats(0.0, 2.0))
+        u_in = draw(st.floats(-3.0, 3.0))
+
+        def inflow(t, x):
+            return w_in + 0.1 * np.sin(t + x), np.full_like(x, u_in)
+
+    config = solver.SolverConfig(
+        t_end=1e9,
+        boundary=draw(st.sampled_from(solver.BOUNDARY_KINDS)),
+        inflow=inflow,
+        flux_perturbation=draw(st.sampled_from([0.0, 0.05, -1.3])),
+    )
+    domain = solver.prepare(bathy, grid, config)
+    domain.ghosts[:, 2:-2] = w, m
+    if draw(st.booleans()):
+        frame = domain.whole
+    else:
+        lo = draw(st.integers(2, n - 3))
+        frame = solver._Frame(domain, domain.ghosts, lo, draw(st.integers(lo + 1, n - 2)))
+    return grid, config, domain, frame, draw(st.floats(0.0, 10.0))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_rate_frames())
+def test_compiled_rates_match_the_numpy_kernel(case):
+    grid, config, domain, frame, t = case
+    assert domain.compiled_rates is compiled_rates()
+    with np.errstate(all="ignore"):
+        got = [rates.copy() for rates in solver._rhs(frame, domain, grid, config, t)]
+        domain.compiled_rates = None
+        want = solver._rhs(frame, domain, grid, config, t)
+    assert _same_bits_any_nan(got[0], want[0])
+    assert _same_bits_any_nan(got[1], want[1])
 
 
 def test_nan_state_blows_up_unless_a_column_is_dry(inland_setup):
@@ -818,17 +930,25 @@ def test_run_builds_no_whole_grid_gradients(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     in_last_cells = []
-    assess = solver._assess
+    callers = set()
+    assess = detector._assess
 
-    def watched_assess(point, gamma, velocity, g, *args):
-        in_last_cells.append(point.node_index >= g.n - 3)
-        inside.append(point)
-        try:
-            return assess(point, gamma, velocity, g, *args)
-        finally:
-            inside.pop()
+    def watched(caller):
+        def watched_assess(point, gamma, velocity, g, *args):
+            callers.add(caller)
+            in_last_cells.append(point.node_index >= g.n - 3)
+            inside.append(point)
+            try:
+                return assess(point, gamma, velocity, g, *args)
+            finally:
+                inside.pop()
 
-    monkeypatch.setattr(solver, "_assess", watched_assess)
+        return watched_assess
+
+    # The run assesses every crossing through its own binding, and classify
+    # assesses each fresh one again through the detector's.
+    monkeypatch.setattr(solver, "_assess", watched("run"))
+    monkeypatch.setattr(detector, "_assess", watched("classify"))
     for grid, state, bathy in cases:
         result = solver.run(
             state,
@@ -839,6 +959,7 @@ def test_run_builds_no_whole_grid_gradients(monkeypatch):
         )
         assert result.steps > 10
         assert result.events
+    assert callers == {"run", "classify"}
     assert any(in_last_cells)
     assert calls == []
 
@@ -912,24 +1033,34 @@ detector: {}
 
 
 def test_still_sea_run_writes_the_frozen_bytes(tmp_path, capsys, monkeypatch):
-    # Only the first step of the run solves every interface; the others
-    # solve the active window's.
-    interfaces = []
-    hll = solver._hll
+    _still_sea_run_writes_the_frozen_bytes(tmp_path, capsys, monkeypatch)
 
-    def counted_hll(wl, *args, **kwargs):
-        interfaces.append(wl.size)
-        return hll(wl, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "_hll", counted_hll)
+def test_still_sea_run_writes_the_frozen_bytes_on_the_numpy_path(
+    numpy_rates, tmp_path, capsys, monkeypatch
+):
+    _still_sea_run_writes_the_frozen_bytes(tmp_path, capsys, monkeypatch)
+
+
+def _still_sea_run_writes_the_frozen_bytes(tmp_path, capsys, monkeypatch):
+    # Only the first step of the run computes every cell; the others
+    # compute the active window's frame.
+    sizes = []
+    rhs = solver._rhs
+
+    def sized_rhs(frame, *args, **kwargs):
+        sizes.append(frame.hi - frame.lo)
+        return rhs(frame, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_rhs", sized_rhs)
     cfg = tmp_path / "still_sea.cfg"
     cfg.write_text(STILL_SEA)
     assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     cells = 2000
-    assert interfaces[0] == cells + 1
-    assert len(interfaces) > 100
-    assert max(interfaces[1:]) < cells + 1
+    assert sizes[0] == cells
+    assert len(sizes) > 100
+    assert max(sizes[1:]) < cells
     run_dir = tmp_path / "out" / "still_sea"
     got = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -1050,6 +1181,14 @@ def _disturbed_lakes(draw):
 @settings(deadline=None, max_examples=80)
 @given(_disturbed_lakes())
 def test_run_with_its_window_matches_whole_grid_steps(case):
+    _run_matches_whole_grid_steps(*case)
+
+
+@settings(deadline=None, max_examples=80, **_NUMPY_PATH)
+@given(_disturbed_lakes())
+def test_run_with_its_window_matches_whole_grid_steps_on_the_numpy_path(
+    numpy_rates, case
+):
     _run_matches_whole_grid_steps(*case)
 
 
