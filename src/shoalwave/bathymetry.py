@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -108,45 +107,30 @@ class TanhSafe(Bathymetry):
         return _shaped(x, self.K * sech2)
 
 
-def _fd_weights(offsets):
-    """First-derivative finite-difference weights, one row per stencil.
+def _node_derivatives(x, b):
+    """Slope of sampled data at every node: that of the quadratic through
+    the node and two neighbours, second order in the spacing.
 
-    offsets is (m, k): the stencil points relative to the node each row
-    serves. Row i solves the Vandermonde system with rows offsets[i]**r
-    (powers built as np.vander builds them) against e_1; all m systems go
-    to one stacked solve.
+    In the secant slopes m = diff(b) / h, an interior node takes
+    (h[i] * m[i-1] + h[i-1] * m[i]) / (h[i-1] + h[i]) and each end
+    ((2*h0 + h1)*m0 - h0*m1) / (h0 + h1), PCHIP's end slope before its
+    limits, with (h0, m0) the end interval and (h1, m1) its neighbour.
+    These are Fornberg's 3-point weights (Math. Comp. 51, 1988) without a
+    product of two spacings, which underflows near the float minimum.
+
+    This stencil, not the PCHIP derivative, is the one fields.ddx applies
+    to the surface, so the surface slope minus this one stays the stencil
+    of the depth, and a surface parallel to the bed cancels in the
+    tangent-match residual.
     """
-    m, k = offsets.shape
-    v = np.empty((m, k, k))
-    v[:, :, 0] = 1.0
-    v[:, :, 1:] = offsets[:, :, None]
-    np.multiply.accumulate(v[:, :, 1:], axis=2, out=v[:, :, 1:])
-    rhs = np.zeros((m, k, 1))
-    rhs[:, 1, 0] = 1.0
-    return np.linalg.solve(v.transpose(0, 2, 1), rhs)[:, :, 0]
-
-
-def _node_derivatives(x, b, nodes=None):
-    """Slope of sampled data at the given nodes (default: every node),
-    second order in the spacing.
-
-    Central 3-point stencils in the interior, one-sided 3-point stencils at
-    the two ends. Each of the two is one stacked solve and one stacked
-    (1, 3) @ (3, 1) product, in which every node has its own matrix and its
-    own row, so a node gets the same bits in any subset.
-    """
-    n = x.size
-    nodes = np.arange(n) if nodes is None else np.asarray(nodes)
-    inside = (nodes > 0) & (nodes < n - 1)
-    ends = nodes[~inside, None]
-    out = np.empty(nodes.size)
-    for which, idx in (
-        (inside, nodes[inside, None] + np.arange(-1, 2)),
-        (~inside, np.where(ends == 0, np.arange(3), np.arange(n - 3, n))),
-    ):
-        weights = _fd_weights(x[idx] - x[nodes[which], None])
-        out[which] = (weights[:, None, :] @ b[idx][:, :, None])[:, 0, 0]
-    return out
+    h = np.diff(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = np.diff(b) / h
+        d = np.empty(b.size)
+        d[1:-1] = (h[1:] * m[:-1] + h[:-1] * m[1:]) / (h[:-1] + h[1:])
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        d[[0, -1]] = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    return d
 
 
 def _pchip_coefficients(h, b):
@@ -186,13 +170,6 @@ def _pchip_coefficients(h, b):
     return coeffs
 
 
-# Nodes per block of a sampled bed's node slopes. Measured on the final
-# ocean_transit snapshot (12000 nodes), building the bed and searching it
-# cost the same within noise from 16 to 128 nodes a block, 15% more at 256
-# and twice as much at 1024.
-_BLOCK = 64
-
-
 class Sampled(Bathymetry):
     """Profile interpolated from (x_i, b_i) samples.
 
@@ -200,14 +177,11 @@ class Sampled(Bathymetry):
     Fritsch & Carlson, with Moler's end slopes; see _pchip_coefficients),
     so they never overshoot the data between nodes. They equal SciPy's
     PchipInterpolator bit for bit; SciPy is the tests' oracle, not a
-    dependency. The slope is finite-differenced on the sample nodes and
-    interpolated linearly in between. The node slopes are built on demand,
-    in blocks of _BLOCK nodes: a scalar slope() builds only the blocks that
-    hold its interpolation bracket, an array query every block not yet
-    built. Each block is built at most once, and each node gets the bits
-    that building every node at once gives. x_nodes and b_nodes are
-    read-only. Needs at least 5 strictly increasing nodes; queries outside
-    [x_0, x_last] raise DomainError.
+    dependency. The slope is the 3-point finite difference at the sample
+    nodes (see _node_derivatives), interpolated linearly in between; every
+    node slope is built once, in closed form, at construction. x_nodes and
+    b_nodes are read-only. Needs at least 5 strictly increasing nodes;
+    queries outside [x_0, x_last] raise DomainError.
     """
 
     def __init__(self, x, b):
@@ -232,32 +206,10 @@ class Sampled(Bathymetry):
             )
         self._x = x
         self._b = b
-        for arr in (self._x, self._b):
+        self._slopes = _node_derivatives(x, b)
+        for arr in (self._x, self._b, self._slopes):
             arr.setflags(write=False)
         self._lo, self._hi = float(x[0]), float(x[-1])
-        # Each block's first node, and each block's last node short of the
-        # final one: the nodes a scalar query's bracket is placed against.
-        self._firsts = x[::_BLOCK].tolist()
-        self._lasts = x[_BLOCK - 1 : -1 : _BLOCK].tolist()
-        # The node slopes and which of their blocks hold their values.
-        self._slopes = np.full(x.size, np.nan)
-        self._built = [False] * len(self._firsts)
-
-    def _node_slopes(self, blocks=None):
-        """The node slopes with the given blocks (every block by default)
-        built."""
-        slopes, built = self._slopes, self._built
-        if blocks is None:
-            blocks = range(len(built))
-        todo = [k for k in blocks if not built[k]]
-        if todo:
-            nodes = (np.array(todo)[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
-            nodes = nodes[nodes < slopes.size]
-            slopes[nodes] = _node_derivatives(self._x, self._b, nodes)
-            # Only after the values: a reader that sees the flag sees them.
-            for k in todo:
-                built[k] = True
-        return slopes
 
     @property
     def x_nodes(self):
@@ -307,18 +259,9 @@ class Sampled(Bathymetry):
             # through the array test).
             if x < self._lo or x > self._hi:
                 raise self._outside()
-            # np.interp reads the nodes j and j + 1 of the bracket
-            # x_j <= x < x_j+1, the last one clamped at the final node: j
-            # lies in the last block that starts at or before x, and j + 1
-            # in the block after those that end at or before x. NaN lands
-            # in the last block and passes through.
-            lo = bisect_right(self._firsts, x) - 1
-            hi = bisect_right(self._lasts, x)
-            if not (self._built[lo] and self._built[hi]):
-                self._node_slopes(range(lo, hi + 1))
             return float(np.interp(x, self._x, self._slopes))
         xa = self._checked(x)
-        return _shaped(x, np.interp(xa, self._x, self._node_slopes()))
+        return _shaped(x, np.interp(xa, self._x, self._slopes))
 
     @classmethod
     def from_csv(cls, path):

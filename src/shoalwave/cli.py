@@ -660,12 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="integrate scenario config files")
     p_run.add_argument("config", nargs="+", help="scenario config path(s)")
-    p_run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for old command lines; the configs run one after another",
-    )
     p_run.add_argument("--output-dir", default=None, help="output root directory")
     p_run.add_argument("--run-id", default=None, help="override the run identifier")
     p_run.add_argument("--t-end", type=float, default=None)

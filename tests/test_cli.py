@@ -149,15 +149,24 @@ class TestRun:
         manifest = json.loads((tmp_path / "out" / "tiny" / "run.json").read_text())
         assert manifest["snapshot_times"][-1] == pytest.approx(0.2, abs=1e-9)
 
-    def test_jobs_flag_runs_batch(self, tmp_path, monkeypatch):
+    def test_batch_runs_every_config_and_has_no_jobs_flag(
+        self, tmp_path, monkeypatch, capsys
+    ):
         monkeypatch.setenv(cli.OUTPUT_ENV, str(tmp_path / "out"))
         cfg_a = write_cfg(tmp_path, SMALL_RUN, "a.cfg")
         cfg_b = write_cfg(
             tmp_path, SMALL_RUN.replace("name: tiny", "name: tiny2"), "b.cfg"
         )
-        assert cli.main(["run", cfg_a, cfg_b, "--jobs", "2"]) == 0
+        assert cli.main(["run", cfg_a, cfg_b]) == 0
         assert (tmp_path / "out" / "tiny" / "run.json").exists()
         assert (tmp_path / "out" / "tiny2" / "run.json").exists()
+        capsys.readouterr()
+        # Configs run one after another; there is no --jobs flag.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", cfg_a, "--jobs", "2"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["usage error: shoalwave: unrecognized arguments: --jobs 2"]
 
     def test_jobs_print_each_block_whole_in_batch_order(self, tmp_path, capsys):
         # The first config runs longest, so the others finish before it.
@@ -171,12 +180,8 @@ class TestRun:
             write_cfg(tmp_path, SMALL_RUN.replace("name: tiny", "name: t2"), "d.cfg"),
         ]
         out = ["--output-dir", str(tmp_path / "out")]
-        printed = []
-        for jobs in ("1", "3"):
-            assert cli.main(["run", *batch, *out, "--jobs", jobs]) == 1
-            printed.append(capsys.readouterr().out)
-        assert printed[1] == printed[0]
-        starts = [line.split()[:2] for line in printed[0].splitlines()]
+        assert cli.main(["run", *batch, *out]) == 1
+        starts = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
         assert [s for s in starts if s[0] in ("run", "config")] == [
             ["run", "long:"],
             ["run", "tiny:"],
@@ -184,9 +189,8 @@ class TestRun:
             ["run", "t2:"],
         ]
 
-    @pytest.mark.parametrize("jobs", ["1", "3"])
     def test_batch_rejects_an_output_directory_already_used(
-        self, tmp_path, capsys, monkeypatch, jobs
+        self, tmp_path, capsys, monkeypatch
     ):
         # The second "tiny" would write over the first; it ends with one
         # config error line and writes nothing, and the batch goes on.
@@ -196,7 +200,7 @@ class TestRun:
         again = write_cfg(tmp_path, longer, "again.cfg")
         renamed = SMALL_RUN.replace("name: tiny", "name: other")
         other = write_cfg(tmp_path, renamed, "other.cfg")
-        assert cli.main(["run", first, again, other, "--jobs", jobs]) == 1
+        assert cli.main(["run", first, again, other]) == 1
         lines = capsys.readouterr().out.splitlines()
         rejected = [line for line in lines if again in line]
         assert rejected == [
@@ -222,7 +226,7 @@ class TestRun:
             for name in ("a", "b", "c")
         ]
         out = ["--output-dir", str(tmp_path / "out")]
-        assert cli.main(["run", *batch, *out, "--jobs", "3"]) == 0
+        assert cli.main(["run", *batch, *out]) == 0
         assert threads == [threading.get_ident()] * 3
 
     def test_rerun_leaves_only_the_snapshots_its_manifest_lists(self, tmp_path):
@@ -496,7 +500,7 @@ class TestRunFailures:
             message = "initial state file does not match the grid"
             assert lines == ["config error [{}]: {}".format(cfg, message)]
 
-    @pytest.mark.parametrize("argv", [["detect"], ["run"], ["run", "--jobs", "3"]])
+    @pytest.mark.parametrize("argv", [["detect"], ["run"]])
     def test_overflow_prints_one_line_and_no_warning(self, tmp_path, capfd, argv):
         # Velocities near the float maximum overflow inside numpy before
         # the blow-up check reports them: in the detector's p_x for the
