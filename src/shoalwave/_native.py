@@ -1,16 +1,17 @@
-"""Build and load the compiled first-order rates loop (_kernel.c).
+"""Build and load the compiled loops (_kernel.c).
 
-load() runs once per process, at the first solver.prepare() of a
-first-order run. It compiles _kernel.c with the C compiler Python was
+load() runs once per process, at the first solver.prepare() of a run of
+either order. It compiles _kernel.c with the C compiler Python was
 built with (sysconfig's CC, or cc) into a shared library in the user's
 cache directory ($XDG_CACHE_HOME, or ~/.cache, then shoalwave/), named by
 a hash of the source, the flags and the machine, so a machine compiles it
 once. The library is written under a temporary name and then moved into
 place, so a process never reads a half-written one. When the cache cannot
 be written, the library is compiled into a temporary directory of the
-process instead. The loaded function is kept as `rates`; with no
-compiler, or on any failure, `rates` is None and solver._rhs runs its
-numpy code, which gives the same bits.
+process instead. The loaded functions are kept as `rates` (the
+first-order rates loop) and `search` (the detector search). With no
+compiler, or on any failure, both are None, and solver._rhs and
+solver._Search run their numpy code, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
-# No -ffast-math: the loop must round as numpy does (see _kernel.c).
+# No -ffast-math: the loops must round as numpy does (see _kernel.c).
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-rates = None
+SOURCE = Path(__file__).parent / "_kernel.c"
+
+rates = search = None
 _loaded = False
 
 
@@ -38,33 +41,32 @@ def compiler() -> list[str]:
     return shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
-def load():
-    """Load the compiled loop on the first call; return it, or None."""
-    global rates, _loaded
+def load() -> None:
+    """Set rates and search on the first call: both loops, or both None."""
+    global rates, search, _loaded
     if not _loaded:
         _loaded = True
         try:
-            rates = _load()
+            rates, search = _load()
         except (
             OSError,  # no cache, compiler or library file
             subprocess.SubprocessError,  # the compiler failed or hung
-            AttributeError,  # no first_order_rates in the library
+            AttributeError,  # a loop missing from the library
             ValueError,  # a CC that shlex cannot split
             RuntimeError,  # no home directory
         ):
-            rates = None
-    return rates
+            rates = search = None
 
 
 def _load():
     cc = compiler()
     if not cc or shutil.which(cc[0]) is None:
-        return None
-    source = (Path(__file__).parent / "_kernel.c").read_bytes()
+        return None, None
+    source = SOURCE.read_bytes()
     key = hashlib.sha256(
         b"\0".join([source, " ".join(FLAGS).encode(), platform.machine().encode()])
     ).hexdigest()[:16]
-    name = "rates-{}.so".format(key)
+    name = "kernel-{}.so".format(key)
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
     path = cache / "shoalwave" / name
     try:
@@ -96,14 +98,24 @@ def _compile(cc, source: bytes, path: Path):
 
 
 def _bind(path: Path):
-    fn = ctypes.CDLL(str(path)).first_order_rates
+    library = ctypes.CDLL(str(path))
+    rates, search = library.first_order_rates, library.inland_search
     # w, m, bed_left, bed_right, rw, rm, size, rate_scale, perturbed,
     # perturbation (see _kernel.c)
-    fn.argtypes = (ctypes.c_void_p,) * 6 + (
+    rates.argtypes = (ctypes.c_void_p,) * 6 + (
         ctypes.c_long,
         ctypes.c_double,
         ctypes.c_int,
         ctypes.c_double,
     )
-    fn.restype = None
-    return fn
+    rates.restype = None
+    # surface, velocity, lo, hi, b, gamma, p, abs_p, p_x, pairs, nodes, n,
+    # inv2, write_abs
+    search.argtypes = (
+        (ctypes.POINTER(ctypes.c_double),) * 2
+        + (ctypes.c_long,) * 2
+        + (ctypes.c_void_p,) * 7
+        + (ctypes.c_long, ctypes.c_double, ctypes.c_int)
+    )
+    search.restype = ctypes.c_long
+    return rates, search

@@ -209,7 +209,7 @@ def find_crossings(
     pairs = np.empty(px.size - 1, bool)
     products = np.empty(px.size - 1)
     _mark_pairs(px[:-1], px[1:], pairs, products, 0, px.size)
-    return _crossings(px, pairs, eps, bathy, x, grid.dx)
+    return _crossings(px, pairs.nonzero()[0].tolist(), eps, bathy, x, grid.dx)
 
 
 def _mark_pairs(left, right, pairs, products, lo: int, hi: int) -> None:
@@ -227,8 +227,9 @@ def _mark_pairs(left, right, pairs, products, lo: int, hi: int) -> None:
     np.less(np.multiply(left, right, out=products), 0.0, out=pairs)
 
 
-def _crossings(px, pairs, eps: float, bathy, x, dx: float) -> list[CriticalPoint]:
-    """find_crossings over the sign changes that pairs marks.
+def _crossings(px, nodes, eps: float, bathy, x, dx: float) -> list[CriticalPoint]:
+    """find_crossings over the sign changes between px[i] and px[i + 1]
+    for each i of nodes, a list of ints in ascending order.
 
     Both nodes of a crossing must be resolved: not |p_x| <= eps, which a
     NaN threshold resolves every node for. An infinite p_x beside a sign
@@ -237,7 +238,7 @@ def _crossings(px, pairs, eps: float, bathy, x, dx: float) -> list[CriticalPoint
     """
     points = []
     # Python floats throughout: the same bits as NumPy scalars, for less.
-    for i in pairs.nonzero()[0].tolist():
+    for i in nodes:
         left, right = px[i : i + 2].tolist()
         if abs(left) <= eps or abs(right) <= eps:
             continue

@@ -31,6 +31,7 @@ The detector search after each step follows the same window: it keeps
 its rows from step to step and recomputes them only where the step
 changed the state (see _Search). Only max|p|, which sets the default
 gradient threshold, and the scan for sign changes still read whole rows.
+At either order, one compiled call does all but max|p|.
 
 The bed is static: prepare() evaluates it, its ghost cells and the
 first-order interface bed offsets once, and run() reuses them for every
@@ -50,10 +51,12 @@ snapshot in one formatting pass.
 A first-order step's rates come from one compiled loop (_kernel.c), which
 does per interface what the numpy kernel does over whole rows, with the
 same operands in the same order: one ctypes call per step on the
-addresses its frame bound once. The first prepare() of a first-order run
-in a process builds or loads it (see _native). Where it cannot, and
-always at second order, the numpy kernel (_rhs, _hll) computes the
-rates, with the same bits; it is also the tests' reference for the loop.
+addresses its frame bound once. The detector search is the library's
+other loop, one call per step at either order (see _Search). The first
+prepare() in a process builds or loads both (see _native). Where it
+cannot, the numpy kernel (_rhs, _hll) computes the rates, as it always
+does at second order, and the search runs its numpy code, each with the
+same bits; they are also the tests' references for the loops.
 
 The time step is cfl * dx / max(|u| + sqrt(w)); runs abort with
 NearDryError when any column drops below h_min and NumericBlowUpError on
@@ -195,7 +198,8 @@ class Domain:
     rate_scale is -1/dx, the factor of every rate, as a 0-d array. These
     arrays are read-only. compiled_rates is the compiled first-order rates
     loop (see _native and _rhs), or None at second order or when it cannot
-    be built or loaded.
+    be built or loaded; compiled_search is the compiled detector search
+    (see _Search) at either order, or None when it cannot.
 
     The other arrays are scratch that every step overwrites, so a domain
     serves one run at a time. ghosts holds the step's thickness and
@@ -234,10 +238,12 @@ class Domain:
         self.bed_right = br - b_int
         self.rate_scale = np.array(-(1.0 / grid.dx))
         # Imported at the first prepare(), so that importing the package
-        # neither imports the compiler's tools nor builds the loop.
+        # neither imports the compiler's tools nor builds the loops.
         from . import _native
 
-        self.compiled_rates = None if config.second_order else _native.load()
+        _native.load()
+        self.compiled_rates = None if config.second_order else _native.rates
+        self.compiled_search = _native.search
         static = (x, b, b_e, self.bed_left, self.bed_right, self.rate_scale)
         for arr in (*static, *self.ghost_x):
             arr.setflags(write=False)
@@ -790,25 +796,78 @@ class _Search:
     can set it, and the scan of the pair marks for sign changes, whose
     nodes are then tested against that threshold. So each step finds the
     crossings, bit for bit, that inland and find_crossings would.
+
+    The compiled search (_kernel.c's inland_search, at either order) does
+    all but max|p| in one call, on the row addresses bound here: it
+    rewrites the rows and scans the marks into a row of their nodes. max|p|
+    stays numpy's, which is faster than a scalar loop over a long row.
+    Without the compiled search, _refresh_inland and _mark_pairs rewrite
+    the rows in numpy. So does a compiled search that meets a dry column;
+    the numpy check then raises NearDryError with its node, t and depth.
     """
 
     def __init__(self, bathy, grid: Grid, domain: Domain, eps_px: float | None):
+        n = grid.n
         self.bathy, self.grid, self.domain, self.eps_px = bathy, grid, domain, eps_px
-        self.rows = riemann._InlandRows(*np.empty((4, grid.n)))
-        self.px_pairs = (self.rows.p_x[:-1], self.rows.p_x[1:])
-        self.pairs = np.empty(grid.n - 1, bool)
-        self.products = np.empty(grid.n - 1)
+        block = np.empty((4, n))
+        rows = self.rows = riemann._InlandRows(*block)
+        self.px_pairs = (rows.p_x[:-1], rows.p_x[1:])
+        # Zeros, so that a scan for marks never meets a byte other than 0 or 1.
+        self.pairs = np.zeros(n - 1, bool)
+        self.products = np.empty(n - 1)
+        self.compiled = domain.compiled_search
+        if self.compiled is not None:
+            # The node row shares the products' memory: the compiled search
+            # never reads the products, and the numpy search never the nodes.
+            # A slice of it is a list of ints.
+            self.nodes = (ctypes.c_long * (n - 1)).from_buffer(self.products)
+            # ndarray.ctypes.data costs 1-2 us a call, so the four rows of
+            # one block (gamma, p, |p| and p_x) take their addresses from it.
+            base, stride = block.ctypes.data, block.strides[0]
+            addresses = [domain.b.ctypes.data]
+            addresses += [base + k * stride for k in range(4)]
+            addresses += [self.pairs.ctypes.data, ctypes.addressof(self.nodes)]
+            # The state's rows are new on every step. A ctypes array over
+            # each costs less than fetching its address, and refuses a row
+            # that is too short, read-only or not contiguous.
+            self.state_row = ctypes.c_double * n
+            self.search_args = (
+                *map(ctypes.c_void_p, addresses),
+                ctypes.c_long(n),
+                ctypes.c_double(1.0 / (2.0 * grid.dx)),
+                ctypes.c_int(eps_px is None),
+            )
 
     def __call__(self, state: FlowState, lo: int, hi: int):
         """(fields, crossings) of state, which differs from the state of the
-        last call only on the cells [lo, hi)."""
-        grid, domain = self.grid, self.domain
+        last call only on the cells [lo, hi); its rows are writable and
+        contiguous, as step() returns them."""
+        grid, domain, rows = self.grid, self.domain, self.rows
+        if self.compiled is not None:
+            row = self.state_row
+            count = self.compiled(
+                row.from_buffer(state.gamma_surface),
+                row.from_buffer(state.velocity),
+                lo,
+                hi,
+                *self.search_args,
+            )
+            if count >= 0:
+                if self.eps_px is None:
+                    eps = riemann._eps_of(rows.abs_p, grid.dx)
+                else:
+                    eps = float(self.eps_px)
+                fields = riemann.InlandFields(rows.gamma, rows.p, rows.p_x, eps)
+                nodes = self.nodes[:count]
+                points = _crossings(rows.p_x, nodes, eps, self.bathy, domain.x, grid.dx)
+                return fields, points
         fields, (first, last) = riemann._refresh_inland(
-            state, domain.b, grid, self.rows, lo, hi, self.eps_px
+            state, domain.b, grid, rows, lo, hi, self.eps_px
         )
         _mark_pairs(*self.px_pairs, self.pairs, self.products, first, last)
+        nodes = self.pairs.nonzero()[0].tolist()
         points = _crossings(
-            fields.p_x, self.pairs, fields.eps_px, self.bathy, domain.x, grid.dx
+            fields.p_x, nodes, fields.eps_px, self.bathy, domain.x, grid.dx
         )
         return fields, points
 

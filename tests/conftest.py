@@ -44,23 +44,25 @@ def build_crossing(
 
 
 def compiled_rates():
-    """The compiled first-order rates loop. Skips the test on a machine with
-    no C compiler on PATH, and fails it when there is one but the loop did
-    not load."""
-    loaded = _native.load()
-    if loaded is None:
+    """The compiled first-order rates loop, once both compiled loops have
+    loaded. Skips the test on a machine with no C compiler on PATH, and
+    fails it when there is one but either loop did not load."""
+    _native.load()
+    if _native.rates is None or _native.search is None:
         if shutil.which(_native.compiler()[0]) is None:
             pytest.skip("no C compiler on PATH")
-        pytest.fail("a C compiler is on PATH, but the compiled rates did not load")
-    return loaded
+        pytest.fail("a C compiler is on PATH, but the compiled loops did not load")
+    return _native.rates
 
 
 @pytest.fixture
 def numpy_rates(monkeypatch):
-    """Computes first-order rates with the numpy kernel in every domain
-    prepared during the test, by setting the loaded loop to None."""
+    """Computes first-order rates with the numpy kernel, and searches with
+    the numpy search, in every domain and search made during the test, by
+    setting both loaded loops to None."""
     _native.load()
     monkeypatch.setattr(_native, "rates", None)
+    monkeypatch.setattr(_native, "search", None)
 
 
 @pytest.fixture

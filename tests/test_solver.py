@@ -4,13 +4,14 @@ import json
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from shoalwave import analytic, cli, detector, fields, riemann, solver
+from shoalwave import _native, analytic, cli, detector, fields, riemann, solver
 from shoalwave.bathymetry import Flat, Linear, Sampled, TanhSafe
 from shoalwave.errors import NearDryError, NumericBlowUpError
 from shoalwave.fields import FlowState, Grid, load_state
@@ -1528,9 +1529,24 @@ def test_search_rows_match_the_whole_grid_up_to_the_ends(center, boundary):
     _assert_search_matches_whole_grid(log, bathy, grid, None)
 
 
+_SEARCH_EPS = st.sampled_from([None, 1e-9, 1e-4, 0.05])
+
+
 @settings(deadline=None, max_examples=80)
-@given(_disturbed_lakes(), st.sampled_from([None, 1e-9, 1e-4, 0.05]))
+@given(_disturbed_lakes(), _SEARCH_EPS)
 def test_run_search_matches_the_whole_grid_search(case, eps_px):
+    _run_search_matches_the_whole_grid_search(case, eps_px)
+
+
+@settings(deadline=None, max_examples=80, **_NUMPY_PATH)
+@given(_disturbed_lakes(), _SEARCH_EPS)
+def test_run_search_matches_the_whole_grid_search_on_the_numpy_path(
+    numpy_rates, case, eps_px
+):
+    _run_search_matches_the_whole_grid_search(case, eps_px)
+
+
+def _run_search_matches_the_whole_grid_search(case, eps_px):
     # On every step the run's search, which recomputes only what the step
     # changed, finds the crossings of whole-grid inland + find_crossings
     # bit for bit, fails as they fail, and logs the same events.
@@ -1601,6 +1617,16 @@ def _drain_to_one_ulp(k, state, window):
 
 
 def test_search_dry_column_matches_the_whole_grid_search(monkeypatch):
+    _search_dry_column_matches_the_whole_grid_search(monkeypatch)
+
+
+def test_search_dry_column_matches_the_whole_grid_search_on_the_numpy_path(
+    numpy_rates, monkeypatch
+):
+    _search_dry_column_matches_the_whole_grid_search(monkeypatch)
+
+
+def _search_dry_column_matches_the_whole_grid_search(monkeypatch):
     # On a bed at -2**40 one ulp of the surface is 2**-13: the step drains
     # the middle column to a thickness above h_min but below half an ulp,
     # so the search reads (w_new + b) - b = 0 there. The error matches that
@@ -1674,6 +1700,94 @@ def test_windowed_search_allocates_no_row_per_step(eps_px):
     assert domain.window_frame is not None
     _assert_same_arrays(arrays, _arrays_held(domain, window, search))
     assert max(peaks) < n, max(peaks)
+
+
+@st.composite
+def _search_calls(draw):
+    """Rows for one search and the calls to make on them: a bed row, the
+    threshold, and a list of (lo, hi, surface, velocity) whose first window
+    is [0, n) and whose every state differs from the one before only on
+    [lo, hi). Windows, never empty (as a run's), take every position, and
+    often reach within two nodes of either end. Drawn rows are random, so
+    p_x changes sign often; a share of the bed nodes and new cells holds
+    NaN, +-inf, a velocity whose p_x overflows, or a dry column (w <= 0).
+    """
+    n = draw(st.integers(8, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    specials = [np.nan, -np.nan, np.inf, -np.inf]
+
+    def planted(row, values, share=share):
+        at = rng.random(row.size) < share
+        row[at] = rng.choice(values, int(at.sum()))
+        return row
+
+    b = planted(-rng.uniform(0.5, 2.0, n), specials, share / 4)
+    surface, velocity = np.empty(n), np.empty(n)
+    calls = []
+    for k in range(draw(st.integers(1, 5))):
+        if k == 0:
+            lo, hi = 0, n
+        else:
+            lo = draw(st.one_of(st.integers(0, 2), st.integers(3, n - 1)))
+            end = st.integers(max(lo + 1, n - 2), n)
+            hi = draw(st.one_of(end, st.integers(lo + 1, max(lo + 1, n - 3))))
+            surface, velocity = surface.copy(), velocity.copy()
+        new_surface = planted(rng.uniform(-0.2, 0.2, hi - lo), [-3.0], share / 8)
+        surface[lo:hi] = planted(new_surface, specials, share / 2)
+        velocity[lo:hi] = planted(
+            rng.uniform(-1.0, 1.0, hi - lo), specials + [1.7e308, -1.7e308]
+        )
+        calls.append((lo, hi, surface, velocity))
+    return b, draw(st.sampled_from([None, 0.0, 1e-3, 0.5])), calls
+
+
+@settings(deadline=None, max_examples=300)
+@given(_search_calls())
+def test_compiled_search_matches_the_numpy_search(case):
+    # The compiled search and the numpy one (_refresh_inland, _mark_pairs
+    # and the scan of the marks) keep the same rows, threshold, crossings
+    # and errors, call after call. Of two NaN operands numpy returns
+    # either, so any NaN matches any NaN.
+    b, eps_px, calls = case
+    compiled_rates()
+    n = b.size
+    grid = Grid(-1.0, 0.1, n)
+    bathy = Linear(-1.0, 0.2)
+    # The search reads b, x and compiled_search of its domain.
+    search, reference = (
+        solver._Search(
+            bathy, grid, SimpleNamespace(b=b, x=grid.x, compiled_search=loop), eps_px
+        )
+        for loop in (_native.search, None)
+    )
+    assert search.compiled is not None and reference.compiled is None
+    for lo, hi, surface, velocity in calls:
+        state = FlowState(0.0, surface, velocity)
+        outcome = []
+        with np.errstate(all="ignore"):
+            for each in (search, reference):
+                try:
+                    outcome.append(each(state, lo, hi))
+                except (NearDryError, NumericBlowUpError) as exc:
+                    outcome.append(exc)
+        got, want = outcome
+        if isinstance(want, Exception):
+            assert _error_fields(got) == _error_fields(want)
+            return
+        (fields, points), (ref_fields, ref_points) = got, want
+        for row, ref_row in zip(
+            (fields.gamma, fields.p, fields.p_x),
+            (ref_fields.gamma, ref_fields.p, ref_fields.p_x),
+        ):
+            assert _same_bits_any_nan(row, ref_row)
+        if eps_px is None:
+            assert _same_bits_any_nan(search.rows.abs_p, reference.rows.abs_p)
+        assert np.array_equal(search.pairs, reference.pairs)
+        assert _point_bits(points) == _point_bits(ref_points)
+        assert np.isnan(fields.eps_px) == np.isnan(ref_fields.eps_px)
+        if not np.isnan(ref_fields.eps_px):
+            assert fields.eps_px.hex() == ref_fields.eps_px.hex()
 
 
 # The step fuses its checks. Checked one array at a time, in the order the
