@@ -1,13 +1,6 @@
-/* The two compiled loops of shoalwave: the first-order rates of one frame
- * of its finite-volume step, and the detector search after each step.
- *
- * first_order_rates computes, in one loop over the frame's interfaces,
- * what solver._rhs computes at first order once the ghost cells are
- * filled: the cell velocities m / w, the hydrostatic interface depths
- * max(w + offset, 0), the two-wave flux of solver._hll (an interface
- * whose two states are identical takes the left flux), the hydrostatic
- * corrections, the optional flux perturbation and the two flux
- * differences times -1/dx.
+/* The two compiled loops of shoalwave: the rest of a first-order step of
+ * its finite-volume scheme once dt is known, and the detector search after
+ * each step.
  *
  * Each operation takes the operands of the numpy code in its order, so
  * each loop gives the numpy code's bits, signed zeros included, with a
@@ -15,13 +8,9 @@
  * -ffp-contract=off, which keeps a * b + c from becoming one fused
  * multiply-add. Which NaN an add or a multiply of two NaNs returns is not
  * kept; numpy's own choice depends on where the pair falls in the array.
- *
- * w and m are the frame's size + 2 ghost-filled cells, from one ghost
- * cell before its first cell to one after its last; bed_left and
- * bed_right are the size + 1 interface offsets; rw and rm receive the
- * size rates.
  */
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 /* np.maximum and np.minimum: a NaN operand is returned (the first, when
@@ -31,9 +20,22 @@ static double maximum(double a, double b) { return (isnan(a) || a > b) ? a : b; 
 
 static double minimum(double a, double b) { return (isnan(a) || a < b) ? a : b; }
 
-void first_order_rates(const double *w, const double *m, const double *bed_left,
-                       const double *bed_right, double *rw, double *rm, long size,
-                       double rate_scale, int perturbed, double perturbation)
+/* The first-order rates of one frame, in one loop over its interfaces:
+ * what solver._rhs computes at first order once the ghost cells are
+ * filled. That is the cell velocities m / w, the hydrostatic interface
+ * depths max(w + offset, 0), the two-wave flux of solver._hll (an
+ * interface whose two states are identical takes the left flux), the
+ * hydrostatic corrections, the optional flux perturbation and the two
+ * flux differences times -1/dx.
+ *
+ * w and m are the frame's size + 2 ghost-filled cells, from one ghost
+ * cell before its first cell to one after its last; bed_left and
+ * bed_right are the size + 1 interface offsets; rw and rm receive the
+ * size rates.
+ */
+static void rates(const double *w, const double *m, const double *bed_left,
+                  const double *bed_right, double *rw, double *rm, long size,
+                  double rate_scale, int perturbed, double perturbation)
 {
     double ul = m[0] / w[0];
     double f0_before = 0.0, g_left_before = 0.0;
@@ -79,6 +81,137 @@ void first_order_rates(const double *w, const double *m, const double *bed_left,
         g_left_before = g_left;
         ul = ur;
     }
+}
+
+static int same_bits(double a, double b)
+{
+    uint64_t x, y;
+    memcpy(&x, &a, sizeof x);
+    memcpy(&y, &b, sizeof y);
+    return x == y;
+}
+
+/* The rows and constants of one frame of a first-order step, bound once
+ * per frame (solver._Frame's binding, _native.Frame). w_e and m_e are the
+ * frame's size + 4 cells from two before its first cell lo; bed_left and
+ * bed_right its size + 1 interface offsets; rw and rm its size rates;
+ * still its size marks; b the bed over its cells. ghost_fill says how
+ * the whole grid's ghosts are filled: 0 when they are filled already (an
+ * inflow's) or are real cells (a window's), else 1 transmissive, 2
+ * periodic and 3 reflective. moved receives a call's first and last
+ * moved cell.
+ */
+struct frame {
+    double *w_e, *m_e;
+    const double *bed_left, *bed_right;
+    double *rw, *rm;
+    unsigned char *still;
+    const double *b;
+    long lo, size;
+    double rate_scale;
+    int ghost_fill;
+    long moved[2];
+};
+
+/* What solver.step does at first order once it has written w = surface - b
+ * over the frame's reach (the cells of the whole grid, lo == 0, or all of
+ * a window's w_e), checked it and computed dt.
+ *
+ * surface and velocity are the new state's rows, n long: a copy of the
+ * old velocity, and of the old surface when track is set. The call writes
+ * m = w * u over the reach, fills the ghosts, computes the rates into rw
+ * and rm, and then w_new = w + dt * rw and m_new = m + dt * rm into them.
+ * It returns 1, having written no new state, when one of those is not
+ * finite, then 2 when a new depth (w_new + b) - b is below h_min.
+ * Otherwise it writes the frame's cells of surface = w_new + b and
+ * velocity = m_new / w_new, and returns 0.
+ *
+ * With track, moved receives the first and the last moved cell, or -1
+ * twice when none moved: a cell moved unless its rates were both +-0
+ * (marked in still) and its new surface and velocity have the old bits.
+ * A whole-grid step whose four end cells do not all have rates of +-0
+ * tracks no further, and gives 0 and n - 1.
+ */
+int first_order_step(struct frame *f, double *surface, double *velocity, double dt,
+                     double h_min, int perturbed, double perturbation, int track)
+{
+    double *w_e = f->w_e, *m_e = f->m_e, *rw = f->rw, *rm = f->rm;
+    const double *b = f->b;
+    long lo = f->lo, size = f->size;
+    long first = lo == 0 ? 2 : 0, end = lo == 0 ? size + 2 : size + 4;
+    for (long k = first; k < end; k++)
+        m_e[k] = w_e[k] * velocity[lo - 2 + k];
+    /* The ghosts of solver._ghost_copies; a reflective wall flips the sign
+     * of momentum's. */
+    for (int row = 0; f->ghost_fill && row < 2; row++) {
+        double *e = row ? m_e : w_e;
+        if (f->ghost_fill == 1) {
+            e[0] = e[1] = e[2];
+            e[size + 2] = e[size + 3] = e[size + 1];
+        } else if (f->ghost_fill == 2) {
+            e[0] = e[size];
+            e[1] = e[size + 1];
+            e[size + 2] = e[2];
+            e[size + 3] = e[3];
+        } else if (row == 0) {
+            e[0] = e[3];
+            e[1] = e[2];
+            e[size + 2] = e[size + 1];
+            e[size + 3] = e[size];
+        } else {
+            e[0] = -e[3];
+            e[1] = -e[2];
+            e[size + 2] = -e[size + 1];
+            e[size + 3] = -e[size];
+        }
+    }
+    rates(w_e + 1, m_e + 1, f->bed_left, f->bed_right, rw, rm, size, f->rate_scale,
+          perturbed, perturbation);
+
+    if (track && lo == 0) {
+        long ends[4] = {0, 1, size - 2, size - 1};
+        for (int k = 0; k < 4; k++)
+            if (!(rw[ends[k]] == 0.0 && rm[ends[k]] == 0.0))
+                track = 0;
+        if (!track) {
+            f->moved[0] = 0;
+            f->moved[1] = size - 1;
+        }
+    }
+    const double *w = w_e + 2, *m = m_e + 2;
+    int finite = 1, deep = 1;
+    for (long i = 0; i < size; i++) {
+        if (track)
+            f->still[i] = rw[i] == 0.0 && rm[i] == 0.0;
+        rw[i] = w[i] + dt * rw[i];
+        rm[i] = m[i] + dt * rm[i];
+        finite &= isfinite(rw[i]) && isfinite(rm[i]);
+        deep &= !((rw[i] + b[i]) - b[i] < h_min);
+    }
+    if (!finite)
+        return 1;
+    if (!deep)
+        return 2;
+
+    long first_moved = -1, last_moved = -1;
+    surface += lo;
+    velocity += lo;
+    for (long i = 0; i < size; i++) {
+        double s = rw[i] + b[i], v = rm[i] / rw[i];
+        int same = same_bits(s, surface[i]) && same_bits(v, velocity[i]);
+        if (track && !(f->still[i] && same)) {
+            if (first_moved < 0)
+                first_moved = lo + i;
+            last_moved = lo + i;
+        }
+        surface[i] = s;
+        velocity[i] = v;
+    }
+    if (track) {
+        f->moved[0] = first_moved;
+        f->moved[1] = last_moved;
+    }
+    return 0;
 }
 
 /* The detector search of one step (solver._Search): what

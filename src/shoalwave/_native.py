@@ -8,9 +8,9 @@ a hash of the source, the flags and the machine, so a machine compiles it
 once. The library is written under a temporary name and then moved into
 place, so a process never reads a half-written one. When the cache cannot
 be written, the library is compiled into a temporary directory of the
-process instead. The loaded functions are kept as `rates` (the
-first-order rates loop) and `search` (the detector search). With no
-compiler, or on any failure, both are None, and solver._rhs and
+process instead. The loaded functions are kept as `step` (the rest of a
+first-order step once dt is known) and `search` (the detector search).
+With no compiler, or on any failure, both are None, and solver.step and
 solver._Search run their numpy code, which gives the same bits.
 """
 
@@ -28,12 +28,30 @@ import tempfile
 from pathlib import Path
 
 # No -ffast-math: the loops must round as numpy does (see _kernel.c).
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# -fno-math-errno only lets sqrt skip setting errno for a negative operand,
+# so that it compiles to one instruction.
+FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared")
 
 SOURCE = Path(__file__).parent / "_kernel.c"
 
-rates = search = None
+step = search = None
 _loaded = False
+
+
+class Frame(ctypes.Structure):
+    """_kernel.c's struct frame: the rows and constants of one frame of a
+    first-order step, and the first and last cell that its last call
+    moved."""
+
+    _fields_ = [
+        *((name, ctypes.c_void_p) for name in ("w_e", "m_e", "bed_left", "bed_right")),
+        *((name, ctypes.c_void_p) for name in ("rw", "rm", "still", "b")),
+        ("lo", ctypes.c_long),
+        ("size", ctypes.c_long),
+        ("rate_scale", ctypes.c_double),
+        ("ghost_fill", ctypes.c_int),
+        ("moved", ctypes.c_long * 2),
+    ]
 
 
 def compiler() -> list[str]:
@@ -42,12 +60,12 @@ def compiler() -> list[str]:
 
 
 def load() -> None:
-    """Set rates and search on the first call: both loops, or both None."""
-    global rates, search, _loaded
+    """Set step and search on the first call: both loops, or both None."""
+    global step, search, _loaded
     if not _loaded:
         _loaded = True
         try:
-            rates, search = _load()
+            step, search = _load()
         except (
             OSError,  # no cache, compiler or library file
             subprocess.SubprocessError,  # the compiler failed or hung
@@ -55,7 +73,7 @@ def load() -> None:
             ValueError,  # a CC that shlex cannot split
             RuntimeError,  # no home directory
         ):
-            rates = search = None
+            step = search = None
 
 
 def _load():
@@ -99,16 +117,19 @@ def _compile(cc, source: bytes, path: Path):
 
 def _bind(path: Path):
     library = ctypes.CDLL(str(path))
-    rates, search = library.first_order_rates, library.inland_search
-    # w, m, bed_left, bed_right, rw, rm, size, rate_scale, perturbed,
-    # perturbation (see _kernel.c)
-    rates.argtypes = (ctypes.c_void_p,) * 6 + (
-        ctypes.c_long,
+    step, search = library.first_order_step, library.inland_search
+    # frame, surface, velocity, dt, h_min, perturbed, perturbation, track
+    # (see _kernel.c)
+    step.argtypes = (
+        ctypes.POINTER(Frame),
+        *(ctypes.POINTER(ctypes.c_double),) * 2,
+        ctypes.c_double,
         ctypes.c_double,
         ctypes.c_int,
         ctypes.c_double,
+        ctypes.c_int,
     )
-    rates.restype = None
+    step.restype = ctypes.c_int
     # surface, velocity, lo, hi, b, gamma, p, abs_p, p_x, pairs, nodes, n,
     # inv2, write_abs
     search.argtypes = (
@@ -118,4 +139,4 @@ def _bind(path: Path):
         + (ctypes.c_long, ctypes.c_double, ctypes.c_int)
     )
     search.restype = ctypes.c_long
-    return rates, search
+    return step, search

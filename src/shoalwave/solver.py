@@ -48,28 +48,31 @@ before the first step, and a step allocates only the state it returns.
 write_outputs() formats the static x and b columns once and writes each
 snapshot in one formatting pass.
 
-A first-order step's rates come from one compiled loop (_kernel.c), which
-does per interface what the numpy kernel does over whole rows, with the
-same operands in the same order: one ctypes call per step on the
-addresses its frame bound once. The detector search is the library's
-other loop, one call per step at either order (see _Search). The first
-prepare() in a process builds or loads both (see _native). Where it
-cannot, the numpy kernel (_rhs, _hll) computes the rates, as it always
-does at second order, and the search runs its numpy code, each with the
-same bits; they are also the tests' references for the loops.
+Once a first-order step has its dt, one compiled call (_kernel.c) does
+the rest of it: m = w * u, the ghost cells, the rates interface by
+interface, the update, its checks, the new state and the active window's
+first and last moved cell, each with the numpy code's operands in its
+order, on the rows that its frame bound once (see _compiled_step). The
+detector search is the library's other loop, one call per step at either
+order (see _Search). The first prepare() in a process builds or loads
+both (see _native). Where it cannot, the step and the search run their
+numpy code (the step's through _rhs and _hll, as at second order) with
+the same bits; that code is also the tests' reference for the loops.
 
 The time step is cfl * dx / max(|u| + sqrt(w)); runs abort with
 NearDryError when any column drops below h_min and NumericBlowUpError on
 non-finite values. Each step checks its starting w against h_min, and its
 starting w and u for non-finite values only when that maximum is not
 finite, which a non-finite w or u makes it. After the update it checks the
-new w and m for non-finite values only when one sum over both is not
-finite, then the new w against h_min. The run's detector search checks
-each state it reads for a dry column. So each check raises what checking
-every array in turn would, with the same node, t and depth. A step
-computes w and sqrt(w) from the state it is given, whatever the search
-read before. After a rush event the integration keeps going by default
-and the run is flagged post-singular.
+new w and m for non-finite values (the numpy code only when one sum over
+both is not finite), then the new depth against h_min. That depth is the
+new surface less the bed, (w_new + b) - b, as every later reader of the
+state takes it, not w_new, which it can round below h_min on a high bed.
+The run's detector search checks each state it reads for a dry column.
+So each check raises what checking every array in turn would, with the
+same node, t and depth. A step computes w and sqrt(w) from the state it
+is given, whatever the search read before. After a rush event the
+integration keeps going by default and the run is flagged post-singular.
 """
 
 from __future__ import annotations
@@ -196,10 +199,13 @@ class Domain:
     br - max(bl, br) of the hydrostatic reconstruction (Audusse et al.,
     SIAM J. Sci. Comput. 25, 2004), which depend on the bed alone.
     rate_scale is -1/dx, the factor of every rate, as a 0-d array. These
-    arrays are read-only. compiled_rates is the compiled first-order rates
-    loop (see _native and _rhs), or None at second order or when it cannot
-    be built or loaded; compiled_search is the compiled detector search
-    (see _Search) at either order, or None when it cannot.
+    arrays are read-only. compiled_step is the compiled rest of a
+    first-order step (see _native and _compiled_step), or None at second
+    order or when it cannot be built or loaded; compiled_search is the
+    compiled detector search (see _Search) at either order, or None when it
+    cannot. With compiled_step, addresses holds the addresses of the rows
+    that the frames' step bindings point into, and state_row is the ctypes
+    type of a state row.
 
     The other arrays are scratch that every step overwrites, so a domain
     serves one run at a time. ghosts holds the step's thickness and
@@ -242,7 +248,7 @@ class Domain:
         from . import _native
 
         _native.load()
-        self.compiled_rates = None if config.second_order else _native.rates
+        self.compiled_step = None if config.second_order else _native.step
         self.compiled_search = _native.search
         static = (x, b, b_e, self.bed_left, self.bed_right, self.rate_scale)
         for arr in (*static, *self.ghost_x):
@@ -254,6 +260,18 @@ class Domain:
         self.rates = np.empty((2, n))
         self.hll = np.empty((11, n + 1))
         self.hll_masks = np.empty((3, n + 1), bool)
+        if self.compiled_step is not None:
+            # ndarray.ctypes.data costs 1-2 us a call, so each frame's binding
+            # (see _Frame) adds offsets to these.
+            rows = (self.ghosts, self.bed_left, self.bed_right, self.rates)
+            self.addresses = [row.ctypes.data for row in (*rows, self.hll_masks, b)]
+            # How the call fills the whole grid's ghost cells: 0 when
+            # _fill_ghosts has filled them from the inflow, else the number
+            # of the boundary kind (see _kernel.c).
+            self.ghost_fill = 0
+            if config.inflow is None:
+                self.ghost_fill = 1 + BOUNDARY_KINDS.index(config.boundary)
+            self.state_row = ctypes.c_double * n
         self.whole = _Frame(self, self.ghosts, 0, n)
         self.window_frame = None
         if config.second_order:
@@ -314,9 +332,12 @@ class _Frame:
     new w and m at the end of a step), the wave speeds over the cells, the
     bed over the reach and over the cells, and still and same, the first
     two of _hll's bool rows over the cells, where _ActiveWindow marks the
-    still cells once _hll is done with them. With the compiled rates
-    loop, rate_args holds the addresses of the rows it reads and writes,
-    its size and rate_scale, bound once, since the rows never move.
+    still cells once _hll is done with them. With the compiled step,
+    binding holds what its call reads of the frame, bound once, since the
+    rows never move: the addresses of w_e, m_e, the bed offsets, the rates,
+    still and the bed over the cells, lo, the size, rate_scale and how the
+    call fills the ghost cells; the call writes the first and last moved
+    cell there (see _kernel.c and _native.Frame). It is None otherwise.
     prepare() binds the whole grid's frame, and a second-order domain's
     stage frame, once; Domain.frame binds a window's and keeps it while its
     bounds hold.
@@ -357,13 +378,28 @@ class _Frame:
         self.rates = domain.rates[:, :size]
         self.rw, self.rm = self.rates
         self.speed = domain.speed[self.cells]
-        if domain.compiled_rates is not None:
-            rows = (center_w, self.center_m, self.bed_left, self.bed_right, *self.rates)
-            self.rate_args = (
-                *(ctypes.c_void_p(row.ctypes.data) for row in rows),
-                ctypes.c_long(size),
-                ctypes.c_double(float(domain.rate_scale)),
+        self.binding = None
+        if domain.compiled_step is not None:
+            ghosts, bed_left, bed_right, rates, masks, b = domain.addresses
+            # Each frame's cells start at column lo of the float64 rows of
+            # the ghosts, bed offsets and bed, and at column 0 of the rates
+            # and of still.
+            item = domain.b.itemsize
+            starts = (
+                ghosts + lo * item,
+                ghosts + block.strides[0] + lo * item,
+                bed_left + lo * item,
+                bed_right + lo * item,
+                rates,
+                rates + domain.rates.strides[0],
+                masks,
+                b + lo * item,
             )
+            # A window's ghosts are real cells.
+            fill = domain.ghost_fill if whole else 0
+            from ._native import Frame
+
+            self.binding = Frame(*starts, lo, size, float(domain.rate_scale), fill)
 
 
 def _fill_ghosts(frame: _Frame, domain: Domain, config: SolverConfig, t: float):
@@ -375,7 +411,13 @@ def _fill_ghosts(frame: _Frame, domain: Domain, config: SolverConfig, t: float):
         ghosts[...] = cells  # a slice copy, for less than np.copyto
     for ghosts in frame.ghost_flips:
         np.negative(ghosts, out=ghosts)
-    if config.inflow is not None:
+    _fill_inflow(frame, domain, config, t)
+
+
+def _fill_inflow(frame: _Frame, domain: Domain, config: SolverConfig, t: float):
+    """Overwrite the ghost cells of a whole-grid frame with the inflow at
+    time t, when there is one; a window's ghosts are real cells."""
+    if config.inflow is not None and frame.ghost_copies is not None:
         for sl, xg in zip((slice(0, 2), slice(-2, None)), domain.ghost_x):
             w_g, u_g = config.inflow(t, xg)
             frame.w_e[sl] = w_g
@@ -476,22 +518,15 @@ def _rhs(frame: _Frame, domain: Domain, grid: Grid, config: SolverConfig, t: flo
 
     The frame's cells hold w and m (see _Frame); a window must keep two
     cells to each side. Returns the frame's rate rows (rw, rm). At first
-    order, the domain's compiled loop computes them when it has one, in one
-    call after the ghost cells are filled, with the bits of the numpy code
-    below (see _kernel.c); that code is the reference, and the path of
-    second order and of a machine that cannot build the loop. Every
+    order this is the reference for the compiled step's rates loop (see
+    _kernel.c), and the path of a machine that cannot build it. Every
     temporary lives in the frame's views and, at second order, in the
     domain's reconstruction block, all allocated at the whole grid's
-    length, so windows of any size share them. Each line
-    computes what its comment says, with the same operands in the same
-    order as the plain expression.
+    length, so windows of any size share them. Each line computes what its
+    comment says, with the same operands in the same order as the plain
+    expression.
     """
     _fill_ghosts(frame, domain, config, t)
-    compiled = domain.compiled_rates
-    if compiled is not None:
-        perturbation = config.flux_perturbation
-        compiled(*frame.rate_args, perturbation != 0.0, perturbation * grid.dx * 0.5)
-        return frame.rw, frame.rm
     n = grid.n
     wls, wrs, g_right, tmp = frame.wls, frame.wrs, frame.g_right, frame.tmp
 
@@ -625,10 +660,10 @@ class _ActiveWindow:
     A step computes the window's frame, which may be wider (see
     Domain.frame). Every cell between the window and the frame is a fixed
     cell with fixed neighbours, so it steps to the same bits and its rates
-    are +-0; so note_rates and advance, which read the frame's cells, find
-    the same first and last moved cell as over the window alone.
-    note_rates marks the still cells in the frame's still row, which
-    advance then reads.
+    are +-0; so the frame's cells give the same first and last moved cell
+    as the window's alone. The compiled step finds them in its call (see
+    _kernel.c); the numpy step's note_rates marks the still cells in the
+    frame's still row, which advance then reads. Both hand them to follow.
     """
 
     def __init__(self, grid: Grid, config: SolverConfig):
@@ -667,11 +702,19 @@ class _ActiveWindow:
                 before[cells].view(np.int64), after[cells].view(np.int64), out=same
             )
         first = int(still.argmin())  # argmin of a bool array: the first False
-        if still[first]:  # nothing moved, so any window is safe: take one cell
-            lo, hi = 2, 3
+        if still[first]:
+            self.follow(-1, -1)
         else:
             last = still.size - 1 - int(still[::-1].argmin())
-            lo, hi = frame.lo + first - 1, frame.lo + last + 2
+            self.follow(frame.lo + first, frame.lo + last)
+
+    def follow(self, first: int, last: int):
+        """Take the next window from the first and last moved cell, both -1
+        when none moved."""
+        if first < 0:  # nothing moved, so any window is safe: take one cell
+            lo, hi = 2, 3
+        else:
+            lo, hi = first - 1, last + 2
         if lo < 2 or hi > self.n - 2:
             self._close()
         else:
@@ -707,11 +750,18 @@ def step(
     were written. The window then moves on from the rates and new state of
     the frame's cells.
 
+    Once dt is known, a first-order step with the domain's compiled step
+    does the rest in one call (see _compiled_step); the numpy code below is
+    its reference, and the path of second order.
+
     The checks raise what checking each array in turn would: the starting
     w for h_min, then (only when the fastest wave speed is not finite,
     which a non-finite w or u makes it) w and u for non-finite values;
     after the update (only when one sum over the new w and m is not
-    finite) each of them for non-finite values, then the new w for h_min.
+    finite) each of them for non-finite values, then the new depth for
+    h_min. That depth is (w_new + b) - b, the new surface less the bed, as
+    every reader of the returned state takes it, not w_new: near a high bed
+    the surface can round a column above h_min down to below it.
     """
     if domain is None:
         domain = prepare(bathy, grid, config)
@@ -737,6 +787,8 @@ def step(
     dt = config.cfl * grid.dx / fastest
     if dt_max is not None:
         dt = min(dt, float(dt_max))
+    if frame.binding is not None:
+        return _compiled_step(state, frame, domain, grid, config, dt, _window)
     np.multiply(frame.w_reach, velocity, out=frame.m_reach)
 
     if config.second_order:
@@ -764,19 +816,76 @@ def step(
     t_new = t + dt
     # w_new and m_new are the rows of frame.rates (see _rhs).
     _require_finite_rows(frame.rates, t_new, ("thickness", "momentum"), lo)
-    require_wet(w_new, t_new, BELOW_H_MIN, h_min, first_node=lo)
-    # gamma_surface = w_new + b; velocity = m_new / w_new, over the frame's
-    # cells of a copy of the old state
+    # gamma_surface = w_new + b, checked for h_min; velocity = m_new / w_new,
+    # over the frame's cells of a copy of the old state
     if whole:
-        gamma_surface, velocity = np.add(w_new, frame.b_cells), np.divide(m_new, w_new)
+        gamma_surface = np.add(w_new, frame.b_cells)
+        _require_deep(frame, gamma_surface, t_new, h_min)
+        velocity = np.divide(m_new, w_new)
     else:
         cells = frame.cells
         gamma_surface = state.gamma_surface.copy()
-        velocity = state.velocity.copy()
         np.add(w_new, frame.b_cells, out=gamma_surface[cells])
+        _require_deep(frame, gamma_surface[cells], t_new, h_min)
+        velocity = state.velocity.copy()
         np.divide(m_new, w_new, out=velocity[cells])
     if _window is not None:
         _window.advance(frame, state, gamma_surface, velocity)
+    return FlowState(t_new, gamma_surface, velocity)
+
+
+def _require_deep(frame: _Frame, surface, t: float, h_min: float):
+    """require_wet for h_min on the depth surface - b of the frame's cells,
+    written into the frame's w row, which the step no longer reads."""
+    depth = np.subtract(surface, frame.b_cells, out=frame.w)
+    require_wet(depth, t, BELOW_H_MIN, h_min, first_node=frame.lo)
+
+
+def _compiled_step(
+    state: FlowState,
+    frame: _Frame,
+    domain: Domain,
+    grid: Grid,
+    config: SolverConfig,
+    dt: float,
+    window: _ActiveWindow | None,
+) -> FlowState:
+    """The rest of a first-order step once dt is known, in one call of the
+    domain's compiled step (see _kernel.c): m = w * u, the ghost cells,
+    the rates, the update, its checks, the new state and, for an open
+    window, its first and last moved cell, which the window then follows.
+
+    The call reads u from the new velocity row, a copy of the old one, and,
+    when it tracks the window, each cell's old surface from the new surface
+    row, a copy too; a whole-grid step's surface row is new otherwise. When
+    a new w or m is not finite, or a new depth is below h_min, the call
+    returns before it writes the new state, and the numpy checks then raise
+    its error from the rows it left.
+    """
+    track = window is not None and window.open
+    gamma_surface = state.gamma_surface.copy() if track else np.empty(domain.n)
+    velocity = state.velocity.copy()
+    t_new = state.t + dt
+    _fill_inflow(frame, domain, config, state.t)
+    perturbation = config.flux_perturbation
+    row = domain.state_row
+    failed = domain.compiled_step(
+        frame.binding,
+        row.from_buffer(gamma_surface),
+        row.from_buffer(velocity),
+        dt,
+        config.h_min,
+        perturbation != 0.0,
+        perturbation * grid.dx * 0.5,
+        track,
+    )
+    if failed:
+        _require_finite_rows(frame.rates, t_new, ("thickness", "momentum"), frame.lo)
+        surface = np.add(frame.rw, frame.b_cells, out=frame.w)
+        _require_deep(frame, surface, t_new, config.h_min)
+        raise AssertionError("the compiled step failed a check that numpy passes")
+    if track:
+        window.follow(*frame.binding.moved)
     return FlowState(t_new, gamma_surface, velocity)
 
 

@@ -43,25 +43,24 @@ def build_crossing(
     return grid, FlowState(0.0, surface, velocity), bathy
 
 
-def compiled_rates():
-    """The compiled first-order rates loop, once both compiled loops have
-    loaded. Skips the test on a machine with no C compiler on PATH, and
-    fails it when there is one but either loop did not load."""
+def compiled_loops():
+    """Loads both compiled loops, the step and the search. Skips the test on
+    a machine with no C compiler on PATH, and fails it when there is one
+    but either loop did not load."""
     _native.load()
-    if _native.rates is None or _native.search is None:
+    if _native.step is None or _native.search is None:
         if shutil.which(_native.compiler()[0]) is None:
             pytest.skip("no C compiler on PATH")
         pytest.fail("a C compiler is on PATH, but the compiled loops did not load")
-    return _native.rates
 
 
 @pytest.fixture
-def numpy_rates(monkeypatch):
-    """Computes first-order rates with the numpy kernel, and searches with
-    the numpy search, in every domain and search made during the test, by
-    setting both loaded loops to None."""
+def numpy_loops(monkeypatch):
+    """Steps with the numpy step, and searches with the numpy search, in
+    every domain and search made during the test, by setting both loaded
+    loops to None."""
     _native.load()
-    monkeypatch.setattr(_native, "rates", None)
+    monkeypatch.setattr(_native, "step", None)
     monkeypatch.setattr(_native, "search", None)
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from shoalwave import _native, cli, solver
 
-from conftest import compiled_rates
+from conftest import compiled_loops
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -27,7 +27,7 @@ def cache(monkeypatch, tmp_path):
     """A loader that has not run in this process, with its cache directory
     ($XDG_CACHE_HOME) at tmp_path/cache, which does not exist yet."""
     monkeypatch.setattr(_native, "_loaded", False)
-    monkeypatch.setattr(_native, "rates", None)
+    monkeypatch.setattr(_native, "step", None)
     monkeypatch.setattr(_native, "search", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     return tmp_path / "cache"
@@ -70,7 +70,7 @@ def test_without_a_compiler_a_run_takes_the_numpy_kernel(cache, monkeypatch, tmp
             cfg.build_solver_config(),
             cfg.build_detector_config(),
         )
-    assert _native._loaded and _native.rates is None and _native.search is None
+    assert _native._loaded and _native.step is None and _native.search is None
     out = tmp_path / "out"
     solver.write_outputs(result, bathy, grid, out, "shoaling_pulse")
     names = ["events.jsonl"] + [p.name for p in out.glob("snap_*.csv")]
@@ -81,7 +81,7 @@ def test_without_a_compiler_a_run_takes_the_numpy_kernel(cache, monkeypatch, tmp
 
 
 def test_the_loop_is_compiled_once_and_then_read_from_the_cache(cache, monkeypatch):
-    compiled_rates()
+    compiled_loops()
     files = [p for p in cache.rglob("*") if p.is_file()]
     assert len(files) == 1 and files[0].parent == cache / "shoalwave"
     assert files[0].name.startswith("kernel-") and files[0].suffix == ".so"
@@ -92,7 +92,7 @@ def test_the_loop_is_compiled_once_and_then_read_from_the_cache(cache, monkeypat
     monkeypatch.setattr(subprocess, "run", no_compiler)
     monkeypatch.setattr(_native, "_loaded", False)
     _native.load()
-    assert _native.rates is not None and _native.search is not None
+    assert _native.step is not None and _native.search is not None
 
 
 def test_an_unwritable_cache_compiles_into_a_temporary_directory(
@@ -103,7 +103,7 @@ def test_an_unwritable_cache_compiles_into_a_temporary_directory(
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
     cache.write_text("a file where the cache directory would be")
-    compiled_rates()
+    compiled_loops()
     assert cache.read_text() == "a file where the cache directory would be"
     assert list(temp.iterdir()) == []
 
@@ -111,7 +111,7 @@ def test_an_unwritable_cache_compiles_into_a_temporary_directory(
 def test_a_failing_compiler_leaves_no_file_behind(cache, monkeypatch):
     _set_compiler(monkeypatch, "{} -c 'raise SystemExit(1)'".format(sys.executable))
     _native.load()
-    assert _native.rates is None and _native.search is None
+    assert _native.step is None and _native.search is None
     assert [p.name for p in cache.rglob("*")] == ["shoalwave"]
 
 
@@ -125,30 +125,30 @@ def _bundled_shelf():
 
 
 def test_a_library_without_the_search_binds_neither_loop(cache, monkeypatch, tmp_path):
-    # A library built from the rates loop alone has no inland_search, so
+    # A library built from the step loop alone has no inland_search, so
     # load() binds neither loop, and a run's domain and search take the
-    # numpy kernel and the numpy search.
+    # numpy step and the numpy search.
     if shutil.which(_native.compiler()[0]) is None:
         pytest.skip("no C compiler on PATH")
     source = _native.SOURCE.read_text()
-    rates_only = tmp_path / "_kernel.c"
-    rates_only.write_text(source[: source.index("/* The detector search")])
-    monkeypatch.setattr(_native, "SOURCE", rates_only)
+    step_only = tmp_path / "_kernel.c"
+    step_only.write_text(source[: source.index("/* The detector search")])
+    monkeypatch.setattr(_native, "SOURCE", step_only)
     _native.load()
-    assert _native.rates is None and _native.search is None
+    assert _native.step is None and _native.search is None
     (library,) = cache.rglob("kernel-*.so")
-    assert ctypes.CDLL(str(library)).first_order_rates is not None
+    assert ctypes.CDLL(str(library)).first_order_step is not None
     cfg, grid, bathy, _ = _bundled_shelf()
     domain = solver.prepare(bathy, grid, cfg.build_solver_config())
-    assert domain.compiled_rates is None
+    assert domain.compiled_step is None
     assert solver._Search(bathy, grid, domain, None).compiled is None
 
 
 def test_a_second_order_run_searches_as_the_numpy_search_does(monkeypatch):
-    # Second order steps with the numpy kernel but searches with the
+    # Second order steps with the numpy step but searches with the
     # compiled search, which logs the events and snapshots of the numpy
     # search bit for bit.
-    compiled_rates()
+    compiled_loops()
     cfg, grid, bathy, initial = _bundled_shelf()
     config = cfg.build_solver_config()
     config.second_order, config.t_end, config.snapshot_interval = True, 2.0, 0.5
@@ -165,7 +165,7 @@ def test_a_second_order_run_searches_as_the_numpy_search_does(monkeypatch):
     monkeypatch.setattr(_native, "search", None)
     results.append(solver.run(initial, bathy, grid, config, det_cfg))
     assert [search.compiled is not None for search in searches] == [True, False]
-    assert solver.prepare(bathy, grid, config).compiled_rates is None
+    assert solver.prepare(bathy, grid, config).compiled_step is None
     got, want = (
         (
             [json.dumps(ev.to_record(), sort_keys=True) for ev in result.events],
@@ -177,3 +177,17 @@ def test_a_second_order_run_searches_as_the_numpy_search_does(monkeypatch):
         for result in results
     )
     assert got[0] and got == want
+
+
+def test_the_loops_compile_without_a_warning(tmp_path):
+    # The loader's flags with every common warning made an error.
+    cc = _native.compiler()
+    if shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler on PATH")
+    built = subprocess.run(
+        [*cc, *_native.FLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c"]
+        + [str(_native.SOURCE), "-o", str(tmp_path / "kernel.so"), "-lm"],
+        capture_output=True,
+        text=True,
+    )
+    assert built.returncode == 0, built.stderr

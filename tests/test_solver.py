@@ -16,7 +16,7 @@ from shoalwave.bathymetry import Flat, Linear, Sampled, TanhSafe
 from shoalwave.errors import NearDryError, NumericBlowUpError
 from shoalwave.fields import FlowState, Grid, load_state
 
-from conftest import build_crossing, compiled_rates, run_recording_rushes
+from conftest import build_crossing, compiled_loops, run_recording_rushes
 
 DATA = Path(__file__).parent / "data"
 
@@ -523,14 +523,14 @@ def test_step_matches_reference_kernel(case, steps):
     _step_matches_reference_kernel(case, steps)
 
 
-# numpy_rates sets the path once for the whole test, and every example
+# numpy_loops sets the path once for the whole test, and every example
 # prepares its own domain, so no example leaves state behind.
 _NUMPY_PATH = dict(suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 @settings(deadline=None, max_examples=200, **_NUMPY_PATH)
 @given(_kernel_cases(), st.integers(1, 4))
-def test_step_matches_reference_kernel_on_the_numpy_path(numpy_rates, case, steps):
+def test_step_matches_reference_kernel_on_the_numpy_path(numpy_loops, case, steps):
     _step_matches_reference_kernel(case, steps)
 
 
@@ -611,9 +611,10 @@ class _SignedZeroBed:
 
 @st.composite
 def _rate_frames(draw):
-    """A prepared first-order domain whose ghost block holds drawn cells, and
-    one of its frames: the whole grid, or a window [lo, hi) of 2 <= lo and
-    hi <= n - 2, whose ghosts are real cells.
+    """A grid, its bed and config, a prepared first-order domain whose ghost
+    block holds drawn cells, one of its frames and a time. The frame is the
+    whole grid, or a window [lo, hi) of 2 <= lo and hi <= n - 2, whose
+    ghosts are real cells.
 
     Most cells are wet, with velocities up to three times the wave speed
     either way, or still; the others are thin or +-0 columns, +-0 momenta,
@@ -674,20 +675,114 @@ def _rate_frames(draw):
     else:
         lo = draw(st.integers(2, n - 3))
         frame = solver._Frame(domain, domain.ghosts, lo, draw(st.integers(lo + 1, n - 2)))
-    return grid, config, domain, frame, draw(st.floats(0.0, 10.0))
+    return grid, bathy, config, domain, frame, draw(st.floats(0.0, 10.0))
+
+
+def _strided(row):
+    """A copy of row that is every other value of a row twice as long."""
+    out = np.empty(2 * row.size)[::2]
+    out[...] = row
+    return out
 
 
 @settings(deadline=None, max_examples=400)
-@given(_rate_frames())
-def test_compiled_rates_match_the_numpy_kernel(case):
-    grid, config, domain, frame, t = case
-    assert domain.compiled_rates is compiled_rates()
+@given(
+    _rate_frames(),
+    st.booleans(),
+    st.sampled_from(["contiguous", "read-only", "strided"]),
+    st.sampled_from([1e-6, 1e-12, 5e-324]),
+)
+def test_compiled_step_matches_the_numpy_step(case, tracked, layout, h_min):
+    # One step from the drawn cells, by the compiled step and by the numpy
+    # step: a direct call over the whole grid, or a step of a run's open
+    # window, over the whole grid (a run's first step) or the frame's
+    # window, from state rows that may be read-only or strided. Both
+    # return the same bits, leave their windows with the same lo, hi and
+    # open state, or fail with the same error.
+    grid, bathy, config, domain, frame, t = case
+    compiled_loops()
+    config.h_min = h_min
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "step", None)
+        reference = solver.prepare(bathy, grid, config)
+    assert domain.compiled_step is not None and reference.compiled_step is None
+    b = domain.b
     with np.errstate(all="ignore"):
-        got = [rates.copy() for rates in solver._rhs(frame, domain, grid, config, t)]
-        domain.compiled_rates = None
-        want = solver._rhs(frame, domain, grid, config, t)
-    assert _same_bits_any_nan(got[0], want[0])
-    assert _same_bits_any_nan(got[1], want[1])
+        w, m = domain.ghosts[:, 2:-2]
+        rows = [w + b, m / w]
+        # What the earlier steps of a run leave outside the window
+        speed = np.abs(rows[1]) + np.sqrt(rows[0] - b)
+    if layout == "strided":
+        rows = [_strided(row) for row in rows]
+    for row in rows:
+        row.setflags(write=layout != "read-only")
+    state = FlowState(t, *rows)
+    outcomes = []
+    for each in (domain, reference):
+        window = None
+        if tracked or frame is not domain.whole:
+            window = solver._ActiveWindow(grid, config)
+            window.lo, window.hi, window.open = frame.lo, frame.hi, True
+        each.speed[:] = speed
+        try:
+            with np.errstate(all="ignore"):
+                new = solver.step(
+                    state, bathy, grid, config, domain=each, _window=window
+                )
+        except (NearDryError, NumericBlowUpError) as exc:
+            outcomes.append(_error_fields(exc))
+        else:
+            opened = None if window is None else (window.lo, window.hi, window.open)
+            outcomes.append((new, opened))
+    got, want = outcomes
+    if len(want) != 2:
+        # Compared as text, which a t of NaN (a NaN dt) also matches.
+        assert list(map(repr, got)) == list(map(repr, want))
+        return
+    assert len(got) == 2
+    (new, opened), (ref, ref_opened) = got, want
+    assert new.t == ref.t
+    assert _same_bits(new.gamma_surface, ref.gamma_surface)
+    assert _same_bits(new.velocity, ref.velocity)
+    assert opened == ref_opened
+
+
+@pytest.mark.parametrize("case", ["rates", "bits"])
+def test_a_cell_moves_the_window_by_its_rates_or_by_its_bits(case):
+    # A cell moved unless its rates are both +-0 and its new surface and
+    # velocity keep their bits. "rates": a one-ulp bump in a uniform flow,
+    # stepped at a small cfl, has rates whose update rounds away, so no bit
+    # changes, yet the window follows the bump. "bits": a uniform flow has
+    # rates of +-0 everywhere, but m / w rounds u = 0.1 to another value in
+    # every cell, so the whole-grid first step moves its ends and closes
+    # the window. The compiled step and the numpy step agree.
+    compiled_loops()
+    n = 100
+    grid = Grid(0.0, 0.1, n)
+    bump = case == "rates"
+    bathy, u, cfl = (Flat(-1.0), 0.5, 0.01) if bump else (Flat(-3.0), 0.1, 0.9)
+    surface = np.zeros(n)
+    surface[50] = 2.0**-52 if bump else 0.0
+    state = FlowState(0.0, surface, np.full(n, u))
+    config = solver.SolverConfig(t_end=1.0, cfl=cfl, boundary="periodic")
+    windows = []
+    for numpy_path in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if numpy_path:
+                mp.setattr(_native, "step", None)
+            domain = solver.prepare(bathy, grid, config)
+        assert (domain.compiled_step is None) == numpy_path
+        window = solver._ActiveWindow(grid, config)
+        new = solver.step(state, bathy, grid, config, domain=domain, _window=window)
+        windows.append((window.lo, window.hi, window.open))
+        assert _same_bits(new.gamma_surface, state.gamma_surface)
+        assert _same_bits(new.velocity, state.velocity) == bump
+    assert windows[0] == windows[1]
+    lo, hi, opened = windows[0]
+    if bump:
+        assert opened and lo <= 50 < hi and hi - lo < 10
+    else:
+        assert (lo, hi, opened) == (0, n, False)
 
 
 def test_nan_state_blows_up_unless_a_column_is_dry(inland_setup):
@@ -701,6 +796,27 @@ def test_nan_state_blows_up_unless_a_column_is_dry(inland_setup):
     with pytest.raises(NearDryError) as info:
         solver.step(FlowState(0.0, surface, state.velocity), bathy, grid, config)
     assert info.value.node == 50
+
+
+def test_a_momentum_flux_that_overflows_alone_blows_up_the_step():
+    _a_momentum_flux_that_overflows_alone_blows_up_the_step()
+
+
+def test_a_momentum_flux_that_overflows_alone_blows_up_the_step_on_the_numpy_path(
+    numpy_loops,
+):
+    _a_momentum_flux_that_overflows_alone_blows_up_the_step()
+
+
+def _a_momentum_flux_that_overflows_alone_blows_up_the_step():
+    # A lake at rest 1e155 deep: each interface's two states are the same,
+    # so its mass flux is 0 while its momentum flux 0.5 * w * w overflows.
+    # The new w stays finite and only the new m is not.
+    grid = Grid(0.0, 0.1, 40)
+    state = FlowState(0.0, np.full(grid.n, 1e155), np.zeros(grid.n))
+    with np.errstate(all="ignore"), pytest.raises(NumericBlowUpError) as info:
+        solver.step(state, Flat(-1.0), grid, solver.SolverConfig(t_end=1.0))
+    assert str(info.value).startswith("non-finite momentum at node 0 ")
 
 
 # The run objects that hold arrays, directly or through their frames and rows.
@@ -774,6 +890,16 @@ def test_step_returns_arrays_outside_the_domain(
 
 
 def test_first_order_step_allocates_only_the_state_it_returns():
+    _first_order_step_allocates_only_the_state_it_returns()
+
+
+def test_first_order_step_allocates_only_the_state_it_returns_on_the_numpy_path(
+    numpy_loops,
+):
+    _first_order_step_allocates_only_the_state_it_returns()
+
+
+def _first_order_step_allocates_only_the_state_it_returns():
     # ocean_transit's size: a flat bed, n=12000, periodic.
     n = 12000
     grid = Grid(0.0, 0.01, n)
@@ -793,6 +919,16 @@ def test_first_order_step_allocates_only_the_state_it_returns():
 
 
 def test_whole_grid_step_takes_no_new_block_and_allocates_only_its_result():
+    _whole_grid_step_takes_no_new_block_and_allocates_only_its_result()
+
+
+def test_whole_grid_step_takes_no_new_block_and_allocates_only_its_result_on_the_numpy_path(
+    numpy_loops,
+):
+    _whole_grid_step_takes_no_new_block_and_allocates_only_its_result()
+
+
+def _whole_grid_step_takes_no_new_block_and_allocates_only_its_result():
     # A still sea with a pulse in its middle, stepped over the whole grid
     # after a first step: the step keeps every array of the domain and
     # allocates only the state it returns.
@@ -1033,31 +1169,25 @@ detector: {}
 """
 
 
-def test_still_sea_run_writes_the_frozen_bytes(tmp_path, capsys, monkeypatch):
-    _still_sea_run_writes_the_frozen_bytes(tmp_path, capsys, monkeypatch)
+def test_still_sea_run_writes_the_frozen_bytes(tmp_path, capsys):
+    _still_sea_run_writes_the_frozen_bytes(tmp_path, capsys)
 
 
 def test_still_sea_run_writes_the_frozen_bytes_on_the_numpy_path(
-    numpy_rates, tmp_path, capsys, monkeypatch
+    numpy_loops, tmp_path, capsys
 ):
-    _still_sea_run_writes_the_frozen_bytes(tmp_path, capsys, monkeypatch)
+    _still_sea_run_writes_the_frozen_bytes(tmp_path, capsys)
 
 
-def _still_sea_run_writes_the_frozen_bytes(tmp_path, capsys, monkeypatch):
+def _still_sea_run_writes_the_frozen_bytes(tmp_path, capsys):
     # Only the first step of the run computes every cell; the others
-    # compute the active window's frame.
-    sizes = []
-    rhs = solver._rhs
-
-    def sized_rhs(frame, *args, **kwargs):
-        sizes.append(frame.hi - frame.lo)
-        return rhs(frame, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "_rhs", sized_rhs)
+    # compute the frame of a narrower active window.
     cfg = tmp_path / "still_sea.cfg"
     cfg.write_text(STILL_SEA)
-    assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+    with _StepLog() as log:
+        assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
+    sizes = [hi - lo for lo, hi in log.windows]
     cells = 2000
     assert sizes[0] == cells
     assert len(sizes) > 100
@@ -1188,7 +1318,7 @@ def test_run_with_its_window_matches_whole_grid_steps(case):
 @settings(deadline=None, max_examples=80, **_NUMPY_PATH)
 @given(_disturbed_lakes())
 def test_run_with_its_window_matches_whole_grid_steps_on_the_numpy_path(
-    numpy_rates, case
+    numpy_loops, case
 ):
     _run_matches_whole_grid_steps(*case)
 
@@ -1344,6 +1474,14 @@ def test_window_failure_matches_the_whole_grid_step(change):
 
 
 def test_windowed_steps_keep_the_workspace_and_peak_flat():
+    _windowed_steps_keep_the_workspace_and_peak_flat()
+
+
+def test_windowed_steps_keep_the_workspace_and_peak_flat_on_the_numpy_path(numpy_loops):
+    _windowed_steps_keep_the_workspace_and_peak_flat()
+
+
+def _windowed_steps_keep_the_workspace_and_peak_flat():
     # A few hundred windowed steps keep every array of the domain and the
     # window, and each allocates only the state it returns, whatever the
     # window's size.
@@ -1541,7 +1679,7 @@ def test_run_search_matches_the_whole_grid_search(case, eps_px):
 @settings(deadline=None, max_examples=80, **_NUMPY_PATH)
 @given(_disturbed_lakes(), _SEARCH_EPS)
 def test_run_search_matches_the_whole_grid_search_on_the_numpy_path(
-    numpy_rates, case, eps_px
+    numpy_loops, case, eps_px
 ):
     _run_search_matches_the_whole_grid_search(case, eps_px)
 
@@ -1616,22 +1754,23 @@ def _drain_to_one_ulp(k, state, window):
     return state
 
 
-def test_search_dry_column_matches_the_whole_grid_search(monkeypatch):
-    _search_dry_column_matches_the_whole_grid_search(monkeypatch)
+def test_a_column_drained_below_half_an_ulp_ends_its_step(monkeypatch):
+    _a_column_drained_below_half_an_ulp_ends_its_step(monkeypatch)
 
 
-def test_search_dry_column_matches_the_whole_grid_search_on_the_numpy_path(
-    numpy_rates, monkeypatch
+def test_a_column_drained_below_half_an_ulp_ends_its_step_on_the_numpy_path(
+    numpy_loops, monkeypatch
 ):
-    _search_dry_column_matches_the_whole_grid_search(monkeypatch)
+    _a_column_drained_below_half_an_ulp_ends_its_step(monkeypatch)
 
 
-def _search_dry_column_matches_the_whole_grid_search(monkeypatch):
+def _a_column_drained_below_half_an_ulp_ends_its_step(monkeypatch):
     # On a bed at -2**40 one ulp of the surface is 2**-13: the step drains
     # the middle column to a thickness above h_min but below half an ulp,
-    # so the search reads (w_new + b) - b = 0 there. The error matches that
-    # of a run whose window never leaves the whole grid, in message, node,
-    # t, depth and step.
+    # so its new surface less the bed, (w_new + b) - b, is 0 there. The
+    # step itself fails with "below h_min" and that depth, before the
+    # search reads the state. The error matches that of a run whose window
+    # never leaves the whole grid, in message, node, t, depth and step.
     bed = -(2.0**40)
     grid = Grid(0.0, 0.05, 120)
     bathy = Flat(bed)
@@ -1639,20 +1778,21 @@ def _search_dry_column_matches_the_whole_grid_search(monkeypatch):
     surface[55:66] += 2.0**-9
     state = FlowState(0.0, surface, np.zeros(grid.n))
     config = solver.SolverConfig(t_end=1.0, cfl=0.9, boundary="periodic", h_min=1e-12)
-    with _StepLog(_drain_to_one_ulp), _SearchLog() as log:
+    with _StepLog(_drain_to_one_ulp) as steps, _SearchLog() as log:
         with pytest.raises(NearDryError) as windowed:
             solver.run(state, bathy, grid, config)
-    _, lo, hi, points = log.calls[-1]
-    assert points is None and len(log.calls) == 3 and hi - lo < grid.n
+    lo, hi = steps.windows[-1]
+    assert len(steps.windows) == 3 and len(log.calls) == 2 and hi - lo < grid.n
     assert lo <= windowed.value.node < hi
-    assert str(windowed.value).startswith("dry column at node")
-    monkeypatch.setattr(solver._ActiveWindow, "advance", lambda *args: None)
-    with _StepLog(_drain_to_one_ulp), _SearchLog() as log:
+    assert str(windowed.value).startswith("column 0.000e+00 below h_min at node")
+    assert windowed.value.depth == 0.0 and windowed.value.step == 3
+    monkeypatch.setattr(solver._ActiveWindow, "follow", lambda *args: None)
+    with _StepLog(_drain_to_one_ulp) as steps:
         with pytest.raises(NearDryError) as whole:
             solver.run(state, bathy, grid, config)
-    assert [call[1:3] for call in log.calls] == [[0, grid.n]] * 3
+    assert steps.windows == [(0, grid.n)] * 3
     assert _error_fields(windowed.value) == _error_fields(whole.value)
-    assert windowed.value.step == whole.value.step == 3
+    assert whole.value.step == 3
 
 
 def test_search_follows_a_front_over_a_crossing():
@@ -1750,7 +1890,7 @@ def test_compiled_search_matches_the_numpy_search(case):
     # and errors, call after call. Of two NaN operands numpy returns
     # either, so any NaN matches any NaN.
     b, eps_px, calls = case
-    compiled_rates()
+    compiled_loops()
     n = b.size
     grid = Grid(-1.0, 0.1, n)
     bathy = Linear(-1.0, 0.2)
@@ -1793,7 +1933,8 @@ def test_compiled_search_matches_the_numpy_search(case):
 # The step fuses its checks. Checked one array at a time, in the order the
 # step names them, they are: the starting w for h_min, w and u for
 # non-finite values, then the new w and m for non-finite values and the new
-# w for h_min. The step must raise what that sequence raises.
+# depth (w_new + b) - b for h_min. The step must raise what that sequence
+# raises.
 
 PLANTED = [np.nan, np.inf, -np.inf, 1e200, -1e200, 1.7e308, -1.7e308]
 # (row 0 or 1, position in the row or window, value)
@@ -1822,27 +1963,28 @@ def _checked_reference_step(state, bathy, grid, config, cells, dt_max, plant_rat
     t_new = t + dt
     solver._require_finite(w_new, t_new, "thickness", lo)
     solver._require_finite(m_new, t_new, "momentum", lo)
-    fields.require_wet(w_new, t_new, solver.BELOW_H_MIN, config.h_min, first_node=lo)
     surface, velocity = state.gamma_surface.copy(), state.velocity.copy()
     surface[cells] = w_new + b[cells]
+    depth = surface[cells] - b[cells]
+    fields.require_wet(depth, t_new, solver.BELOW_H_MIN, config.h_min, first_node=lo)
     velocity[cells] = m_new / w_new
     return FlowState(t_new, surface, velocity)
 
 
 @st.composite
-def _planted_runs(draw):
+def _planted_runs(draw, targets=("state", "rates")):
     """A first-order disturbed lake, the step to plant at, what to plant in
-    (the state, or the rates that make the new w and m) and the plants as
-    (row 0 or 1, position in the window, value)."""
+    (one of targets: the state, or the rates that make the new w and m) and
+    the plants as (row 0 or 1, position in the window, value)."""
     grid, bathy, state, config = draw(_disturbed_lakes())
     config.second_order = False
     at_step = draw(st.integers(1, 8))
-    target = draw(st.sampled_from(["state", "rates"]))
+    target = draw(st.sampled_from(targets))
     plants = draw(st.lists(_PLANT, min_size=1, max_size=4))
     return grid, bathy, state, config, at_step, target, plants
 
 
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=150, **_NUMPY_PATH)
 @given(_planted_runs())
 @example(
     # Finite momentum rates near the float maximum: the step passes its
@@ -1859,7 +2001,19 @@ def _planted_runs(draw):
         [(1, 0.0, 1.7e308), (1, 0.125, 1.7e308)],
     )
 )
-def test_fused_checks_raise_what_checking_each_array_in_turn_raises(case):
+def test_fused_checks_raise_what_checking_each_array_in_turn_raises(numpy_loops, case):
+    # On the numpy path, whose rates _rhs computes, so a test can plant in
+    # them.
+    _fused_checks_raise_what_checking_each_array_in_turn_raises(case)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_planted_runs(targets=("state",)))
+def test_fused_checks_raise_what_checking_each_array_in_turn_raises_compiled(case):
+    _fused_checks_raise_what_checking_each_array_in_turn_raises(case)
+
+
+def _fused_checks_raise_what_checking_each_array_in_turn_raises(case):
     # Values planted in the surface and velocity of the state a step reads,
     # or in its rates, at nodes of its window.
     grid, bathy, initial, config, at_step, target, plants = case
