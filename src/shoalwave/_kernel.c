@@ -1,6 +1,8 @@
 /* The two compiled loops of shoalwave: the rest of a first-order step of
  * its finite-volume scheme once dt is known, and the detector search after
- * each step.
+ * each step. Each has a numpy twin in solver.py that takes the same steps
+ * in the same order (solver._first_order_step, and the numpy search of
+ * solver._Search); a change to one is a change to both.
  *
  * Each operation takes the operands of the numpy code in its order, so
  * each loop gives the numpy code's bits, signed zeros included, with a
@@ -91,38 +93,39 @@ static int same_bits(double a, double b)
     return x == y;
 }
 
-/* The rows and constants of one frame of a first-order step, bound once
- * per frame (solver._Frame's binding, _native.Frame). w_e and m_e are the
- * frame's size + 4 cells from two before its first cell lo; bed_left and
- * bed_right its size + 1 interface offsets; rw and rm its size rates;
- * still its size marks; b the bed over its cells. ghost_fill says how
- * the whole grid's ghosts are filled: 0 when they are filled already (an
- * inflow's) or are real cells (a window's), else 1 transmissive, 2
- * periodic and 3 reflective. moved receives a call's first and last
- * moved cell.
+/* The rows and constants of a run's first-order steps, bound once per run
+ * (solver.Domain's binding, _native.Rows). w_e and m_e are the n + 4 cells
+ * of the ghost-extended thickness and momentum rows; bed_left and
+ * bed_right the n + 1 interface offsets; rw and rm the rate rows and still
+ * the mark row, of which a frame of size cells uses the first size; b the
+ * n bed values. ghost_fill says how the whole grid's ghosts are filled: 0
+ * when they are filled already (an inflow's), else 1 transmissive, 2
+ * periodic and 3 reflective. moved receives a call's first and last moved
+ * cell.
  */
-struct frame {
+struct rows {
     double *w_e, *m_e;
     const double *bed_left, *bed_right;
     double *rw, *rm;
     unsigned char *still;
     const double *b;
-    long lo, size;
     double rate_scale;
     int ghost_fill;
     long moved[2];
 };
 
 /* What solver.step does at first order once it has written w = surface - b
- * over the frame's reach (the cells of the whole grid, lo == 0, or all of
- * a window's w_e), checked it and computed dt.
+ * over the reach of the frame [lo, hi), checked it and computed dt: the
+ * whole grid's cells when lo == 0, else a window's cells and the two real
+ * cells beside each end, which are its ghosts. solver._first_order_step is
+ * its numpy twin, step for step.
  *
  * surface and velocity are the new state's rows, n long: a copy of the
  * old velocity, and of the old surface when track is set. The call writes
- * m = w * u over the reach, fills the ghosts, computes the rates into rw
- * and rm, and then w_new = w + dt * rw and m_new = m + dt * rm into them.
- * It returns 1, having written no new state, when one of those is not
- * finite, then 2 when a new depth (w_new + b) - b is below h_min.
+ * m = w * u over the reach, fills the whole grid's ghosts, computes the
+ * rates into rw and rm, and then w_new = w + dt * rw and m_new = m + dt * rm
+ * into them. It returns 1, having written no new state, when one of those
+ * is not finite, then 2 when a new depth (w_new + b) - b is below h_min.
  * Otherwise it writes the frame's cells of surface = w_new + b and
  * velocity = m_new / w_new, and returns 0.
  *
@@ -132,23 +135,24 @@ struct frame {
  * A whole-grid step whose four end cells do not all have rates of +-0
  * tracks no further, and gives 0 and n - 1.
  */
-int first_order_step(struct frame *f, double *surface, double *velocity, double dt,
-                     double h_min, int perturbed, double perturbation, int track)
+int first_order_step(struct rows *r, long lo, long hi, double *surface,
+                     double *velocity, double dt, double h_min, int perturbed,
+                     double perturbation, int track)
 {
-    double *w_e = f->w_e, *m_e = f->m_e, *rw = f->rw, *rm = f->rm;
-    const double *b = f->b;
-    long lo = f->lo, size = f->size;
+    double *w_e = r->w_e + lo, *m_e = r->m_e + lo, *rw = r->rw, *rm = r->rm;
+    const double *b = r->b + lo;
+    long size = hi - lo;
     long first = lo == 0 ? 2 : 0, end = lo == 0 ? size + 2 : size + 4;
     for (long k = first; k < end; k++)
         m_e[k] = w_e[k] * velocity[lo - 2 + k];
     /* The ghosts of solver._ghost_copies; a reflective wall flips the sign
      * of momentum's. */
-    for (int row = 0; f->ghost_fill && row < 2; row++) {
+    for (int row = 0; lo == 0 && r->ghost_fill && row < 2; row++) {
         double *e = row ? m_e : w_e;
-        if (f->ghost_fill == 1) {
+        if (r->ghost_fill == 1) {
             e[0] = e[1] = e[2];
             e[size + 2] = e[size + 3] = e[size + 1];
-        } else if (f->ghost_fill == 2) {
+        } else if (r->ghost_fill == 2) {
             e[0] = e[size];
             e[1] = e[size + 1];
             e[size + 2] = e[2];
@@ -165,8 +169,8 @@ int first_order_step(struct frame *f, double *surface, double *velocity, double 
             e[size + 3] = -e[size];
         }
     }
-    rates(w_e + 1, m_e + 1, f->bed_left, f->bed_right, rw, rm, size, f->rate_scale,
-          perturbed, perturbation);
+    rates(w_e + 1, m_e + 1, r->bed_left + lo, r->bed_right + lo, rw, rm, size,
+          r->rate_scale, perturbed, perturbation);
 
     if (track && lo == 0) {
         long ends[4] = {0, 1, size - 2, size - 1};
@@ -174,15 +178,15 @@ int first_order_step(struct frame *f, double *surface, double *velocity, double 
             if (!(rw[ends[k]] == 0.0 && rm[ends[k]] == 0.0))
                 track = 0;
         if (!track) {
-            f->moved[0] = 0;
-            f->moved[1] = size - 1;
+            r->moved[0] = 0;
+            r->moved[1] = size - 1;
         }
     }
     const double *w = w_e + 2, *m = m_e + 2;
     int finite = 1, deep = 1;
     for (long i = 0; i < size; i++) {
         if (track)
-            f->still[i] = rw[i] == 0.0 && rm[i] == 0.0;
+            r->still[i] = rw[i] == 0.0 && rm[i] == 0.0;
         rw[i] = w[i] + dt * rw[i];
         rm[i] = m[i] + dt * rm[i];
         finite &= isfinite(rw[i]) && isfinite(rm[i]);
@@ -199,7 +203,7 @@ int first_order_step(struct frame *f, double *surface, double *velocity, double 
     for (long i = 0; i < size; i++) {
         double s = rw[i] + b[i], v = rm[i] / rw[i];
         int same = same_bits(s, surface[i]) && same_bits(v, velocity[i]);
-        if (track && !(f->still[i] && same)) {
+        if (track && !(r->still[i] && same)) {
             if (first_moved < 0)
                 first_moved = lo + i;
             last_moved = lo + i;
@@ -208,8 +212,8 @@ int first_order_step(struct frame *f, double *surface, double *velocity, double 
         velocity[i] = v;
     }
     if (track) {
-        f->moved[0] = first_moved;
-        f->moved[1] = last_moved;
+        r->moved[0] = first_moved;
+        r->moved[1] = last_moved;
     }
     return 0;
 }

@@ -9,9 +9,11 @@ once. The library is written under a temporary name and then moved into
 place, so a process never reads a half-written one. When the cache cannot
 be written, the library is compiled into a temporary directory of the
 process instead. The loaded functions are kept as `step` (the rest of a
-first-order step once dt is known) and `search` (the detector search).
-With no compiler, or on any failure, both are None, and solver.step and
-solver._Search run their numpy code, which gives the same bits.
+first-order step once dt is known, on the rows of a Rows that a run binds
+once, over the cells [lo, hi) that each call names) and `search` (the
+detector search). With no compiler, or on any failure, both are None, and
+solver.step and solver._Search run their numpy code, which gives the same
+bits: the step's twin solver._first_order_step and the numpy search.
 """
 
 from __future__ import annotations
@@ -38,16 +40,14 @@ step = search = None
 _loaded = False
 
 
-class Frame(ctypes.Structure):
-    """_kernel.c's struct frame: the rows and constants of one frame of a
-    first-order step, and the first and last cell that its last call
-    moved."""
+class Rows(ctypes.Structure):
+    """_kernel.c's struct rows: the rows and constants of a run's
+    first-order steps, bound once per run, and the first and last cell that
+    its last call moved."""
 
     _fields_ = [
         *((name, ctypes.c_void_p) for name in ("w_e", "m_e", "bed_left", "bed_right")),
         *((name, ctypes.c_void_p) for name in ("rw", "rm", "still", "b")),
-        ("lo", ctypes.c_long),
-        ("size", ctypes.c_long),
         ("rate_scale", ctypes.c_double),
         ("ghost_fill", ctypes.c_int),
         ("moved", ctypes.c_long * 2),
@@ -118,10 +118,11 @@ def _compile(cc, source: bytes, path: Path):
 def _bind(path: Path):
     library = ctypes.CDLL(str(path))
     step, search = library.first_order_step, library.inland_search
-    # frame, surface, velocity, dt, h_min, perturbed, perturbation, track
-    # (see _kernel.c)
+    # rows, lo, hi, surface, velocity, dt, h_min, perturbed, perturbation,
+    # track (see _kernel.c)
     step.argtypes = (
-        ctypes.POINTER(Frame),
+        ctypes.POINTER(Rows),
+        *(ctypes.c_long,) * 2,
         *(ctypes.POINTER(ctypes.c_double),) * 2,
         ctypes.c_double,
         ctypes.c_double,

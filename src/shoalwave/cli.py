@@ -27,6 +27,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import typing
 from dataclasses import dataclass, make_dataclass
@@ -643,7 +644,15 @@ def cmd_speed(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors exit like malformed input."""
+    """An argument parser whose usage errors exit like malformed input, and
+    which reads every negative float, such as -1e-3 or -inf, as a value
+    rather than an option (argparse's own rule takes only -1 and -1.5)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):
         print("usage error: {}: {}".format(self.prog, message))

@@ -36,13 +36,13 @@ At either order, one compiled call does all but max|p|.
 The bed is static: prepare() evaluates it, its ghost cells and the
 first-order interface bed offsets once, and run() reuses them for every
 step and detector pass. The prepared domain also allocates the step's
-scratch rows once, and binds the whole grid's frame of views over them
-(see Domain): the step's w and m are the cells of their ghost-extended
-rows, so a whole-grid step writes only the two ghost cells at each end
-of each row. The domain keeps the last window step's frame too, and
-binds a new one only when the widened window's bounds change. The active
-window marks its still cells in the frame's flux mask rows, and the
-detector search allocates its own rows, once per run. So the kernel of
+scratch rows once, and cuts the whole grid's frame of numpy views of
+them (see Domain and _Frame): the step's w and m are the cells of their
+ghost-extended rows, so a whole-grid step writes only the two ghost cells
+at each end of each row. The domain keeps the last window step's frame
+too, and cuts a new one only when the widened window's bounds change. The
+step marks the window's still cells in the frame's flux mask rows, and
+the detector search allocates its own rows, once per run. So the kernel of
 either order and the search write every temporary into rows allocated
 before the first step, and a step allocates only the state it returns.
 write_outputs() formats the static x and b columns once and writes each
@@ -52,12 +52,16 @@ Once a first-order step has its dt, one compiled call (_kernel.c) does
 the rest of it: m = w * u, the ghost cells, the rates interface by
 interface, the update, its checks, the new state and the active window's
 first and last moved cell, each with the numpy code's operands in its
-order, on the rows that its frame bound once (see _compiled_step). The
-detector search is the library's other loop, one call per step at either
-order (see _Search). The first prepare() in a process builds or loads
-both (see _native). Where it cannot, the step and the search run their
-numpy code (the step's through _rhs and _hll, as at second order) with
-the same bits; that code is also the tests' reference for the loops.
+order. prepare() binds the rows it reads and writes once per run, and
+each call names its frame's cells [lo, hi). _first_order_step is its
+numpy twin, the same steps in the same order (its rates through _rhs and
+_hll, as at second order), and _first_order_rest calls one or the other
+and owns the failure path and the window's move. The detector search is
+the library's other loop, one call per step at either order (see
+_Search). The first prepare() in a process builds or loads both (see
+_native). Where it cannot, the step and the search run their numpy code
+with the same bits; that code is also the tests' reference for the
+loops.
 
 The time step is cfl * dx / max(|u| + sqrt(w)); runs abort with
 NearDryError when any column drops below h_min and NumericBlowUpError on
@@ -121,9 +125,6 @@ __all__ = [
 BOUNDARY_KINDS = ("transmissive", "periodic", "reflective")
 
 RUSH_CLASSES = (Classification.INLAND_RUSH, Classification.OFFSHORE_RUSH)
-
-# require_wet message for a column thinner than h_min.
-BELOW_H_MIN = "column {depth:.3e} below h_min at node {node} (t={t})"
 
 # The kernel's constant operands as read-only 0-d float64 arrays: a ufunc
 # converts a Python float operand on every call, and these give the same
@@ -200,12 +201,15 @@ class Domain:
     SIAM J. Sci. Comput. 25, 2004), which depend on the bed alone.
     rate_scale is -1/dx, the factor of every rate, as a 0-d array. These
     arrays are read-only. compiled_step is the compiled rest of a
-    first-order step (see _native and _compiled_step), or None at second
+    first-order step (see _native and _first_order_rest), or None at second
     order or when it cannot be built or loaded; compiled_search is the
     compiled detector search (see _Search) at either order, or None when it
-    cannot. With compiled_step, addresses holds the addresses of the rows
-    that the frames' step bindings point into, and state_row is the ctypes
-    type of a state row.
+    cannot. With compiled_step, binding (a _native.Rows) holds what every
+    call reads and writes of the run, bound once, since the rows never move:
+    the addresses of ghosts' two rows, the bed offsets, the rates, the
+    first mask row and b, rate_scale, how the call fills the whole grid's
+    ghost cells, and the first and last cell that the last call moved; and
+    state_row is the ctypes type of a state row.
 
     The other arrays are scratch that every step overwrites, so a domain
     serves one run at a time. ghosts holds the step's thickness and
@@ -261,16 +265,27 @@ class Domain:
         self.hll = np.empty((11, n + 1))
         self.hll_masks = np.empty((3, n + 1), bool)
         if self.compiled_step is not None:
-            # ndarray.ctypes.data costs 1-2 us a call, so each frame's binding
-            # (see _Frame) adds offsets to these.
-            rows = (self.ghosts, self.bed_left, self.bed_right, self.rates)
-            self.addresses = [row.ctypes.data for row in (*rows, self.hll_masks, b)]
             # How the call fills the whole grid's ghost cells: 0 when
-            # _fill_ghosts has filled them from the inflow, else the number
-            # of the boundary kind (see _kernel.c).
-            self.ghost_fill = 0
+            # _fill_inflow has filled them, else the number of the boundary
+            # kind (see _kernel.c).
+            fill = 0
             if config.inflow is None:
-                self.ghost_fill = 1 + BOUNDARY_KINDS.index(config.boundary)
+                fill = 1 + BOUNDARY_KINDS.index(config.boundary)
+            # ndarray.ctypes.data costs about 1 us a call, so the second row
+            # of ghosts and of rates takes its address from the first's.
+            ghosts, rates = self.ghosts.ctypes.data, self.rates.ctypes.data
+            self.binding = _native.Rows(
+                ghosts,
+                ghosts + self.ghosts.strides[0],
+                self.bed_left.ctypes.data,
+                self.bed_right.ctypes.data,
+                rates,
+                rates + self.rates.strides[0],
+                self.hll_masks.ctypes.data,
+                b.ctypes.data,
+                float(self.rate_scale),
+                fill,
+            )
             self.state_row = ctypes.c_double * n
         self.whole = _Frame(self, self.ghosts, 0, n)
         self.window_frame = None
@@ -283,7 +298,7 @@ class Domain:
         """The frame that a step of the window [lo, hi) steps: the window
         widened outward to multiples of _BLOCK cells, clipped to [2, n - 2].
 
-        The domain keeps the last one as window_frame and binds a new one
+        The domain keeps the last one as window_frame and cuts a new one
         only when those bounds change. Every cell that the widening adds is
         fixed and has fixed neighbours, so it steps to the same bits (see
         _ActiveWindow).
@@ -331,16 +346,12 @@ class _Frame:
     float and bool rows (size + 1 long), the rates (size long, holding the
     new w and m at the end of a step), the wave speeds over the cells, the
     bed over the reach and over the cells, and still and same, the first
-    two of _hll's bool rows over the cells, where _ActiveWindow marks the
-    still cells once _hll is done with them. With the compiled step,
-    binding holds what its call reads of the frame, bound once, since the
-    rows never move: the addresses of w_e, m_e, the bed offsets, the rates,
-    still and the bed over the cells, lo, the size, rate_scale and how the
-    call fills the ghost cells; the call writes the first and last moved
-    cell there (see _kernel.c and _native.Frame). It is None otherwise.
-    prepare() binds the whole grid's frame, and a second-order domain's
-    stage frame, once; Domain.frame binds a window's and keeps it while its
-    bounds hold.
+    two of _hll's bool rows over the cells, where the numpy step marks the
+    still cells once _hll is done with them. A frame is numpy views only:
+    the compiled step reads the same cells through the domain's binding
+    and the frame's lo and hi. prepare() cuts the whole grid's frame, and a
+    second-order domain's stage frame, once; Domain.frame cuts a window's
+    and keeps it while its bounds hold.
     """
 
     def __init__(self, domain: Domain, block, lo: int, hi: int):
@@ -378,28 +389,6 @@ class _Frame:
         self.rates = domain.rates[:, :size]
         self.rw, self.rm = self.rates
         self.speed = domain.speed[self.cells]
-        self.binding = None
-        if domain.compiled_step is not None:
-            ghosts, bed_left, bed_right, rates, masks, b = domain.addresses
-            # Each frame's cells start at column lo of the float64 rows of
-            # the ghosts, bed offsets and bed, and at column 0 of the rates
-            # and of still.
-            item = domain.b.itemsize
-            starts = (
-                ghosts + lo * item,
-                ghosts + block.strides[0] + lo * item,
-                bed_left + lo * item,
-                bed_right + lo * item,
-                rates,
-                rates + domain.rates.strides[0],
-                masks,
-                b + lo * item,
-            )
-            # A window's ghosts are real cells.
-            fill = domain.ghost_fill if whole else 0
-            from ._native import Frame
-
-            self.binding = Frame(*starts, lo, size, float(domain.rate_scale), fill)
 
 
 def _fill_ghosts(frame: _Frame, domain: Domain, config: SolverConfig, t: float):
@@ -661,52 +650,15 @@ class _ActiveWindow:
     Domain.frame). Every cell between the window and the frame is a fixed
     cell with fixed neighbours, so it steps to the same bits and its rates
     are +-0; so the frame's cells give the same first and last moved cell
-    as the window's alone. The compiled step finds them in its call (see
-    _kernel.c); the numpy step's note_rates marks the still cells in the
-    frame's still row, which advance then reads. Both hand them to follow.
+    as the window's alone. The compiled step and its numpy twin find them
+    (see _kernel.c and _first_order_step), and the step hands them to
+    follow.
     """
 
     def __init__(self, grid: Grid, config: SolverConfig):
         self.n = grid.n
         self.lo, self.hi = 0, grid.n
         self.open = config.inflow is None and not config.second_order
-
-    def _close(self):
-        self.open = False
-        self.lo, self.hi = 0, self.n
-
-    def note_rates(self, frame: _Frame):
-        """Mark the frame's cells whose rates are both +-0."""
-        if not self.open:
-            return
-        rw, rm = frame.rates
-        # A whole-grid step whose end cells move cannot leave a window; a
-        # run that moves an end from its first step pays nothing more.
-        if frame.hi - frame.lo == self.n and not all(
-            rw[i] == 0.0 and rm[i] == 0.0 for i in _ENDS
-        ):
-            self._close()
-            return
-        still = np.equal(rw, _ZERO, out=frame.still)
-        still &= np.equal(rm, _ZERO, out=frame.same)
-
-    def advance(self, frame: _Frame, old: FlowState, gamma_surface, velocity):
-        """Choose the next window from the rates and the new state of the
-        frame's cells."""
-        if not self.open:
-            return
-        cells, still, same = frame.cells, frame.still, frame.same
-        pairs = ((old.gamma_surface, gamma_surface), (old.velocity, velocity))
-        for before, after in pairs:
-            still &= np.equal(
-                before[cells].view(np.int64), after[cells].view(np.int64), out=same
-            )
-        first = int(still.argmin())  # argmin of a bool array: the first False
-        if still[first]:
-            self.follow(-1, -1)
-        else:
-            last = still.size - 1 - int(still[::-1].argmin())
-            self.follow(frame.lo + first, frame.lo + last)
 
     def follow(self, first: int, last: int):
         """Take the next window from the first and last moved cell, both -1
@@ -716,9 +668,9 @@ class _ActiveWindow:
         else:
             lo, hi = first - 1, last + 2
         if lo < 2 or hi > self.n - 2:
-            self._close()
-        else:
-            self.lo, self.hi = lo, hi
+            self.open = False
+            lo, hi = 0, self.n
+        self.lo, self.hi = lo, hi
 
 
 def step(
@@ -750,9 +702,10 @@ def step(
     were written. The window then moves on from the rates and new state of
     the frame's cells.
 
-    Once dt is known, a first-order step with the domain's compiled step
-    does the rest in one call (see _compiled_step); the numpy code below is
-    its reference, and the path of second order.
+    Once dt is known, a first-order step does the rest in one call of the
+    domain's compiled step or of its numpy twin (see _first_order_rest).
+    The numpy code below finishes a second-order step, which always steps
+    the whole grid, since the window never opens at second order.
 
     The checks raise what checking each array in turn would: the starting
     w for h_min, then (only when the fastest wave speed is not finite,
@@ -774,7 +727,7 @@ def step(
         surface, velocity = surface[reach], velocity[reach]
     w, m = frame.w, frame.m
     np.subtract(surface, frame.b_reach, out=frame.w_reach)
-    require_wet(w, t, BELOW_H_MIN, h_min, first_node=lo)
+    require_wet(w, t, THIN_COLUMN, h_min, first_node=lo)
     root = np.sqrt(w, out=m)
     u = velocity if whole else velocity[2:-2]
 
@@ -787,61 +740,40 @@ def step(
     dt = config.cfl * grid.dx / fastest
     if dt_max is not None:
         dt = min(dt, float(dt_max))
-    if frame.binding is not None:
-        return _compiled_step(state, frame, domain, grid, config, dt, _window)
-    np.multiply(frame.w_reach, velocity, out=frame.m_reach)
+    if not config.second_order:
+        return _first_order_rest(state, frame, domain, grid, config, dt, _window)
 
-    if config.second_order:
-        rw1, rm1 = _rhs(frame, domain, grid, config, t)
-        # w1 = w + dt * rw1; m1 = m + dt * rm1, the cells of a second block
-        stage = domain.stage
-        w1, m1 = stage.w, stage.m
-        np.add(w, np.multiply(dt, rw1, out=rw1), out=w1)
-        np.add(m, np.multiply(dt, rm1, out=rm1), out=m1)
-        require_wet(w1, t + dt, "intermediate stage dried out at node {node}")
-        w_new, m_new = _rhs(stage, domain, grid, config, t + dt)
-        # w_new = 0.5 * (w + w1 + dt * rw2); m_new likewise, over rw2 and rm2
-        for old, mid, new in ((w, w1, w_new), (m, m1, m_new)):
-            np.add(old, mid, out=old)
-            np.add(old, np.multiply(dt, new, out=new), out=new)
-            np.multiply(_HALF, new, out=new)
-    else:
-        w_new, m_new = _rhs(frame, domain, grid, config, t)
-        if _window is not None:
-            _window.note_rates(frame)
-        # w_new = w + dt * rw; m_new = m + dt * rm, over rw and rm
-        np.add(w, np.multiply(dt, w_new, out=w_new), out=w_new)
-        np.add(m, np.multiply(dt, m_new, out=m_new), out=m_new)
-
-    t_new = t + dt
-    # w_new and m_new are the rows of frame.rates (see _rhs).
-    _require_finite_rows(frame.rates, t_new, ("thickness", "momentum"), lo)
-    # gamma_surface = w_new + b, checked for h_min; velocity = m_new / w_new,
-    # over the frame's cells of a copy of the old state
-    if whole:
-        gamma_surface = np.add(w_new, frame.b_cells)
-        _require_deep(frame, gamma_surface, t_new, h_min)
-        velocity = np.divide(m_new, w_new)
-    else:
-        cells = frame.cells
-        gamma_surface = state.gamma_surface.copy()
-        np.add(w_new, frame.b_cells, out=gamma_surface[cells])
-        _require_deep(frame, gamma_surface[cells], t_new, h_min)
-        velocity = state.velocity.copy()
-        np.divide(m_new, w_new, out=velocity[cells])
-    if _window is not None:
-        _window.advance(frame, state, gamma_surface, velocity)
-    return FlowState(t_new, gamma_surface, velocity)
+    # The second-order step is whole-grid: the window never opens for it.
+    np.multiply(w, velocity, out=m)
+    rw1, rm1 = _rhs(frame, domain, grid, config, t)
+    # w1 = w + dt * rw1; m1 = m + dt * rm1, the cells of a second block
+    stage = domain.stage
+    w1, m1 = stage.w, stage.m
+    np.add(w, np.multiply(dt, rw1, out=rw1), out=w1)
+    np.add(m, np.multiply(dt, rm1, out=rm1), out=m1)
+    require_wet(w1, t + dt, "intermediate stage dried out at node {node}")
+    w_new, m_new = _rhs(stage, domain, grid, config, t + dt)
+    # w_new = 0.5 * (w + w1 + dt * rw2); m_new likewise, over rw2 and rm2
+    for old, mid, new in ((w, w1, w_new), (m, m1, m_new)):
+        np.add(old, mid, out=old)
+        np.add(old, np.multiply(dt, new, out=new), out=new)
+        np.multiply(_HALF, new, out=new)
+    _check_update(frame, t + dt, h_min)
+    gamma_surface = np.add(w_new, frame.b_cells)
+    return FlowState(t + dt, gamma_surface, np.divide(m_new, w_new))
 
 
-def _require_deep(frame: _Frame, surface, t: float, h_min: float):
-    """require_wet for h_min on the depth surface - b of the frame's cells,
-    written into the frame's w row, which the step no longer reads."""
+def _check_update(frame: _Frame, t: float, h_min: float):
+    """Check the new w and m, the frame's rate rows at the end of a step,
+    for non-finite values, then the new depth (w_new + b) - b, written into
+    the frame's w row, which the step no longer reads, for h_min."""
+    _require_finite_rows(frame.rates, t, ("thickness", "momentum"), frame.lo)
+    surface = np.add(frame.rw, frame.b_cells, out=frame.w)
     depth = np.subtract(surface, frame.b_cells, out=frame.w)
-    require_wet(depth, t, BELOW_H_MIN, h_min, first_node=frame.lo)
+    require_wet(depth, t, THIN_COLUMN, h_min, first_node=frame.lo)
 
 
-def _compiled_step(
+def _first_order_rest(
     state: FlowState,
     frame: _Frame,
     domain: Domain,
@@ -851,42 +783,92 @@ def _compiled_step(
     window: _ActiveWindow | None,
 ) -> FlowState:
     """The rest of a first-order step once dt is known, in one call of the
-    domain's compiled step (see _kernel.c): m = w * u, the ghost cells,
-    the rates, the update, its checks, the new state and, for an open
-    window, its first and last moved cell, which the window then follows.
+    domain's compiled step (see _kernel.c) or, without it, of its numpy
+    twin _first_order_step: m = w * u, the ghost cells, the rates, the
+    update, its checks, the new state and, for an open window, its first
+    and last moved cell, which the window then follows.
 
-    The call reads u from the new velocity row, a copy of the old one, and,
-    when it tracks the window, each cell's old surface from the new surface
-    row, a copy too; a whole-grid step's surface row is new otherwise. When
+    The new state's rows are allocated here: the new velocity is a copy of
+    the old one, from which the call reads u, and so is the new surface when
+    the call tracks the window and reads each cell's old surface there. When
     a new w or m is not finite, or a new depth is below h_min, the call
-    returns before it writes the new state, and the numpy checks then raise
-    its error from the rows it left.
+    returns without a new state, and the numpy checks then raise its error
+    from the rows it left.
     """
     track = window is not None and window.open
-    gamma_surface = state.gamma_surface.copy() if track else np.empty(domain.n)
-    velocity = state.velocity.copy()
-    t_new = state.t + dt
-    _fill_inflow(frame, domain, config, state.t)
-    perturbation = config.flux_perturbation
-    row = domain.state_row
-    failed = domain.compiled_step(
-        frame.binding,
-        row.from_buffer(gamma_surface),
-        row.from_buffer(velocity),
-        dt,
-        config.h_min,
-        perturbation != 0.0,
-        perturbation * grid.dx * 0.5,
-        track,
-    )
+    surface = state.gamma_surface.copy() if track else np.empty(domain.n)
+    new = FlowState(state.t + dt, surface, state.velocity.copy())
+    if domain.compiled_step is None:
+        failed, moved = _first_order_step(
+            frame, domain, grid, config, state, new, dt, track
+        )
+    else:
+        _fill_inflow(frame, domain, config, state.t)
+        perturbation = config.flux_perturbation
+        row, rows = domain.state_row, domain.binding
+        failed = domain.compiled_step(
+            rows,
+            frame.lo,
+            frame.hi,
+            row.from_buffer(surface),
+            row.from_buffer(new.velocity),
+            dt,
+            config.h_min,
+            perturbation != 0.0,
+            perturbation * grid.dx * 0.5,
+            track,
+        )
+        moved = rows.moved
     if failed:
-        _require_finite_rows(frame.rates, t_new, ("thickness", "momentum"), frame.lo)
-        surface = np.add(frame.rw, frame.b_cells, out=frame.w)
-        _require_deep(frame, surface, t_new, config.h_min)
-        raise AssertionError("the compiled step failed a check that numpy passes")
+        _check_update(frame, new.t, config.h_min)
+        raise AssertionError("the step failed a check that numpy passes")
     if track:
-        window.follow(*frame.binding.moved)
-    return FlowState(t_new, gamma_surface, velocity)
+        window.follow(*moved)
+    return new
+
+
+def _first_order_step(frame, domain, grid, config, state, new, dt, track):
+    """The numpy twin of _kernel.c's first_order_step, step for step, with
+    the same bits, from state to the rows of new: it returns what the call returns (0, 1 when a new w or m is not finite,
+    then 2 when a new depth is below h_min) and the first and last moved
+    cell, which the call leaves in the binding's moved. A failed twin may
+    have written the frame's cells of the new surface, which the step then
+    discards.
+    """
+    surface, velocity = new.gamma_surface, new.velocity
+    np.multiply(frame.w_reach, velocity[frame.reach], out=frame.m_reach)
+    rw, rm = _rhs(frame, domain, grid, config, state.t)
+    moved = (0, domain.n - 1)
+    # A whole-grid step whose end cells move cannot leave a window; a run
+    # that moves an end from its first step pays nothing more.
+    if track and frame.lo == 0:
+        track = all(rw[i] == 0.0 and rm[i] == 0.0 for i in _ENDS)
+    if track:
+        still = np.equal(rw, _ZERO, out=frame.still)
+        still &= np.equal(rm, _ZERO, out=frame.same)
+    # w_new = w + dt * rw; m_new = m + dt * rm, over rw and rm
+    np.add(frame.w, np.multiply(dt, rw, out=rw), out=rw)
+    np.add(frame.m, np.multiply(dt, rm, out=rm), out=rm)
+    if not math.isfinite(frame.rates.sum()):
+        return 1, moved
+    # surface = w_new + b; depth = surface - b, which is not NaN where w_new
+    # and b are finite, so its min finds any depth below h_min
+    cells, b = frame.cells, frame.b_cells
+    new_surface = np.add(rw, b, out=surface[cells])
+    if np.subtract(new_surface, b, out=frame.w).min() < config.h_min:
+        return 2, moved
+    np.divide(rm, rw, out=velocity[cells])
+    if not track:
+        return 0, moved
+    for before, after in ((state.gamma_surface, surface), (state.velocity, velocity)):
+        still &= np.equal(
+            before[cells].view(np.int64), after[cells].view(np.int64), out=frame.same
+        )
+    first = int(still.argmin())  # argmin of a bool array: the first False
+    if still[first]:
+        return 0, (-1, -1)
+    last = still.size - 1 - int(still[::-1].argmin())
+    return 0, (frame.lo + first, frame.lo + last)
 
 
 class _Search:

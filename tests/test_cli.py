@@ -278,6 +278,87 @@ class TestRun:
             assert set(r) >= {"t", "x_star", "classification", "side", "run_id"}
 
 
+ANALYTIC_RUN = """\
+name: slope
+grid: {x0: -1.0, dx: 0.05, n: 41}
+bathymetry: {kind: linear, b0: -1.0, b1: 0.1}
+initial: {kind: linear_bottom_analytic, a0: 0.2, c0: 0.0}
+solver: {t_end: 0.5}
+"""
+
+
+class TestRunPaths:
+    """run's paths that the other tests leave to the library: the
+    linear_bottom_analytic initial kind, the --second-order and
+    --stop-at-first-event overrides, and a config's output_dir."""
+
+    @pytest.mark.parametrize(
+        "b1, flags", [(0.0, []), (0.1, ["--second-order"])], ids=["flat", "sloped"]
+    )
+    def test_an_analytic_run_ends_on_the_closed_form(self, tmp_path, capsys, b1, flags):
+        # The scheme reproduces the family to rounding on a flat bed, and
+        # at second order on a sloping one.
+        cfg = write_cfg(tmp_path, ANALYTIC_RUN.replace("b1: 0.1", "b1: {}".format(b1)))
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--output-dir", str(out), *flags]) == 0
+        manifest = json.loads((out / "slope" / "run.json").read_text())
+        assert manifest["config"]["solver"]["second_order"] == bool(flags)
+        t = manifest["snapshot_times"][-1]
+        assert t == 0.5
+        grid, state, _ = load_state(out / "slope" / manifest["snapshot_files"][-1])
+        sol = cli.load_config(cfg).analytic_solution(grid)
+        u, surface, _ = analytic.eval_solution(sol, t, grid.x)
+        assert np.max(np.abs(state.gamma_surface - surface)) <= 1e-14
+        assert np.max(np.abs(state.velocity - u)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                ("kind: linear, b0: -1.0, b1: 0.1", "kind: flat, b0: -1.0"),
+                "linear_bottom_analytic needs bathymetry kind 'linear'",
+            ),
+            (("c0: 0.0", "c0: -1.0"), "initial: needs a wet column"),
+            (("a0: 0.2, c0: 0.0", "a0: 0.2, c0: 0.0, x2: 0.5"), "initial: grid ["),
+        ],
+        ids=["flat bed", "c0 <= b0", "grid outside (x1, x2)"],
+    )
+    def test_a_bad_analytic_config_is_one_line(self, tmp_path, capsys, change, message):
+        cfg = write_cfg(tmp_path, ANALYTIC_RUN.replace(*change))
+        out = tmp_path / "out"
+        assert cli.main(["run", cfg, "--output-dir", str(out)]) == cli.EXIT_CONFIG
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error [{}]: ".format(cfg))
+        assert message in lines[0]
+        assert not out.exists()
+
+    def test_stop_at_first_event_ends_at_the_first_rush(self, tmp_path, capsys):
+        # The whole bundled shelf run takes 6668 steps and logs rushes
+        # after its first; stopped, it ends on the step of the first one.
+        cfg = stage_bundled_cfg(tmp_path, "shoaling_pulse.cfg")
+        out = tmp_path / "out"
+        argv = ["run", cfg, "--output-dir", str(out), "--stop-at-first-event"]
+        assert cli.main(argv) == 0
+        run_dir = out / "shoaling_pulse"
+        manifest = json.loads((run_dir / "run.json").read_text())
+        assert manifest["post_singular"] is True
+        assert manifest["steps"] < 6668
+        records = (run_dir / "events.jsonl").read_text().splitlines()
+        classes = [json.loads(line)["classification"] for line in records]
+        rushes = [k for k, cls in enumerate(classes) if cls.endswith("Rush")]
+        assert rushes == [len(classes) - 1]
+        assert json.loads(records[-1])["t"] == manifest["snapshot_times"][-1]
+
+    def test_a_configs_output_dir_wins_over_the_flag(self, tmp_path, capsys):
+        own = tmp_path / "own"
+        cfg = write_cfg(tmp_path, SMALL_RUN + "output_dir: {}\n".format(own))
+        flag = tmp_path / "flag"
+        assert cli.main(["run", cfg, "--output-dir", str(flag)]) == 0
+        assert json.loads((own / "run.json").read_text())["run_id"] == "tiny"
+        assert not flag.exists()
+
+
 class TestRunFailures:
     @pytest.mark.parametrize(
         "mangle",
@@ -994,6 +1075,58 @@ class TestMain:
         out, err = capfd.readouterr()
         assert out.splitlines() == [line]
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            pytest.param(argv, code, line, id=" ".join(argv))
+            for argv, code, line in [
+                (
+                    ["nondim", "1", "1", "1", "-1e-3"],
+                    cli.EXIT_CONFIG,
+                    "invalid parameters: amplitude must be nonnegative and finite",
+                ),
+                (["verify-analytic", "--b1", "-1e-3", "--n", "20"], cli.EXIT_OK, "n=20 "),
+                (["classify-degenerate", "1", "1", "-2E+1", "1"], cli.EXIT_OK, "OrderSqrtDepth"),
+                (
+                    ["detect", "STATE", "--mean-depth", "-5e-1"],
+                    cli.EXIT_ALERT,
+                    "deep-sea: max sound speed=",
+                ),
+                (["run", "CFG", "--t-end", "-1e0"], cli.EXIT_CONFIG, "config error ["),
+                (
+                    ["speed", "-4E0"],
+                    cli.EXIT_CONFIG,
+                    "invalid parameters: depth must be positive and finite, got -4.0",
+                ),
+            ]
+        ],
+    )
+    def test_a_negative_number_in_exponent_notation_is_a_value(
+        self, tmp_path, capsys, argv, code, line
+    ):
+        # argparse's own rule reads only -1 and -1.5 as numbers, and took
+        # -1e-3 for an option. Each command with a float argument now parses
+        # it and ends as its value dictates.
+        paths = {"STATE": str(DATA / "shoaling_alert_state.csv")}
+        paths["CFG"] = write_cfg(tmp_path, SMALL_RUN)
+        argv = [paths.get(arg, arg) for arg in argv]
+        if argv[0] == "run":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert any(printed.startswith(line) for printed in lines), lines
+        if code == cli.EXIT_CONFIG:
+            assert len(lines) == 1, lines
+        if argv[0] == "run":
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "spelling", ["-1e-3", "-1E-3", "-.1e-2", "-1.e-3", "-0.001", "-1e+0", "-INF", "-nan"]
+    )
+    def test_negative_float_spellings_parse_as_values(self, spelling):
+        args = cli.build_parser().parse_args(["verify-analytic", "--b1", spelling])
+        assert repr(args.b1) == repr(float(spelling))
 
     def test_two_calls_build_at_most_one_parser(self, monkeypatch, capsys):
         builds = []

@@ -159,7 +159,7 @@ DRY_AT_5 = DRY_COLUMN.format(node=5, t=2.5)
         ),
         (
             lambda s, b, g: solver.step(s, b, g, solver.SolverConfig(t_end=10.0)),
-            solver.BELOW_H_MIN.format(depth=-0.25, node=5, t=2.5),
+            THIN_COLUMN.format(depth=-0.25, h_min=1e-6, node=5, t=2.5),
         ),
         (lambda s, b, g: riemann.inland(s, b, g), DRY_AT_5),
         (lambda s, b, g: detector.tangent_match_residual(s, b, g), DRY_AT_5),

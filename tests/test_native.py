@@ -5,6 +5,7 @@ import hashlib
 import importlib.resources
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -191,3 +192,45 @@ def test_the_loops_compile_without_a_warning(tmp_path):
         text=True,
     )
     assert built.returncode == 0, built.stderr
+
+
+def test_the_bindings_match_the_loops_abi(tmp_path):
+    # ctypes checks neither a struct's layout nor a function's arity. A
+    # probe compiled with _kernel.c prints sizeof(struct rows) and the
+    # offset of each member that _native.Rows names, and each function that
+    # _kernel.c exports takes as many parameters as its argtypes list.
+    compiled_loops()
+    cc = _native.compiler()
+    names = [name for name, _ in _native.Rows._fields_]
+    probe = tmp_path / "probe.c"
+    probe.write_text(
+        "#include <stddef.h>\n#include <stdio.h>\n#include \"_kernel.c\"\n"
+        "int main(void)\n{\n"
+        '    printf("%zu\\n", sizeof(struct rows));\n'
+        + "".join(
+            '    printf("%zu\\n", offsetof(struct rows, {}));\n'.format(name)
+            for name in names
+        )
+        + "    return 0;\n}\n"
+    )
+    exe = tmp_path / "probe"
+    built = subprocess.run(
+        [*cc, "-I", str(_native.SOURCE.parent), str(probe), "-o", str(exe), "-lm"],
+        capture_output=True,
+        text=True,
+    )
+    assert built.returncode == 0, built.stderr
+    printed = subprocess.run([str(exe)], capture_output=True, text=True, check=True)
+    size, *offsets = map(int, printed.stdout.split())
+    assert size == ctypes.sizeof(_native.Rows)
+    assert offsets == [getattr(_native.Rows, name).offset for name in names]
+
+    source = _native.SOURCE.read_text()
+    exported = {
+        name: len(params.split(","))
+        for name, params in re.findall(
+            r"^(?:int|long|double|void) +(\w+)\(([^)]*)\)", source, re.M
+        )
+    }
+    bound = {loop.__name__: len(loop.argtypes) for loop in (_native.step, _native.search)}
+    assert exported == bound

@@ -1408,21 +1408,55 @@ def test_window_frames_are_reused_at_scale(monkeypatch, boundary, n, steps, fail
 
 
 @pytest.mark.parametrize("moving", ["rw", "rm"])
-def test_a_cell_with_a_nonzero_rate_stays_in_the_window(moving):
-    # dt * 1e-300 underflows to 0, so the cell's state comes back unchanged,
-    # yet a larger dt could move it: its rate alone keeps it in the window.
+def test_a_cell_with_a_nonzero_rate_stays_in_the_window(numpy_loops, monkeypatch, moving):
+    # A uniform flow whose rates _rhs sets to -0.0 and 0.0 but at cell 20,
+    # which gets 1e-300: the update w + dt * rate or m + dt * rate rounds it
+    # away, so the whole-grid step gives the state back bit for bit, yet a
+    # larger dt could move the cell: its rate alone keeps it in the window.
     # Rates of -0.0 count as zero.
     grid = Grid(0.0, 0.1, 40)
+    bathy = Flat(-1.0)
     config = solver.SolverConfig(t_end=1.0)
+    rhs = solver._rhs
+
+    def planted(frame, *args):
+        rw, rm = rhs(frame, *args)
+        rw[...] = -0.0
+        rm[...] = 0.0
+        getattr(frame, moving)[20] = 1e-300
+        return rw, rm
+
+    monkeypatch.setattr(solver, "_rhs", planted)
+    domain = solver.prepare(bathy, grid, config)
+    assert domain.compiled_step is None
     window = solver._ActiveWindow(grid, config)
-    frame = solver.prepare(Flat(-1.0), grid, config).whole
-    state = solver.initial_lake_at_rest(grid)
-    frame.rw[...] = -0.0
-    frame.rm[...] = 0.0
-    getattr(frame, moving)[20] = 1e-300
-    window.note_rates(frame)
-    window.advance(frame, state, state.gamma_surface.copy(), state.velocity.copy())
+    state = FlowState(0.0, np.zeros(grid.n), np.full(grid.n, 0.5))
+    new = solver.step(state, bathy, grid, config, domain=domain, _window=window)
+    assert _same_bits(new.gamma_surface, state.gamma_surface)
+    assert _same_bits(new.velocity, state.velocity)
     assert window.open and (window.lo, window.hi) == (19, 22)
+
+
+def test_a_new_depth_just_below_h_min_ends_the_numpy_step(numpy_loops, monkeypatch):
+    # A lake 1 deep at rest steps with dt = 0.45 * 0.1 / 1; a rate planted
+    # at cell 20 drains it to 3/4 of h_min, which the numpy step's own
+    # depth test must catch as the checks would.
+    grid = Grid(0.0, 0.1, 40)
+    bathy = Flat(-1.0)
+    config = solver.SolverConfig(t_end=1.0)
+    dt = config.cfl * grid.dx
+    rhs = solver._rhs
+
+    def planted(frame, *args):
+        rw, rm = rhs(frame, *args)
+        rw[20] = (0.75e-6 - 1.0) / dt
+        return rw, rm
+
+    monkeypatch.setattr(solver, "_rhs", planted)
+    with pytest.raises(NearDryError) as info:
+        solver.step(solver.initial_lake_at_rest(grid), bathy, grid, config)
+    assert info.value.node == 20 and info.value.depth == pytest.approx(0.75e-6)
+    assert str(info.value).startswith("column 7.500e-07 below h_min=1.000e-06 at node 20")
 
 
 def _plant(at_step, change, b):
@@ -1768,7 +1802,7 @@ def _a_column_drained_below_half_an_ulp_ends_its_step(monkeypatch):
     # On a bed at -2**40 one ulp of the surface is 2**-13: the step drains
     # the middle column to a thickness above h_min but below half an ulp,
     # so its new surface less the bed, (w_new + b) - b, is 0 there. The
-    # step itself fails with "below h_min" and that depth, before the
+    # step itself fails with "below h_min=" and that depth, before the
     # search reads the state. The error matches that of a run whose window
     # never leaves the whole grid, in message, node, t, depth and step.
     bed = -(2.0**40)
@@ -1784,7 +1818,7 @@ def _a_column_drained_below_half_an_ulp_ends_its_step(monkeypatch):
     lo, hi = steps.windows[-1]
     assert len(steps.windows) == 3 and len(log.calls) == 2 and hi - lo < grid.n
     assert lo <= windowed.value.node < hi
-    assert str(windowed.value).startswith("column 0.000e+00 below h_min at node")
+    assert str(windowed.value).startswith("column 0.000e+00 below h_min=1.000e-12 at node")
     assert windowed.value.depth == 0.0 and windowed.value.step == 3
     monkeypatch.setattr(solver._ActiveWindow, "follow", lambda *args: None)
     with _StepLog(_drain_to_one_ulp) as steps:
@@ -1951,7 +1985,7 @@ def _checked_reference_step(state, bathy, grid, config, cells, dt_max, plant_rat
     t, lo = state.t, cells.start
     w = state.gamma_surface - b
     u = state.velocity
-    fields.require_wet(w[cells], t, solver.BELOW_H_MIN, config.h_min, first_node=lo)
+    fields.require_wet(w[cells], t, fields.THIN_COLUMN, config.h_min, first_node=lo)
     solver._require_finite(w[cells], t, "thickness", lo)
     solver._require_finite(u[cells], t, "velocity", lo)
     dt = min(config.cfl * grid.dx / float(np.max(np.abs(u) + np.sqrt(w))), dt_max)
@@ -1966,7 +2000,7 @@ def _checked_reference_step(state, bathy, grid, config, cells, dt_max, plant_rat
     surface, velocity = state.gamma_surface.copy(), state.velocity.copy()
     surface[cells] = w_new + b[cells]
     depth = surface[cells] - b[cells]
-    fields.require_wet(depth, t_new, solver.BELOW_H_MIN, config.h_min, first_node=lo)
+    fields.require_wet(depth, t_new, fields.THIN_COLUMN, config.h_min, first_node=lo)
     velocity[cells] = m_new / w_new
     return FlowState(t_new, surface, velocity)
 
